@@ -42,7 +42,7 @@ from repro.core.executor import (
     ScanRequest,
     register_proposal,
 )
-from repro.core.kernels import _BlockScanCore, _launch_config
+from repro.core.kernels import _apply_offsets, _BlockScanCore, _launch_config
 from repro.core.params import ExecutionPlan, KernelParams, ProblemConfig
 
 #: Descriptor reads a block performs while resolving its prefix (the
@@ -124,7 +124,6 @@ def launch_chained_scan(
     desc = descriptors.data
     identity = op.identity(plan.problem.dtype)
     core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
-    width, nw = core.width, core.num_warps
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, g = ctx.block_xy(block_ids)
@@ -144,18 +143,9 @@ def launch_chained_scan(
             prefixes[i] = prev
             desc[g[i], bx[i]] = op.combine(prev, totals[i])
 
-        local = partials["local"]
-        if not inclusive_out:
-            shifted = np.empty_like(local)
-            shifted[..., 0] = identity
-            shifted[..., 1:] = local[..., :-1]
-            local = shifted
-        offset = op.combine(
-            prefixes[:, None, None],
-            op.combine(carries[:, :, None], partials["warp_offsets"]),
+        result = _apply_offsets(
+            op, partials, carries, prefixes, inclusive_out, identity
         )
-        offset = op.combine(offset[..., None], partials["thread_offsets"])
-        result = op.combine(offset[..., None], local)
         arr[g, bx] = result.reshape(nb, kp.K, kp.Lx, kp.P)
 
         ctx.stats.read_global(

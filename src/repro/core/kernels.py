@@ -33,7 +33,6 @@ from repro.gpusim.device import GPU
 from repro.gpusim.events import KernelRecord, Trace
 from repro.gpusim.kernel import KernelContext, LaunchConfig
 from repro.gpusim.lookback import (
-    STATE_AGGREGATE,
     STATE_INVALID,
     STATE_PREFIX,
     LookbackParams,
@@ -195,6 +194,42 @@ class _BlockScanCore:
     def chunk_totals(self, iteration_totals: np.ndarray) -> np.ndarray:
         """Reduction of the whole chunk: combine of the K iteration totals."""
         return self.op.reduce(iteration_totals, axis=-1)
+
+
+def _apply_offsets(
+    op: Operator,
+    partials: dict[str, np.ndarray],
+    carries: np.ndarray,
+    base: np.ndarray | None,
+    inclusive: bool,
+    identity,
+) -> np.ndarray:
+    """Final values of a block's elements: its offset chain applied to its scan.
+
+    ``offset = base . carry(k) . warp_offset . thread_offset``, combined
+    left-to-right so non-commutative operators would still be correct;
+    each step updates call-owned scratch in place. ``base`` holds one
+    exclusive prefix per block (``None`` when there is none to add);
+    ``inclusive=False`` shifts each thread's local scan right by one
+    element, identity first, which makes the output exclusive.
+    """
+    local = partials["local"]
+    if not inclusive:
+        shifted = _scratch(local.shape, local.dtype)
+        shifted[..., 0] = identity
+        shifted[..., 1:] = local[..., :-1]
+        local = shifted
+    offset = op.combine(
+        carries[:, :, None], partials["warp_offsets"],
+        out=partials["warp_offsets"],
+    )
+    if base is not None:
+        offset = op.combine(base[:, None, None], offset, out=offset)
+    offset = op.combine(
+        offset[..., None], partials["thread_offsets"],
+        out=partials["thread_offsets"],
+    )
+    return op.combine(offset[..., None], local, out=local)
 
 
 def _warp_geometry(kp: KernelParams, warp_size: int) -> tuple[int, int]:
@@ -417,7 +452,6 @@ def launch_intermediate_scan(
     core = _BlockScanCore(
         _stage2_row_params(kp2), op, gpu.arch.warp_size, plan.problem.dtype
     )
-    width, nw = core.width, core.num_warps
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         _, by = ctx.block_xy(block_ids)
@@ -433,21 +467,9 @@ def launch_intermediate_scan(
 
         partials = core.run(view)
         carries = core.cascade_carries(partials["iteration_totals"])  # (npb, rounds)
-        local = partials["local"]  # (npb, rounds, nw, width, P)
-        shifted = _scratch(local.shape, local.dtype)
-        shifted[..., 0] = identity
-        shifted[..., 1:] = local[..., :-1]
-        # The offset chain updates the partials in place (they are scratch
-        # owned by this call) instead of allocating a fresh array per step.
-        offset = op.combine(
-            carries[:, :, None], partials["warp_offsets"],
-            out=partials["warp_offsets"],
+        result = _apply_offsets(
+            op, partials, carries, base=None, inclusive=False, identity=identity
         )
-        offset = op.combine(
-            offset[..., None], partials["thread_offsets"],
-            out=partials["thread_offsets"],
-        )
-        result = op.combine(offset[..., None], shifted, out=shifted)
         arr[problems] = result.reshape(npb, padded)[:, :cx]
 
         ctx.stats.read_global(npb * cx * itemsize)
@@ -500,8 +522,8 @@ def launch_scan_add(
         )
     arr = data.data.reshape(g_local, bx_total, kp.K, kp.Lx, kp.P)
     aux_mat = aux_scanned.data
+    identity = op.identity(plan.problem.dtype)
     core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
-    width, nw = core.width, core.num_warps
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, g = ctx.block_xy(block_ids)
@@ -510,27 +532,7 @@ def launch_scan_add(
         partials = core.run(chunks)
         carries = core.cascade_carries(partials["iteration_totals"])  # (nb, K)
         base = aux_mat[g, chunk_column_offset + bx]  # (nb,) exclusive offsets
-
-        local = partials["local"].reshape(nb, kp.K, nw, width, kp.P)
-        if not inclusive_out:
-            shifted = _scratch(local.shape, local.dtype)
-            shifted[..., 0] = op.identity(plan.problem.dtype)
-            shifted[..., 1:] = local[..., :-1]
-            local = shifted
-
-        # offset = base . carry(k) . warp_offset . thread_offset, combined
-        # left-to-right so non-commutative operators would still be correct;
-        # each step updates call-owned scratch in place.
-        offset = op.combine(
-            carries[:, :, None], partials["warp_offsets"],
-            out=partials["warp_offsets"],
-        )
-        offset = op.combine(base[:, None, None], offset, out=offset)  # (nb, K, nw)
-        offset = op.combine(
-            offset[..., None], partials["thread_offsets"],
-            out=partials["thread_offsets"],
-        )  # (nb, K, nw, width)
-        result = op.combine(offset[..., None], local, out=local)
+        result = _apply_offsets(op, partials, carries, base, inclusive_out, identity)
         arr[g, bx] = result.reshape(nb, kp.K, kp.Lx, kp.P)
 
         ctx.stats.read_global(nb * kp.chunk_size * itemsize + nb * itemsize)
@@ -586,22 +588,23 @@ def descriptor_reset_stats(g_local: int, bx_total: int) -> LaunchStats:
 def launch_descriptor_reset(
     trace: Trace,
     gpu: GPU,
-    descriptors: DeviceArray,
+    status: DeviceArray,
     plan: ExecutionPlan,
     phase: str = "sp-dlb",
     functional: bool = True,
 ) -> KernelRecord:
-    """Reset every lookback descriptor to ``X`` (invalid) before the pass.
+    """Reset every lookback status word to ``X`` (invalid) before the pass.
 
-    The scan kernel cannot start until no stale status word is observable,
-    so this launch also carries the protocol-arming latency
+    ``status`` is the ``(g_local, Bx)`` integer status plane of the
+    descriptors. The scan kernel cannot start until no stale status word
+    is observable, so this launch also carries the protocol-arming latency
     (:attr:`~repro.gpusim.costmodel.CostModelParams.lookback_setup_s`):
     the memset/fence round trip plus priming the polling path. This fixed
     cost — not bandwidth — is what the three-kernel pipeline undercuts at
     small N, giving the tuner a genuine crossover to find.
     """
-    descriptors.require_on(gpu)
-    g_local, bx_total, _ = descriptors.shape
+    status.require_on(gpu)
+    g_local, bx_total = status.shape
     n_desc = g_local * bx_total
     config = LaunchConfig(
         grid_x=ceil_div(n_desc, _RESET_BLOCK_THREADS),
@@ -618,20 +621,17 @@ def launch_descriptor_reset(
             precomputed_stats=descriptor_reset_stats(g_local, bx_total),
             extra_latency_s=setup_s,
         )
-    status = descriptors.data[:, :, 0]
+    words = status.data
     lb = LookbackParams()
+    lanes = np.arange(_RESET_BLOCK_THREADS)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, _ = ctx.block_xy(block_ids)
-        covered = 0
-        for b in bx:
-            start = b * _RESET_BLOCK_THREADS
-            end = min(start + _RESET_BLOCK_THREADS, n_desc)
-            flat = np.arange(start, end)
-            status[flat // bx_total, flat % bx_total] = STATE_INVALID
-            covered += end - start
-        ctx.stats.write_global(covered * lb.status_bytes)
-        ctx.stats.address_math(covered)
+        flat = (bx[:, None] * _RESET_BLOCK_THREADS + lanes).reshape(-1)
+        flat = flat[flat < n_desc]
+        words[flat // bx_total, flat % bx_total] = STATE_INVALID
+        ctx.stats.write_global(flat.size * lb.status_bytes)
+        ctx.stats.address_math(flat.size)
 
     return gpu.launch(
         trace, "descriptor_reset", phase, config, body, extra_latency_s=setup_s
@@ -684,10 +684,68 @@ def single_pass_scan_stats(plan: ExecutionPlan, arch: GPUArchitecture) -> Launch
     return stats
 
 
+def _resolve_lookback(
+    op: Operator,
+    status: np.ndarray,
+    desc: np.ndarray,
+    block_ids: np.ndarray,
+    bx: np.ndarray,
+    g: np.ndarray,
+    totals: np.ndarray,
+) -> np.ndarray:
+    """Resolve and publish the lookback of one call's blocks.
+
+    Returns each block's exclusive prefix and leaves its descriptor in
+    state ``P``: inclusive prefix published, aggregate too for ``bx > 0``.
+
+    The blocks form runs of consecutive columns of one row (an ordered
+    launch delivers them in ascending order), and one accumulate folds
+    every run left to right. A run that starts mid-row is seeded with its
+    predecessor's ``P``, which an earlier call must have published — a
+    block delivered before its predecessor raises
+    :class:`~repro.errors.LaunchError`. A run that starts its row begins
+    at its own first total, as block 0 publishes its total directly
+    (folding the add identity in would turn a ``-0.0`` into ``+0.0``).
+    """
+    nb = len(block_ids)
+    starts_run = np.ones(nb, dtype=bool)
+    starts_run[1:] = (np.diff(block_ids) != 1) | (bx[1:] == 0)
+    starts = np.flatnonzero(starts_run)
+    run = np.cumsum(starts_run) - 1
+    seeded = bx[starts] > 0
+    pred_g, pred_bx = g[starts[seeded]], bx[starts[seeded]] - 1
+    invalid = np.flatnonzero(status[pred_g, pred_bx] != STATE_PREFIX)
+    if invalid.size:
+        j = invalid[0]
+        raise LaunchError(
+            f"lookback hit an invalid descriptor at block {pred_bx[j]} "
+            f"(problem {pred_g[j]}): reset/ordering protocol violated"
+        )
+
+    # One row of ``folds`` per run: [seed,] totals..., identity-padded on
+    # the right (padding folds after every real column, so it is inert).
+    identity = op.identity(totals.dtype)
+    col = np.arange(nb) - starts[run] + seeded[run]
+    folds = np.full((len(starts), int(col.max()) + 1), identity, dtype=totals.dtype)
+    folds[run, col] = totals
+    folds[seeded, 0] = desc[pred_g, pred_bx, 1]
+    op.accumulate(folds, axis=1, out=folds)
+    prefixes = np.full(nb, identity, dtype=totals.dtype)
+    after_seed = col > 0
+    prefixes[after_seed] = folds[run[after_seed], col[after_seed] - 1]
+
+    has_pred = bx > 0
+    desc[g[has_pred], bx[has_pred], 0] = totals[has_pred]
+    desc[g, bx, 1] = folds[run, col]
+    status[g, bx] = STATE_PREFIX
+    return prefixes
+
+
 def launch_single_pass_scan(
     trace: Trace,
     gpu: GPU,
     data: DeviceArray,
+    status: DeviceArray,
     descriptors: DeviceArray,
     plan: ExecutionPlan,
     phase: str = "sp-dlb",
@@ -695,26 +753,37 @@ def launch_single_pass_scan(
 ) -> KernelRecord:
     """The decoupled-lookback pass: local scan + descriptor protocol, once.
 
-    ``descriptors`` is the ``(g_local, Bx, 3)`` global-memory protocol
-    state — ``[status, aggregate, inclusive_prefix]`` per block, reset to
-    ``X`` by :func:`launch_descriptor_reset`. Each block:
+    The global-memory protocol state is two planes per block: ``status``,
+    the ``(g_local, Bx)`` integer status word reset to ``X`` by
+    :func:`launch_descriptor_reset`, and ``descriptors``, the
+    ``(g_local, Bx, 2)`` ``[aggregate, inclusive_prefix]`` pair in the
+    payload dtype. Each block:
 
     1. runs the Stage-1/3 register/warp/smem flow over its chunk;
-    2. publishes its chunk aggregate (state ``A``; block 0 publishes its
-       inclusive prefix ``P`` directly — it has nothing to wait for);
-    3. looks back over predecessor descriptors, accumulating ``A``
-       aggregates until it reaches a ``P`` prefix, folding left-to-right
-       so the association is exactly the chained scan's sequential chain
-       (bit-identical across vectorized/blockwise execution modes);
-    4. applies the resolved exclusive prefix to its elements and publishes
-       its own inclusive prefix (state ``P``).
+    2. resolves its exclusive prefix — on hardware by looking back over
+       its predecessors' ``A`` aggregates until a ``P`` prefix, folding
+       left to right;
+    3. applies the prefix to its elements and publishes its inclusive
+       prefix (state ``P``; block 0 publishes it directly).
 
-    The polling stall is round-trip-bound, invisible to the byte-counting
-    roofline, so it rides on the launch as ``extra_latency_s`` — computed
-    closed-form from the grid geometry (schedule-independent), identical
-    for the functional run and the analytic estimate.
+    The body does not replay that walk block by block. Every published
+    ``P`` is the left fold of its row's chunk totals, so the walk's
+    result is the sequential fold, and one accumulate over each row's
+    chunk totals resolves every block of the call with the same bits
+    (:func:`_resolve_lookback`). Float results are therefore
+    bit-identical to the chained executor's and across the vectorized
+    and blockwise execution modes.
+
+    The residency window shapes only the model: the descriptor reads
+    (:func:`~repro.gpusim.lookback.lookback_reads_per_block`) and the
+    polling stall. The stall is round-trip-bound, invisible to the
+    byte-counting roofline, so it rides on the launch as
+    ``extra_latency_s`` — computed closed-form from the grid geometry
+    (schedule-independent), identical for the functional run and the
+    analytic estimate.
     """
     data.require_on(gpu)
+    status.require_on(gpu)
     descriptors.require_on(gpu)
     kp = plan.stage1.params
     op = plan.problem.operator
@@ -722,10 +791,11 @@ def launch_single_pass_scan(
     bx_total = plan.stage1.bx
     itemsize = plan.problem.itemsize
     inclusive_out = plan.problem.inclusive
-    if descriptors.shape != (g_local, bx_total, 3):
+    planes = (status.shape, descriptors.shape)
+    if planes != ((g_local, bx_total), (g_local, bx_total, 2)):
         raise ConfigurationError(
-            f"descriptor array must be {(g_local, bx_total, 3)}, "
-            f"got {descriptors.shape}"
+            f"descriptor planes must be {(g_local, bx_total)} and "
+            f"{(g_local, bx_total, 2)}, got {planes[0]} and {planes[1]}"
         )
     config, capacity, lb = _lookback_geometry(plan, gpu.arch)
     params = gpu.cost_model.params
@@ -741,6 +811,7 @@ def launch_single_pass_scan(
         )
 
     arr = data.data.reshape(g_local, bx_total, kp.K, kp.Lx, kp.P)
+    words = status.data
     desc = descriptors.data
     identity = op.identity(plan.problem.dtype)
     core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
@@ -748,73 +819,19 @@ def launch_single_pass_scan(
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, g = ctx.block_xy(block_ids)
         nb = len(block_ids)
-        chunks = arr[g, bx]
-        partials = core.run(chunks)
+        partials = core.run(arr[g, bx])
         carries = core.cascade_carries(partials["iteration_totals"])
         totals = core.chunk_totals(partials["iteration_totals"])  # (nb,)
-
-        # The protocol runs in resident waves of ``capacity`` blocks (the
-        # co-scheduling window real hardware exposes): within a wave every
-        # block first posts its aggregate (``A``), then each walks its
-        # predecessors — co-resident ones still ``A``, older waves already
-        # ``P`` — and only after the whole wave resolved are the inclusive
-        # prefixes published. Folding the collected aggregates
-        # left-to-right is the canonical chain association, so results are
-        # bit-identical however the engine batches blocks into calls.
-        prefixes = np.empty(nb, dtype=arr.dtype)
-        for start in range(0, nb, capacity):
-            wave = range(start, min(start + capacity, nb))
-            for i in wave:
-                gi, bi = g[i], bx[i]
-                if bi == 0:
-                    desc[gi, bi, 2] = totals[i]
-                    desc[gi, bi, 0] = STATE_PREFIX
-                else:
-                    desc[gi, bi, 1] = totals[i]
-                    desc[gi, bi, 0] = STATE_AGGREGATE
-            for i in wave:
-                gi, bi = g[i], bx[i]
-                if bi == 0:
-                    prefixes[i] = identity
-                    continue
-                j = bi - 1
-                pending = []
-                while desc[gi, j, 0] == STATE_AGGREGATE:
-                    pending.append(desc[gi, j, 1])
-                    j -= 1
-                if desc[gi, j, 0] != STATE_PREFIX:
-                    raise LaunchError(
-                        f"lookback hit an invalid descriptor at block {j} "
-                        f"(problem {gi}): reset/ordering protocol violated"
-                    )
-                acc = desc[gi, j, 2]
-                for aggregate in reversed(pending):
-                    acc = op.combine(acc, aggregate)
-                prefixes[i] = acc
-            for i in wave:
-                gi, bi = g[i], bx[i]
-                if bi > 0:
-                    desc[gi, bi, 2] = op.combine(prefixes[i], totals[i])
-                    desc[gi, bi, 0] = STATE_PREFIX
-
-        local = partials["local"]
-        if not inclusive_out:
-            shifted = np.empty_like(local)
-            shifted[..., 0] = identity
-            shifted[..., 1:] = local[..., :-1]
-            local = shifted
-        offset = op.combine(
-            prefixes[:, None, None],
-            op.combine(carries[:, :, None], partials["warp_offsets"]),
+        prefixes = _resolve_lookback(op, words, desc, block_ids, bx, g, totals)
+        result = _apply_offsets(
+            op, partials, carries, prefixes, inclusive_out, identity
         )
-        offset = op.combine(offset[..., None], partials["thread_offsets"])
-        result = op.combine(offset[..., None], local)
         arr[g, bx] = result.reshape(nb, kp.K, kp.Lx, kp.P)
 
         # Counters use the protocol *model* (a pure function of grid
-        # column and capacity), not the walk the serialised simulator
-        # happened to take — vectorized, blockwise and closed-form
-        # accounting therefore agree exactly.
+        # column and capacity), not how the simulator resolved the
+        # prefixes — vectorized, blockwise and closed-form accounting
+        # therefore agree exactly.
         reads = int(lookback_reads_per_block(bx, capacity).sum())
         ctx.stats.read_global(
             nb * kp.chunk_size * itemsize + reads * lb.descriptor_words * itemsize

@@ -28,6 +28,8 @@ to pipeline the lookback), so the two even share a resolver cache entry.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import obs
 from repro.gpusim.arch import GPUArchitecture
 from repro.gpusim.device import GPU
@@ -81,30 +83,33 @@ class ScanSinglePassDLB(ScanExecutor):
     def _place_buffers(self, scope: AllocationScope, plan: ExecutionPlan,
                        request: ScanRequest):
         problem = request.problem
-        # Descriptors: (status, aggregate, inclusive prefix) per block.
-        desc_shape = (problem.G, plan.stage1.bx, 3)
-        if request.batch is None:
+        # Descriptors: an integer status word per block (an int32 plane, so
+        # every payload dtype — bool included — keeps X/A/P distinct) and
+        # its (aggregate, inclusive prefix) pair in the payload dtype.
+        status_shape = (problem.G, plan.stage1.bx)
+        virtual = request.batch is None
+        if virtual:
             device_data = scope.alloc(
                 self.gpu, (problem.G, problem.N), problem.dtype, virtual=True
             )
-            descriptors = scope.alloc(
-                self.gpu, desc_shape, problem.dtype, virtual=True
-            )
         else:
             device_data = scope.upload(self.gpu, request.batch)
-            descriptors = scope.alloc(self.gpu, desc_shape, problem.dtype)
-        return (device_data, descriptors)
+        status = scope.alloc(self.gpu, status_shape, np.int32, virtual=virtual)
+        descriptors = scope.alloc(
+            self.gpu, status_shape + (2,), problem.dtype, virtual=virtual
+        )
+        return (device_data, status, descriptors)
 
     def _device_flow(self, buffers, plan: ExecutionPlan,
                      functional: bool = True) -> Trace:
-        device_data, descriptors = buffers
+        device_data, status, descriptors = buffers
         trace = Trace()
         with obs.span("sp-dlb"):
             launch_descriptor_reset(
-                trace, self.gpu, descriptors, plan, functional=functional,
+                trace, self.gpu, status, plan, functional=functional,
             )
             launch_single_pass_scan(
-                trace, self.gpu, device_data, descriptors, plan,
+                trace, self.gpu, device_data, status, descriptors, plan,
                 functional=functional,
             )
         return trace

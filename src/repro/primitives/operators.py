@@ -99,12 +99,16 @@ def _int_like(dtype: np.dtype) -> bool:
 
 
 def _max_identity(dtype: np.dtype) -> object:
+    if dtype.kind == "b":
+        return np.False_
     if _int_like(dtype):
         return np.iinfo(dtype).min
     return -np.inf
 
 
 def _min_identity(dtype: np.dtype) -> object:
+    if dtype.kind == "b":
+        return np.True_
     if _int_like(dtype):
         return np.iinfo(dtype).max
     return np.inf

@@ -54,6 +54,15 @@ class TestIdentity:
     def test_min_identity_is_dtype_max(self):
         assert MIN.identity(np.dtype(np.int16)) == np.iinfo(np.int16).max
 
+    @pytest.mark.parametrize("op", [ADD, MAX, MIN], ids=lambda o: o.name)
+    def test_bool_identity_is_neutral(self, op):
+        """On bool, max is logical or and min logical and: their identities
+        are False and True (an infinite identity would cast to True)."""
+        values = np.array([False, True])
+        ident = op.identity(np.dtype(bool))
+        combined = op.combine(np.full_like(values, ident), values)
+        np.testing.assert_array_equal(combined, values)
+
     def test_bitwise_requires_integers(self):
         with pytest.raises(ConfigurationError):
             BITWISE_OR.identity(np.dtype(np.float32))

@@ -6,7 +6,8 @@ Four layers:
   its closed form, stall-model properties);
 - the kernel protocol (descriptor end states, execution-mode invariance,
   the association guarantee that makes float results bit-identical to the
-  chained executor's);
+  chained executor's, typed errors for out-of-order blocks, bool payloads,
+  and a host-independent bound on the body's operator calls);
 - the cost structure (sp-dlb never beats the idealised chained bound, but
   crosses the three-kernel pipeline as N grows — per dtype and G);
 - the tuner/session integration (``auto`` resolves through the memoised
@@ -20,20 +21,86 @@ the registry, which now includes ``sp-dlb``.
 import numpy as np
 import pytest
 
+from repro.core.kernels import (
+    _lookback_geometry,
+    launch_descriptor_reset,
+    launch_single_pass_scan,
+)
 from repro.core.params import ProblemConfig
 from repro.core.chained import ScanChained
 from repro.core.single_gpu import ScanSP
 from repro.core.single_pass import ScanSinglePassDLB
 from repro.core.session import ScanSession
 from repro.core.tuner import PremiseTuner
+from repro.errors import LaunchError
+from repro.gpusim.events import Trace
 from repro.gpusim.kernel import ExecutionEngine
 from repro.gpusim.lookback import (
+    STATE_PREFIX,
     LookbackParams,
     lookback_reads_per_block,
     lookback_stall_s,
     total_lookback_reads,
 )
 from repro.interconnect.topology import tsubame_kfc
+from repro.primitives.operators import Operator
+from repro.primitives.sequential import exclusive_scan, inclusive_scan, reduce
+
+#: dtype x operator x output kind: the fold must be exact for all of them.
+FOLD_GRID = [
+    pytest.param(
+        dtype, op, inclusive,
+        id=f"{np.dtype(dtype).name}-{op}-{'inc' if inclusive else 'exc'}",
+    )
+    for dtype in (np.int32, np.int64, np.float32, np.float64, np.bool_)
+    for op in ("add", "max")
+    for inclusive in (True, False)
+]
+
+
+def payload(rng, shape, dtype, edge=None):
+    """Seeded scan input; ``edge`` plants float edge values."""
+    dtype = np.dtype(dtype)
+    if dtype == np.bool_:
+        return rng.random(shape) < 0.3
+    if dtype.kind != "f":
+        return rng.integers(-40, 90, shape).astype(dtype)
+    data = rng.normal(0, 10, shape).astype(dtype)
+    if edge == "-0.0":
+        # Whole leading chunks of -0.0 make -0.0 chunk totals, so the
+        # first published prefix is -0.0 too.
+        data[:, : shape[1] // 4] = -0.0
+        data[rng.random(shape) < 0.1] = -0.0
+    elif edge == "nan":
+        data[rng.random(shape) < 1e-3] = np.nan
+    return data
+
+
+def run_in_both_modes(data, **kwargs):
+    """The same sp-dlb scan on a vectorized and a blockwise engine."""
+    results = []
+    for mode in ("vectorized", "blockwise"):
+        m = tsubame_kfc(1)
+        m.gpus[0].engine = ExecutionEngine(mode=mode)
+        results.append(ScanSinglePassDLB(m.gpus[0]).run(data, **kwargs))
+    return results
+
+
+def assert_same_run(a, b):
+    assert a.output.tobytes() == b.output.tobytes()
+    assert a.total_time_s == b.total_time_s
+    assert a.breakdown == b.breakdown
+
+
+class ReversedEngine(ExecutionEngine):
+    """Delivers blocks in descending order whatever ``ordered`` asks: every
+    block in one call (``vectorized``) or one block per call (``blockwise``)."""
+
+    def run(self, ctx, body, ordered=False):
+        order = np.arange(ctx.config.blocks, dtype=np.int64)[::-1]
+        calls = [order] if self.mode == "vectorized" else np.split(order, len(order))
+        for block_ids in calls:
+            body(ctx, block_ids)
 
 
 class TestLookbackModel:
@@ -78,47 +145,110 @@ class TestLookbackModel:
 
 class TestLookbackProtocol:
     def test_descriptors_end_in_prefix_state(self, machine, rng):
-        """After the pass every block published its inclusive prefix (P)
-        and the prefixes equal the chunk-wise scan of the chunk totals."""
-        data = rng.integers(-40, 90, (2, 1 << 12)).astype(np.int64)
-        executor = ScanSinglePassDLB(machine.gpus[0])
-        result = executor.run(data)
-        plan = executor.plan_for(
-            ProblemConfig.from_sizes(N=data.shape[1], G=data.shape[0],
-                                     dtype=data.dtype)
-        )
-        bx = plan.stage1.bx
-        assert bx > 1  # the protocol actually ran a lookback
-        # Reconstruct the descriptors' published prefixes from the output:
-        # the inclusive prefix of block b is the scan at its last element.
-        chunk = data.shape[1] // bx
-        expected = result.output[:, chunk - 1::chunk]
-        np.testing.assert_array_equal(
-            np.cumsum(data.reshape(2, bx, chunk).sum(axis=2), axis=1), expected
-        )
+        """After the pass every status word reads P, and the published
+        prefixes are the sequential left fold of the chunk totals — bit for
+        bit, -0.0 totals (under max) and NaN included."""
+        gpu = machine.gpus[0]
+        for dtype, op, edge in [(np.int64, "add", None),
+                                (np.float64, "add", "-0.0"),
+                                (np.float64, "max", "-0.0"),
+                                (np.float64, "max", "nan"),
+                                (np.bool_, "add", None)]:
+            data = payload(rng, (2, 1 << 12), dtype, edge)
+            problem = ProblemConfig.from_sizes(
+                N=data.shape[1], G=data.shape[0], dtype=data.dtype, operator=op
+            )
+            plan = ScanSinglePassDLB(gpu).plan_for(problem)
+            g, bx = data.shape[0], plan.stage1.bx
+            assert bx > 1  # the protocol actually ran a lookback
+            trace = Trace()
+            device_data = gpu.upload(data)
+            status = gpu.alloc((g, bx), np.int32)
+            descriptors = gpu.alloc((g, bx, 2), data.dtype)
+            launch_descriptor_reset(trace, gpu, status, plan)
+            launch_single_pass_scan(
+                trace, gpu, device_data, status, descriptors, plan
+            )
 
-    def test_execution_modes_agree_bitwise(self, rng):
+            assert (status.data == STATE_PREFIX).all()
+            # Block 0 publishes its total as its prefix; the others publish
+            # their total as the aggregate.
+            desc = descriptors.data
+            totals = np.concatenate([desc[:, :1, 1], desc[:, 1:, 0]], axis=1)
+            folded = inclusive_scan(totals, op)
+            assert desc[:, :, 1].tobytes() == folded.tobytes(), (dtype, edge)
+            if data.dtype.kind != "f":
+                np.testing.assert_array_equal(
+                    totals, reduce(data.reshape(g, bx, -1), op)
+                )
+                np.testing.assert_array_equal(
+                    device_data.data, inclusive_scan(data, op)
+                )
+
+    @pytest.mark.parametrize("dtype,op,inclusive", FOLD_GRID)
+    def test_execution_modes_agree_bitwise(self, rng, dtype, op, inclusive):
         """Vectorized and blockwise engines must produce identical bytes
         AND identical traces — the protocol model is schedule-independent."""
-        data = rng.normal(0, 10, (4, 1 << 13)).astype(np.float64)
-        results = []
-        for mode in ("vectorized", "blockwise"):
-            m = tsubame_kfc(1)
-            m.gpus[0].engine = ExecutionEngine(mode=mode)
-            results.append(ScanSinglePassDLB(m.gpus[0]).run(data))
-        a, b = results
-        assert (a.output == b.output).all()
-        assert a.total_time_s == b.total_time_s
-        assert a.breakdown == b.breakdown
+        data = payload(rng, (4, 1 << 13), dtype)
+        a, b = run_in_both_modes(data, operator=op, inclusive=inclusive)
+        assert_same_run(a, b)
 
-    def test_float_association_matches_chained(self, machine, rng):
+    @pytest.mark.parametrize("dtype,op,inclusive", FOLD_GRID)
+    def test_float_association_matches_chained(self, machine, rng, dtype, op,
+                                               inclusive):
         """The lookback fold is the canonical chain association, so float
         results are bit-identical to the chained executor's (and the two
-        share one differential-suite tolerance story)."""
-        data = rng.normal(0, 10, (4, 1 << 13)).astype(np.float64)
-        dlb = ScanSinglePassDLB(machine.gpus[0]).run(data)
-        chained = ScanChained(machine.gpus[0]).run(data)
-        assert (dlb.output == chained.output).all()
+        share one differential-suite tolerance story). Exact dtypes also
+        match numpy's sequential scan."""
+        data = payload(rng, (4, 1 << 13), dtype)
+        kwargs = dict(operator=op, inclusive=inclusive)
+        dlb = ScanSinglePassDLB(machine.gpus[0]).run(data, **kwargs)
+        chained = ScanChained(machine.gpus[0]).run(data, **kwargs)
+        assert dlb.output.tobytes() == chained.output.tobytes()
+        if data.dtype.kind != "f":
+            reference = inclusive_scan if inclusive else exclusive_scan
+            assert dlb.output.tobytes() == reference(data, op).tobytes()
+
+    @pytest.mark.parametrize("shape,op,edge", [
+        pytest.param((1, 1 << 20), "add", None, id="multi-wave"),
+        pytest.param((4, 1 << 13), "add", "-0.0", id="negative-zero"),
+        pytest.param((4, 1 << 13), "max", "-0.0", id="negative-zero-max"),
+        pytest.param((4, 1 << 13), "max", "nan", id="nan-under-max"),
+    ])
+    def test_float_edges_agree_across_modes_and_with_chained(
+        self, machine, rng, shape, op, edge
+    ):
+        """One row of 2048 blocks — far more than the 208 resident at once,
+        so the hardware walk would span many waves — and float edge values
+        resolve to the same bytes and trace in both engine modes, and to
+        the chained executor's bytes."""
+        data = payload(rng, shape, np.float64, edge)
+        if edge is None:
+            executor = ScanSinglePassDLB(machine.gpus[0])
+            plan = executor.plan_for(
+                ProblemConfig.from_sizes(N=shape[1], G=shape[0], dtype=np.float64)
+            )
+            _, capacity, _ = _lookback_geometry(plan, machine.arch)
+            assert plan.stage1.bx == 2048 and capacity == 208
+        for inclusive in (True, False):
+            a, b = run_in_both_modes(data, operator=op, inclusive=inclusive)
+            assert_same_run(a, b)
+            chained = ScanChained(machine.gpus[0]).run(
+                data, operator=op, inclusive=inclusive
+            )
+            assert a.output.tobytes() == chained.output.tobytes()
+
+    @pytest.mark.parametrize("mode", ["blockwise", "vectorized"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.bool_])
+    def test_out_of_order_blocks_raise_launch_error(self, rng, dtype, mode):
+        """Blocks delivered against the dependency order, one per call or
+        all in one call: a typed LaunchError, never a numpy error or a
+        silently wrong output."""
+        m = tsubame_kfc(1)
+        m.gpus[0].engine = ReversedEngine(mode=mode)
+        data = payload(rng, (2, 1 << 13), dtype)
+        with pytest.raises(LaunchError, match="protocol violated"):
+            ScanSinglePassDLB(m.gpus[0]).run(data)
 
     def test_trace_shape(self, machine, rng):
         """Exactly two launches — reset + pass — against the pipeline's 3."""
@@ -128,6 +258,68 @@ class TestLookbackProtocol:
         assert names == ["descriptor_reset", "single_pass_scan"]
         assert result.config["single_pass"] is True
         assert result.config["lookback_window"] == machine.arch.warp_size
+
+
+class TestBoolPayload:
+    """Status words live in an int32 plane, so a bool payload — where the
+    status codes A=1 and P=2 would both read True — runs the protocol."""
+
+    @pytest.mark.parametrize("op", ["add", "max"])
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_logical_or_scan_in_both_modes(self, machine, rng, op, inclusive):
+        data = payload(rng, (2, 1 << 13), np.bool_)
+        a, b = run_in_both_modes(data, operator=op, inclusive=inclusive)
+        assert_same_run(a, b)
+        expected = np.logical_or.accumulate(data, axis=1)
+        if not inclusive:
+            expected = np.concatenate(
+                [np.zeros((2, 1), dtype=bool), expected[:, :-1]], axis=1
+            )
+        assert a.output.dtype == np.bool_
+        assert a.output.tobytes() == expected.tobytes()
+        # Priced like any one-byte payload: the analytic estimate agrees.
+        estimate = ScanSinglePassDLB(machine.gpus[0]).estimate(
+            ProblemConfig.from_sizes(N=1 << 13, G=2, dtype=np.bool_,
+                                     operator=op, inclusive=inclusive)
+        )
+        assert a.total_time_s == estimate.total_time_s
+        assert a.breakdown == estimate.breakdown
+
+    def test_session_serves_bool_through_sp_dlb(self, machine, rng):
+        data = payload(rng, (1, 1 << 22), np.bool_)
+        result = ScanSession(machine).scan(data, proposal="sp-dlb")
+        assert result.proposal == "scan-sp-dlb"
+        assert result.output.tobytes() == np.logical_or.accumulate(data, axis=1).tobytes()
+
+
+class TestHostCost:
+    def test_operator_calls_do_not_grow_with_the_block_count(
+        self, machine, rng, monkeypatch
+    ):
+        """Host-independent guard on the kernel body: a warm sp-dlb scan
+        makes the same few Operator calls at Bx=64 and Bx=256. The lookback
+        is one accumulate, not a per-block walk (which made ~30 000
+        scalar combines per call)."""
+        calls = []
+        for name in ("combine", "accumulate"):
+            def counted(*args, _method=getattr(Operator, name), **kwargs):
+                calls.append(_method.__name__)
+                return _method(*args, **kwargs)
+            monkeypatch.setattr(Operator, name, counted)
+
+        counts = {}
+        for n_log2 in (15, 17):
+            data = rng.integers(-40, 90, (16, 1 << n_log2)).astype(np.int64)
+            executor = ScanSinglePassDLB(machine.gpus[0])
+            executor.run(data)  # warm: plan resolved, buffers pooled
+            plan = executor.plan_for(
+                ProblemConfig.from_sizes(N=1 << n_log2, G=16, dtype=np.int64)
+            )
+            calls.clear()
+            executor.run(data)
+            counts[plan.stage1.bx] = len(calls)
+        assert counts.keys() == {64, 256}
+        assert counts[64] == counts[256] <= 64
 
 
 class TestCostStructure:
