@@ -1,7 +1,8 @@
 """Runtime benchmarks of the functional simulator itself.
 
-These measure the wall-clock speed of the *simulation* (warp-accurate
-functional execution), not the simulated GPU times — useful to keep the
+These measure the wall-clock speed of the *simulation* (functional
+execution: the warp flow for floats, one pass per chunk for integer and
+bool payloads), not the simulated GPU times — useful to keep the
 library usable as a development substrate."""
 
 import numpy as np

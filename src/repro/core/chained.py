@@ -33,7 +33,6 @@ from repro.gpusim.device import GPU
 from repro.gpusim.events import KernelRecord, Trace
 from repro.gpusim.kernel import KernelContext, LaunchStats
 from repro.gpusim.memory import AllocationScope, DeviceArray
-from repro.gpusim.warp import warp_scan_cost
 from repro.core.executor import (
     Placement,
     PlanSpec,
@@ -42,7 +41,12 @@ from repro.core.executor import (
     ScanRequest,
     register_proposal,
 )
-from repro.core.kernels import _apply_offsets, _BlockScanCore, _launch_config
+from repro.core.kernels import (
+    _apply_offsets,
+    _BlockScanCore,
+    _launch_config,
+    block_flow_stats,
+)
 from repro.core.params import ExecutionPlan, KernelParams, ProblemConfig
 
 #: Descriptor reads a block performs while resolving its prefix (the
@@ -52,38 +56,23 @@ LOOKBACK_READS_PER_BLOCK = 6
 DESCRIPTOR_WRITES_PER_BLOCK = 2
 
 
-def chained_scan_stats(plan: ExecutionPlan, warp_size: int) -> LaunchStats:
+def chained_scan_stats(
+    plan: ExecutionPlan, warp_size: int, blocks: int | None = None, costs=None
+) -> LaunchStats:
     """Closed-form counters of the single-pass kernel (exact, like Stage 1/3)."""
     kp = plan.stage1.params
     itemsize = plan.problem.itemsize
-    nb = plan.stage1.blocks
-    width = min(kp.Lx, warp_size)
-    nw = kp.Lx // width
-    warp_cost = warp_scan_cost(width, "lf", exclusive=True)
-    if nw > 1:
-        cross = warp_scan_cost(nw, "lf", exclusive=True)
-        cross_shuffles, cross_ops = cross.shuffles, cross.operator_applications
-    else:
-        cross_shuffles = cross_ops = 0
-    stats = LaunchStats()
+    nb = plan.stage1.blocks if blocks is None else blocks
+    stats = block_flow_stats(
+        kp, warp_size, itemsize, nb, kp.K, addressing=6, costs=costs
+    )
     stats.read_global(
         nb * kp.chunk_size * itemsize + nb * LOOKBACK_READS_PER_BLOCK * itemsize
     )
     stats.write_global(
         nb * kp.chunk_size * itemsize + nb * DESCRIPTOR_WRITES_PER_BLOCK * itemsize
     )
-    stats.shuffles(nb * kp.K * (nw * warp_cost.shuffles + cross_shuffles))
-    stats.apply_operator(
-        nb * kp.K * kp.Lx * max(0, kp.P - 1)
-        + nb * kp.K * (nw * warp_cost.operator_applications + cross_ops)
-        + nb * kp.K * nw
-        + nb * max(0, kp.K - 1)
-        + nb * kp.K * kp.Lx * kp.P  # prefix application
-        + nb  # chain combine
-    )
-    stats.write_smem(nb * kp.K * nw * itemsize)
-    stats.read_smem(nb * kp.K * nw * itemsize)
-    stats.address_math(nb * kp.K * kp.Lx * 6)
+    stats.apply_operator(nb)  # chain combine
     return stats
 
 
@@ -148,22 +137,9 @@ def launch_chained_scan(
         )
         arr[g, bx] = result.reshape(nb, kp.K, kp.Lx, kp.P)
 
-        ctx.stats.read_global(
-            nb * kp.chunk_size * itemsize + nb * LOOKBACK_READS_PER_BLOCK * itemsize
+        ctx.stats.merge(
+            chained_scan_stats(plan, ctx.warp_size, nb, partials["costs"])
         )
-        ctx.stats.write_global(
-            nb * kp.chunk_size * itemsize + nb * DESCRIPTOR_WRITES_PER_BLOCK * itemsize
-        )
-        ctx.stats.shuffles(partials["shuffles"])
-        ctx.stats.apply_operator(
-            partials["operator_applications"]
-            + nb * max(0, kp.K - 1)
-            + nb * kp.K * kp.Lx * kp.P
-            + nb
-        )
-        ctx.stats.write_smem(partials["smem_bytes"] // 2)
-        ctx.stats.read_smem(partials["smem_bytes"] // 2)
-        ctx.stats.address_math(nb * kp.K * kp.Lx * 6)
 
     return gpu.launch(trace, "chained_scan", phase, config, body, ordered=True)
 

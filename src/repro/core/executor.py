@@ -64,8 +64,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def coerce_batch(data: np.ndarray) -> np.ndarray:
-    """Normalise input to shape (G, N); 1-D input becomes a G=1 batch."""
+    """Normalise input to shape (G, N); 1-D input becomes a G=1 batch.
+
+    Non-native byte order (e.g. ``>i4`` on a little-endian host) is
+    converted to native once here, so results come back native.
+    """
     arr = np.asarray(data)
+    if not arr.dtype.isnative:
+        arr = arr.astype(arr.dtype.newbyteorder("="))
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:

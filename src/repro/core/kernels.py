@@ -1,4 +1,4 @@
-"""The three CUDA kernels of the proposal, simulated warp-accurately.
+"""The three CUDA kernels of the proposal, simulated bit-exactly.
 
 Section 3.1 / Figures 3-5 of the paper. Each kernel body follows the exact
 computational flow of the CUDA implementation:
@@ -16,6 +16,17 @@ computational flow of the CUDA implementation:
 5. Stage 1 writes only the chunk reduction to the auxiliary array; Stage 3
    writes all ``K*Lx*P`` scanned elements, combined with the chunk's
    offset from the scanned auxiliary array.
+
+Float payloads replay that flow step by step, because its association
+order is what sets their bits. Integer and bool payloads are *exact*:
+every association of their arithmetic gives the same bits, so their
+bodies compute the same result with one operator pass per chunk (a
+reduce in Stage 1, an accumulate with the offset folded in elsewhere).
+For exact dtypes the flow above still runs under
+:func:`repro.util.hotpath.fast_paths` ``(False)``, which the fidelity
+tests use. Either way the launch counters are those of the flow above
+(:func:`block_flow_stats`), so traces and simulated time do not depend
+on which body ran.
 
 The bodies are vectorised over the blocks they are asked to process, which
 is legitimate because blocks are independent; the ``blockwise`` execution
@@ -43,7 +54,7 @@ from repro.gpusim.lookback import (
 )
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.kernel import LaunchStats
-from repro.gpusim.warp import warp_exclusive_scan, warp_scan_cost
+from repro.gpusim.warp import WarpScanCost, warp_exclusive_scan, warp_scan_cost
 from repro.core.params import ExecutionPlan, KernelParams
 from repro.primitives.operators import Operator
 from repro.util.hotpath import fast_enabled
@@ -97,18 +108,22 @@ class _BlockScanCore:
     Operates on chunk data laid out ``(nb, K, nw, width, P)`` where ``nb``
     is however many blocks execute together, ``nw`` the warps per block and
     ``width`` the warp width. Produces every partial the two kernels need.
+
+    ``exact`` is decided once per launch: integer and bool payloads take
+    the one-pass bodies while the hot-path switch is on; floats, and every
+    dtype under ``fast_paths(False)``, run the flow.
     """
 
     def __init__(self, params: KernelParams, op: Operator, warp_size: int, dtype):
         self.params = params
         self.op = op
         self.dtype = np.dtype(dtype)
-        self.width = min(params.Lx, warp_size)
+        self.exact = self.dtype.kind in "biu" and fast_enabled()
+        self.width, self.num_warps = _warp_geometry(params, warp_size)
         if params.Lx % self.width != 0:
             raise ConfigurationError(
                 f"Lx={params.Lx} must be a multiple of the warp width {self.width}"
             )
-        self.num_warps = params.Lx // self.width
         if self.num_warps > params.S and self.num_warps > 1:
             raise ConfigurationError(
                 f"{self.num_warps} warps need {self.num_warps} shared-memory "
@@ -129,11 +144,11 @@ class _BlockScanCore:
         - ``warp_offsets``: exclusive prefix of warp totals (via smem),
         - ``iteration_totals``: the block-wide total of each cascade
           iteration, shape (nb, K),
-        - ``shuffles`` / ``operator_applications`` / ``smem_bytes``:
-          per-call instruction accounting (already multiplied out).
+        - ``costs``: the (intra-warp, cross-warp or ``None``) scan costs
+          the shuffles incurred, for :func:`block_flow_stats`.
         """
         op = self.op
-        nb, K, Lx, P = chunks.shape
+        nb, K, _, P = chunks.shape
         width, nw = self.width, self.num_warps
         lanes = chunks.reshape(nb, K, nw, width, P)
 
@@ -155,30 +170,17 @@ class _BlockScanCore:
                 warp_totals, op, width=nw, pattern="lf"
             )
             iteration_totals = op.combine(warp_offsets[..., -1], warp_totals[..., -1])
-            cross_shuffles = cross_cost.shuffles
-            cross_ops = cross_cost.operator_applications
         else:
             warp_offsets = _identity_like(op, warp_totals.shape, self.dtype)
             iteration_totals = warp_totals[..., -1]
-            cross_shuffles = 0
-            cross_ops = 0
-
-        shuffles = nb * K * (nw * warp_cost.shuffles + cross_shuffles)
-        operator_applications = (
-            nb * K * Lx * max(0, P - 1)  # thread-local scans
-            + nb * K * (nw * warp_cost.operator_applications + cross_ops)
-            + nb * K * nw  # warp-total composition
-        )
-        smem_bytes = 2 * nb * K * nw * self.dtype.itemsize  # write + read partials
+            cross_cost = None
 
         return {
             "local": local,
             "thread_offsets": thread_offsets,
             "warp_offsets": warp_offsets,
             "iteration_totals": iteration_totals,
-            "shuffles": shuffles,
-            "operator_applications": operator_applications,
-            "smem_bytes": smem_bytes,
+            "costs": (warp_cost, cross_cost),
         }
 
     def cascade_carries(self, iteration_totals: np.ndarray) -> np.ndarray:
@@ -232,42 +234,117 @@ def _apply_offsets(
     return op.combine(offset[..., None], local, out=local)
 
 
+def _scan_exact(
+    op: Operator,
+    chunks: np.ndarray,
+    base: np.ndarray | None,
+    inclusive: bool,
+    identity,
+) -> None:
+    """The exact-dtype body: scan each chunk (last axis) in place, one pass.
+
+    Element ``i`` of a chunk becomes ``base . x_0 . ... . x_i``: the offset
+    is folded into the first element before a single accumulate
+    (``base`` holds one offset per chunk, ``None`` when there is none).
+    Exclusive output first shifts each chunk right by one, identity
+    first. Integer and bool arithmetic is associative exactly, so this is
+    bit-identical to the warp flow's ``_apply_offsets`` result.
+    """
+    if not inclusive:
+        chunks[..., 1:] = chunks[..., :-1]
+        chunks[..., 0] = identity
+    if base is not None:
+        op.combine(base, chunks[..., 0], out=chunks[..., 0])
+    op.accumulate(chunks, axis=-1, out=chunks)
+
+
+def _covers_grid(ctx: KernelContext, block_ids: np.ndarray) -> bool:
+    """Whether one call received every block of the grid, in launch order.
+
+    Such a call (the vectorized engine's) works on reshaped views of the
+    device buffers; any other call gathers its blocks with ``(by, bx)``
+    fancy indices and scatters them back.
+    """
+    total = ctx.config.blocks
+    return len(block_ids) == total and bool((block_ids == np.arange(total)).all())
+
+
 def _warp_geometry(kp: KernelParams, warp_size: int) -> tuple[int, int]:
     """(warp width, warps per block) for a Stage-1/3 block."""
     width = min(kp.Lx, warp_size)
     return width, kp.Lx // width
 
 
-def chunk_reduce_stats(plan: ExecutionPlan, warp_size: int) -> LaunchStats:
+def block_flow_stats(
+    kp: KernelParams,
+    warp_size: int,
+    itemsize: int,
+    blocks: int,
+    iterations: int,
+    addressing: int,
+    offsets: bool = True,
+    costs: tuple[WarpScanCost, WarpScanCost | None] | None = None,
+) -> LaunchStats:
+    """Counters of ``blocks`` blocks running the register/warp/smem flow.
+
+    Each block runs ``iterations`` rounds (the cascade's ``K``, or Stage
+    2's serial rounds): thread-local scans of ``P`` register elements, an
+    exclusive LF shuffle scan per warp, the warp-total composition and,
+    with more than one warp, a shared-memory exchange scanned by one warp.
+    The cascade chains the rounds; ``offsets`` adds the application of
+    each element's offset. ``addressing`` is the address instructions per
+    thread and round. Global traffic is left to the caller.
+
+    ``costs`` are the (intra-warp, cross-warp) scan costs the warp flow
+    actually incurred; ``None`` takes the closed form
+    (:func:`~repro.gpusim.warp.warp_scan_cost`), which equals them.
+    Every count is data-independent, so the analytic estimate path, the
+    warp flow and the exact bodies all report the same numbers.
+    """
+    width, nw = _warp_geometry(kp, warp_size)
+    if costs is None:
+        cross = warp_scan_cost(nw, "lf", exclusive=True) if nw > 1 else None
+        costs = (warp_scan_cost(width, "lf", exclusive=True), cross)
+    warp, cross = costs
+    cross_shuffles, cross_ops = (
+        (cross.shuffles, cross.operator_applications) if cross else (0, 0)
+    )
+    lx, p = kp.Lx, kp.P
+    rounds = blocks * iterations
+    return LaunchStats(
+        smem_bytes_read=rounds * nw * itemsize,
+        smem_bytes_written=rounds * nw * itemsize,
+        shuffle_instructions=rounds * (nw * warp.shuffles + cross_shuffles),
+        operator_applications=(
+            rounds * lx * max(0, p - 1)  # thread-local scans
+            + rounds * (nw * warp.operator_applications + cross_ops)
+            + rounds * nw  # warp-total composition
+            + blocks * max(0, iterations - 1)  # cascade carry chain
+            + (rounds * lx * p if offsets else 0)  # offset application
+        ),
+        addressing_instructions=rounds * lx * addressing,
+    )
+
+
+def chunk_reduce_stats(
+    plan: ExecutionPlan, warp_size: int, blocks: int | None = None, costs=None
+) -> LaunchStats:
     """Closed-form Stage-1 launch counters (identical to a functional run).
 
     Every counter in the kernel bodies is data-independent (a function of
     the plan geometry only), so the analytic estimate path can reproduce
     the functional trace exactly — the tests assert byte-for-byte equality.
+    ``blocks`` counts one call's blocks (default: the whole grid); for
+    ``costs`` see :func:`block_flow_stats`.
     """
     kp = plan.stage1.params
     itemsize = plan.problem.itemsize
-    nb = plan.stage1.blocks
-    width, nw = _warp_geometry(kp, warp_size)
-    warp_cost = warp_scan_cost(width, "lf", exclusive=True)
-    if nw > 1:
-        cross = warp_scan_cost(nw, "lf", exclusive=True)
-        cross_shuffles, cross_ops = cross.shuffles, cross.operator_applications
-    else:
-        cross_shuffles = cross_ops = 0
-    stats = LaunchStats()
+    nb = plan.stage1.blocks if blocks is None else blocks
+    stats = block_flow_stats(
+        kp, warp_size, itemsize, nb, kp.K, addressing=4, offsets=False, costs=costs
+    )
     stats.read_global(nb * kp.chunk_size * itemsize)
     stats.write_global(nb * itemsize)
-    stats.shuffles(nb * kp.K * (nw * warp_cost.shuffles + cross_shuffles))
-    stats.apply_operator(
-        nb * kp.K * kp.Lx * max(0, kp.P - 1)
-        + nb * kp.K * (nw * warp_cost.operator_applications + cross_ops)
-        + nb * kp.K * nw
-        + nb * max(0, kp.K - 1)
-    )
-    stats.write_smem(nb * kp.K * nw * itemsize)
-    stats.read_smem(nb * kp.K * nw * itemsize)
-    stats.address_math(nb * kp.K * kp.Lx * 4)
     return stats
 
 
@@ -282,7 +359,9 @@ def _stage2_row_params(kp2: KernelParams) -> KernelParams:
     return KernelParams(s=s, p=kp2.p, l=kp2.lx, lx=kp2.lx, ly=0, K=1)
 
 
-def intermediate_scan_stats(plan: ExecutionPlan, warp_size: int) -> LaunchStats:
+def intermediate_scan_stats(
+    plan: ExecutionPlan, warp_size: int, problems: int | None = None, costs=None
+) -> LaunchStats:
     """Closed-form Stage-2 launch counters (identical to a functional run).
 
     Each of the block's ``Ly^2`` problem rows runs the same
@@ -291,64 +370,34 @@ def intermediate_scan_stats(plan: ExecutionPlan, warp_size: int) -> LaunchStats:
     are the Stage-1 formulas with (rounds, Lx^2, P^2) geometry plus the
     exclusive-output assembly. Reads/writes count only the real ``cx``
     elements; instruction counts use the padded round geometry (idle lanes
-    still execute).
+    still execute). ``problems`` counts one call's rows (default: all).
     """
     kp2 = plan.stage2.params
     itemsize = plan.problem.itemsize
     cx = plan.chunks_total
-    problems = plan.stage2.by * kp2.Ly
+    npb = plan.stage2.by * kp2.Ly if problems is None else problems
     rounds = ceil_div(cx, kp2.P * kp2.Lx)
-    width = min(kp2.Lx, warp_size)
-    nw = kp2.Lx // width
-    warp_cost = warp_scan_cost(width, "lf", exclusive=True)
-    if nw > 1:
-        cross = warp_scan_cost(nw, "lf", exclusive=True)
-        cross_shuffles, cross_ops = cross.shuffles, cross.operator_applications
-    else:
-        cross_shuffles = cross_ops = 0
-    stats = LaunchStats()
-    stats.read_global(problems * cx * itemsize)
-    stats.write_global(problems * cx * itemsize)
-    stats.shuffles(problems * rounds * (nw * warp_cost.shuffles + cross_shuffles))
-    stats.apply_operator(
-        problems * rounds * kp2.Lx * max(0, kp2.P - 1)
-        + problems * rounds * (nw * warp_cost.operator_applications + cross_ops)
-        + problems * rounds * nw
-        + problems * max(0, rounds - 1)
-        + problems * rounds * kp2.Lx * kp2.P  # offset application
+    # A row runs the flow with Stage 2's Lx and P (see _stage2_row_params).
+    stats = block_flow_stats(
+        kp2, warp_size, itemsize, npb, rounds, addressing=4, costs=costs
     )
-    stats.write_smem(problems * rounds * nw * itemsize)
-    stats.read_smem(problems * rounds * nw * itemsize)
-    stats.address_math(problems * rounds * kp2.Lx * 4)
+    stats.read_global(npb * cx * itemsize)
+    stats.write_global(npb * cx * itemsize)
     return stats
 
 
-def scan_add_stats(plan: ExecutionPlan, warp_size: int) -> LaunchStats:
-    """Closed-form Stage-3 launch counters."""
+def scan_add_stats(
+    plan: ExecutionPlan, warp_size: int, blocks: int | None = None, costs=None
+) -> LaunchStats:
+    """Closed-form Stage-3 launch counters (arguments as Stage 1's)."""
     kp = plan.stage3.params
     itemsize = plan.problem.itemsize
-    nb = plan.stage3.blocks
-    width, nw = _warp_geometry(kp, warp_size)
-    warp_cost = warp_scan_cost(width, "lf", exclusive=True)
-    if nw > 1:
-        cross = warp_scan_cost(nw, "lf", exclusive=True)
-        cross_shuffles, cross_ops = cross.shuffles, cross.operator_applications
-    else:
-        cross_shuffles = cross_ops = 0
-    stats = LaunchStats()
+    nb = plan.stage3.blocks if blocks is None else blocks
+    stats = block_flow_stats(
+        kp, warp_size, itemsize, nb, kp.K, addressing=6, costs=costs
+    )
     stats.read_global(nb * kp.chunk_size * itemsize + nb * itemsize)
     stats.write_global(nb * kp.chunk_size * itemsize)
-    stats.shuffles(nb * kp.K * (nw * warp_cost.shuffles + cross_shuffles))
-    stats.apply_operator(
-        nb * kp.K * kp.Lx * max(0, kp.P - 1)
-        + nb * kp.K * (nw * warp_cost.operator_applications + cross_ops)
-        + nb * kp.K * nw
-        + nb * max(0, kp.K - 1)
-        + nb * kp.K * kp.Lx * kp.P
-    )
-    stats.write_smem(nb * kp.K * nw * itemsize)
-    stats.read_smem(nb * kp.K * nw * itemsize)
-    stats.address_math(nb * kp.K * kp.Lx * 6)
     return stats
 
 
@@ -391,26 +440,24 @@ def launch_chunk_reduce(
             coalesced=vector_loads,
             precomputed_stats=chunk_reduce_stats(plan, gpu.arch.warp_size),
         )
-    arr = data.data.reshape(g_local, bx_total, kp.K, kp.Lx, kp.P)
-    aux_mat = aux.data
+    arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
+    aux_cols = aux.data[:, chunk_column_offset:chunk_column_offset + bx_total]
     core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, g = ctx.block_xy(block_ids)
-        chunks = arr[g, bx]  # (nb, K, Lx, P) gather-copy
-        partials = core.run(chunks)
-        totals = core.chunk_totals(partials["iteration_totals"])
-        aux_mat[g, chunk_column_offset + bx] = totals
         nb = len(block_ids)
-        ctx.stats.read_global(nb * kp.chunk_size * itemsize)
-        ctx.stats.write_global(nb * itemsize)
-        ctx.stats.shuffles(partials["shuffles"])
-        ctx.stats.apply_operator(
-            partials["operator_applications"] + nb * max(0, kp.K - 1)
-        )
-        ctx.stats.write_smem(partials["smem_bytes"] // 2)
-        ctx.stats.read_smem(partials["smem_bytes"] // 2)
-        ctx.stats.address_math(nb * kp.K * kp.Lx * 4)
+        costs = None
+        if core.exact and _covers_grid(ctx, block_ids):
+            aux_cols[...] = op.reduce(arr, axis=-1)
+        elif core.exact:
+            aux_cols[g, bx] = op.reduce(arr[g, bx], axis=-1)
+        else:
+            chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)  # gather-copy
+            partials = core.run(chunks)
+            aux_cols[g, bx] = core.chunk_totals(partials["iteration_totals"])
+            costs = partials["costs"]
+        ctx.stats.merge(chunk_reduce_stats(plan, ctx.warp_size, nb, costs))
 
     return gpu.launch(trace, "chunk_reduce", phase, config, body, coalesced=vector_loads)
 
@@ -457,32 +504,30 @@ def launch_intermediate_scan(
         _, by = ctx.block_xy(block_ids)
         problems = (by[:, None] * kp2.Ly + np.arange(kp2.Ly)).reshape(-1)
         npb = len(problems)
-        rows = arr[problems]  # (npb, cx) gather-copy
-        # Identity-pad up to whole rounds; idle lanes execute but cannot
-        # perturb any real element's prefix. The staging buffer is reused
-        # scratch (fully re-filled each call).
-        staged = _scratch((npb, padded), rows.dtype, fill=identity)
-        staged[:, :cx] = rows
-        view = staged.reshape(npb, rounds, kp2.Lx, kp2.P)
+        costs = None
+        if core.exact and _covers_grid(ctx, block_ids):
+            _scan_exact(op, arr, None, False, identity)
+        elif core.exact:
+            rows = arr[problems]  # (npb, cx) gather-copy
+            _scan_exact(op, rows, None, False, identity)
+            arr[problems] = rows
+        else:
+            rows = arr[problems]
+            # Identity-pad up to whole rounds; idle lanes execute but cannot
+            # perturb any real element's prefix. The staging buffer is
+            # reused scratch (fully re-filled each call).
+            staged = _scratch((npb, padded), rows.dtype, fill=identity)
+            staged[:, :cx] = rows
+            view = staged.reshape(npb, rounds, kp2.Lx, kp2.P)
 
-        partials = core.run(view)
-        carries = core.cascade_carries(partials["iteration_totals"])  # (npb, rounds)
-        result = _apply_offsets(
-            op, partials, carries, base=None, inclusive=False, identity=identity
-        )
-        arr[problems] = result.reshape(npb, padded)[:, :cx]
-
-        ctx.stats.read_global(npb * cx * itemsize)
-        ctx.stats.write_global(npb * cx * itemsize)
-        ctx.stats.shuffles(partials["shuffles"])
-        ctx.stats.apply_operator(
-            partials["operator_applications"]
-            + npb * max(0, rounds - 1)
-            + npb * rounds * kp2.Lx * kp2.P
-        )
-        ctx.stats.write_smem(partials["smem_bytes"] // 2)
-        ctx.stats.read_smem(partials["smem_bytes"] // 2)
-        ctx.stats.address_math(npb * rounds * kp2.Lx * 4)
+            partials = core.run(view)
+            carries = core.cascade_carries(partials["iteration_totals"])
+            result = _apply_offsets(
+                op, partials, carries, base=None, inclusive=False, identity=identity
+            )
+            arr[problems] = result.reshape(npb, padded)[:, :cx]
+            costs = partials["costs"]
+        ctx.stats.merge(intermediate_scan_stats(plan, ctx.warp_size, npb, costs))
 
     return gpu.launch(trace, "intermediate_scan", phase, config, body)
 
@@ -520,32 +565,30 @@ def launch_scan_add(
             coalesced=vector_loads,
             precomputed_stats=scan_add_stats(plan, gpu.arch.warp_size),
         )
-    arr = data.data.reshape(g_local, bx_total, kp.K, kp.Lx, kp.P)
-    aux_mat = aux_scanned.data
+    arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
+    aux_cols = aux_scanned.data[:, chunk_column_offset:chunk_column_offset + bx_total]
     identity = op.identity(plan.problem.dtype)
     core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, g = ctx.block_xy(block_ids)
-        chunks = arr[g, bx]  # (nb, K, Lx, P)
         nb = len(block_ids)
-        partials = core.run(chunks)
-        carries = core.cascade_carries(partials["iteration_totals"])  # (nb, K)
-        base = aux_mat[g, chunk_column_offset + bx]  # (nb,) exclusive offsets
-        result = _apply_offsets(op, partials, carries, base, inclusive_out, identity)
-        arr[g, bx] = result.reshape(nb, kp.K, kp.Lx, kp.P)
-
-        ctx.stats.read_global(nb * kp.chunk_size * itemsize + nb * itemsize)
-        ctx.stats.write_global(nb * kp.chunk_size * itemsize)
-        ctx.stats.shuffles(partials["shuffles"])
-        ctx.stats.apply_operator(
-            partials["operator_applications"]
-            + nb * max(0, kp.K - 1)  # cascade carry chain
-            + nb * kp.K * kp.Lx * kp.P  # offset application to every element
-        )
-        ctx.stats.write_smem(partials["smem_bytes"] // 2)
-        ctx.stats.read_smem(partials["smem_bytes"] // 2)
-        ctx.stats.address_math(nb * kp.K * kp.Lx * 6)
+        costs = None
+        if core.exact and _covers_grid(ctx, block_ids):
+            _scan_exact(op, arr, aux_cols, inclusive_out, identity)
+        elif core.exact:
+            chunks = arr[g, bx]  # (nb, chunk) gather-copy
+            _scan_exact(op, chunks, aux_cols[g, bx], inclusive_out, identity)
+            arr[g, bx] = chunks
+        else:
+            chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)
+            partials = core.run(chunks)
+            carries = core.cascade_carries(partials["iteration_totals"])  # (nb, K)
+            base = aux_cols[g, bx]  # (nb,) exclusive offsets
+            result = _apply_offsets(op, partials, carries, base, inclusive_out, identity)
+            arr[g, bx] = result.reshape(nb, kp.chunk_size)
+            costs = partials["costs"]
+        ctx.stats.merge(scan_add_stats(plan, ctx.warp_size, nb, costs))
 
     return gpu.launch(trace, "scan_add", phase, config, body, coalesced=vector_loads)
 
@@ -638,7 +681,13 @@ def launch_descriptor_reset(
     )
 
 
-def single_pass_scan_stats(plan: ExecutionPlan, arch: GPUArchitecture) -> LaunchStats:
+def single_pass_scan_stats(
+    plan: ExecutionPlan,
+    arch: GPUArchitecture,
+    blocks: int | None = None,
+    reads: int | None = None,
+    costs=None,
+) -> LaunchStats:
     """Closed-form counters of the decoupled-lookback pass (exact).
 
     The streaming traffic is the chained kernel's ~2N bytes; on top of it
@@ -648,39 +697,23 @@ def single_pass_scan_stats(plan: ExecutionPlan, arch: GPUArchitecture) -> Launch
     functional bodies reproduce the same totals block by block) and two
     publishes per block (``A`` then ``P``), each
     :attr:`~repro.gpusim.lookback.LookbackParams.descriptor_words` words.
+    A functional call passes its own ``blocks`` and their ``reads``
+    (default: the whole grid); for ``costs`` see :func:`block_flow_stats`.
     """
     kp = plan.stage1.params
     itemsize = plan.problem.itemsize
-    nb = plan.stage1.blocks
-    width, nw = _warp_geometry(kp, arch.warp_size)
-    warp_cost = warp_scan_cost(width, "lf", exclusive=True)
-    if nw > 1:
-        cross = warp_scan_cost(nw, "lf", exclusive=True)
-        cross_shuffles, cross_ops = cross.shuffles, cross.operator_applications
-    else:
-        cross_shuffles = cross_ops = 0
-    _, capacity, lb = _lookback_geometry(plan, arch)
-    reads = total_lookback_reads(plan.stage1.bx, plan.stage1.by, capacity)
-    stats = LaunchStats()
-    stats.read_global(
-        nb * kp.chunk_size * itemsize + reads * lb.descriptor_words * itemsize
+    if blocks is None:
+        _, capacity, _ = _lookback_geometry(plan, arch)
+        blocks = plan.stage1.blocks
+        reads = total_lookback_reads(plan.stage1.bx, plan.stage1.by, capacity)
+    stats = block_flow_stats(
+        kp, arch.warp_size, itemsize, blocks, kp.K, addressing=6, costs=costs
     )
-    stats.write_global(
-        nb * kp.chunk_size * itemsize + nb * 2 * lb.descriptor_words * itemsize
-    )
-    stats.shuffles(nb * kp.K * (nw * warp_cost.shuffles + cross_shuffles))
-    stats.apply_operator(
-        nb * kp.K * kp.Lx * max(0, kp.P - 1)
-        + nb * kp.K * (nw * warp_cost.operator_applications + cross_ops)
-        + nb * kp.K * nw
-        + nb * max(0, kp.K - 1)
-        + nb * kp.K * kp.Lx * kp.P  # prefix application
-        + reads  # lookback accumulation
-        + nb  # inclusive-prefix publish
-    )
-    stats.write_smem(nb * kp.K * nw * itemsize)
-    stats.read_smem(nb * kp.K * nw * itemsize)
-    stats.address_math(nb * kp.K * kp.Lx * 6 + reads)
+    words = LookbackParams().descriptor_words * itemsize
+    stats.read_global(blocks * kp.chunk_size * itemsize + reads * words)
+    stats.write_global(blocks * kp.chunk_size * itemsize + blocks * 2 * words)
+    stats.apply_operator(reads + blocks)  # lookback accumulation + P publish
+    stats.address_math(reads)
     return stats
 
 
@@ -810,7 +843,7 @@ def launch_single_pass_scan(
             extra_latency_s=stall_s,
         )
 
-    arr = data.data.reshape(g_local, bx_total, kp.K, kp.Lx, kp.P)
+    arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
     words = status.data
     desc = descriptors.data
     identity = op.identity(plan.problem.dtype)
@@ -819,37 +852,36 @@ def launch_single_pass_scan(
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, g = ctx.block_xy(block_ids)
         nb = len(block_ids)
-        partials = core.run(arr[g, bx])
-        carries = core.cascade_carries(partials["iteration_totals"])
-        totals = core.chunk_totals(partials["iteration_totals"])  # (nb,)
-        prefixes = _resolve_lookback(op, words, desc, block_ids, bx, g, totals)
-        result = _apply_offsets(
-            op, partials, carries, prefixes, inclusive_out, identity
-        )
-        arr[g, bx] = result.reshape(nb, kp.K, kp.Lx, kp.P)
+        costs = None
+        if core.exact:
+            view = _covers_grid(ctx, block_ids)
+            chunks = arr if view else arr[g, bx]
+            totals = op.reduce(chunks, axis=-1)
+            prefixes = _resolve_lookback(
+                op, words, desc, block_ids, bx, g, totals.reshape(-1)
+            )
+            _scan_exact(
+                op, chunks, prefixes.reshape(totals.shape), inclusive_out, identity
+            )
+            if not view:
+                arr[g, bx] = chunks
+        else:
+            partials = core.run(arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P))
+            carries = core.cascade_carries(partials["iteration_totals"])
+            totals = core.chunk_totals(partials["iteration_totals"])  # (nb,)
+            prefixes = _resolve_lookback(op, words, desc, block_ids, bx, g, totals)
+            result = _apply_offsets(
+                op, partials, carries, prefixes, inclusive_out, identity
+            )
+            arr[g, bx] = result.reshape(nb, kp.chunk_size)
+            costs = partials["costs"]
 
         # Counters use the protocol *model* (a pure function of grid
         # column and capacity), not how the simulator resolved the
         # prefixes — vectorized, blockwise and closed-form accounting
         # therefore agree exactly.
         reads = int(lookback_reads_per_block(bx, capacity).sum())
-        ctx.stats.read_global(
-            nb * kp.chunk_size * itemsize + reads * lb.descriptor_words * itemsize
-        )
-        ctx.stats.write_global(
-            nb * kp.chunk_size * itemsize + nb * 2 * lb.descriptor_words * itemsize
-        )
-        ctx.stats.shuffles(partials["shuffles"])
-        ctx.stats.apply_operator(
-            partials["operator_applications"]
-            + nb * max(0, kp.K - 1)
-            + nb * kp.K * kp.Lx * kp.P
-            + reads
-            + nb
-        )
-        ctx.stats.write_smem(partials["smem_bytes"] // 2)
-        ctx.stats.read_smem(partials["smem_bytes"] // 2)
-        ctx.stats.address_math(nb * kp.K * kp.Lx * 6 + reads)
+        ctx.stats.merge(single_pass_scan_stats(plan, gpu.arch, nb, reads, costs))
 
     return gpu.launch(
         trace, "single_pass_scan", phase, config, body, ordered=True,

@@ -25,7 +25,6 @@ from repro.errors import ConfigurationError
 from repro.primitives.ladner_fischer import ladner_fischer_schedule
 from repro.primitives.networks import kogge_stone_schedule, schedule_depth, schedule_work
 from repro.primitives.operators import ADD, Operator, resolve_operator
-from repro.util.hotpath import fast_enabled
 from repro.util.ints import ilog2
 
 
@@ -168,15 +167,6 @@ def warp_inclusive_scan(
     _check_lanes(values, width)
     ilog2(width)
     cost = _inclusive_cost(width, pattern)
-
-    # Exact dtypes admit a fast path: the scan network computes the same
-    # left-to-right combination an ``accumulate`` does, and integer/bool
-    # arithmetic is associative *exactly*, so the results are bit-identical.
-    # Floats keep the lane-exact network walk (its combination order, and
-    # therefore its rounding, is what the device would produce).
-    if values.dtype.kind in "biu" and fast_enabled():
-        return operator.accumulate(values, axis=-1), cost
-
     out = values.copy()
     for dsts, srcs in _scan_steps(width, pattern):
         gathered = out[..., srcs]

@@ -17,6 +17,7 @@ from repro.gpusim.memory import POISON_BYTE, BufferPool
 from repro.gpusim.metrics import buffer_pool_stats
 from repro.interconnect.topology import tsubame_kfc
 from repro.util.hotpath import fast_paths
+from tests.test_differential import PROPOSALS
 
 #: (proposal, placement) points small enough for blockwise execution.
 SERVING_POINTS = [
@@ -142,4 +143,23 @@ class TestPooledScanEquivalence:
             slow = scan(data, topology=tsubame_kfc(1), proposal=proposal, **spec)
         fast = scan(data, topology=tsubame_kfc(1), proposal=proposal, **spec)
         assert np.array_equal(slow.output, fast.output)
+        assert slow.trace.total_time() == fast.trace.total_time()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.bool_],
+                             ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("proposal,spec,nodes", PROPOSALS,
+                             ids=[p[0] for p in PROPOSALS])
+    def test_fast_paths_bit_identical_every_proposal(self, proposal, spec, nodes,
+                                                     dtype):
+        """Exact dtypes take the one-pass kernel bodies on the fast path
+        and the warp flow without it: same bytes, same trace."""
+        data = _batch(seed=29)
+        data = (data > 0) if dtype is np.bool_ else data.astype(dtype)
+        with fast_paths(False):
+            slow = scan(data, topology=tsubame_kfc(nodes), proposal=proposal,
+                        **spec)
+        fast = scan(data, topology=tsubame_kfc(nodes), proposal=proposal, **spec)
+        assert slow.output.dtype == fast.output.dtype == data.dtype
+        assert slow.output.tobytes() == fast.output.tobytes()
+        assert slow.trace.records == fast.trace.records
         assert slow.trace.total_time() == fast.trace.total_time()

@@ -4,21 +4,34 @@ and exactness of the closed-form stats (the estimate-path invariant)."""
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.gpusim.arch import KEPLER_K80
 from repro.gpusim.device import GPU
 from repro.gpusim.events import Trace
 from repro.gpusim.kernel import ExecutionEngine
+from repro.core import kernels
 from repro.core.kernels import (
+    _lookback_geometry,
     chunk_reduce_stats,
     intermediate_scan_stats,
     launch_chunk_reduce,
+    launch_descriptor_reset,
     launch_intermediate_scan,
     launch_scan_add,
+    launch_single_pass_scan,
     scan_add_stats,
 )
-from repro.core.params import ProblemConfig
+from repro.core.params import KernelParams, ProblemConfig
 from repro.core.plan import build_execution_plan
-from repro.primitives.sequential import exclusive_scan
+from repro.core.single_gpu import ScanSP
+from repro.primitives.operators import Operator, resolve_operator
+from repro.primitives.sequential import exclusive_scan, inclusive_scan
+from repro.util.hotpath import fast_paths
+from repro.util.ints import ceil_div
+
+#: Whose counters the closed form is checked against: the float warp flow,
+#: and the integer warp flow with the one-pass exact bodies switched off.
+WARP_FLOWS = [(np.float32, True), (np.int32, False)]
 
 
 def make_setup(gpu, n=1 << 14, g=4, k=2, dtype=np.int32, operator="add",
@@ -65,14 +78,15 @@ class TestChunkReduce:
         np.testing.assert_array_equal(out[:, plan.chunks_total :], expected)
 
     def test_stats_match_closed_form(self, gpu):
-        problem, plan, host, data, aux = make_setup(gpu)
-        trace = Trace()
-        record = launch_chunk_reduce(trace, gpu, data, aux, plan)
-        analytic = chunk_reduce_stats(plan, gpu.arch.warp_size)
-        assert record.global_bytes_read == analytic.global_bytes_read
-        assert record.global_bytes_written == analytic.global_bytes_written
-        assert record.shuffle_instructions == analytic.shuffle_instructions
-        assert record.operator_applications == analytic.operator_applications
+        for dtype, fast in WARP_FLOWS:
+            problem, plan, host, data, aux = make_setup(gpu, dtype=dtype)
+            with fast_paths(fast):
+                record = launch_chunk_reduce(Trace(), gpu, data, aux, plan)
+            analytic = chunk_reduce_stats(plan, gpu.arch.warp_size)
+            assert record.global_bytes_read == analytic.global_bytes_read
+            assert record.global_bytes_written == analytic.global_bytes_written
+            assert record.shuffle_instructions == analytic.shuffle_instructions
+            assert record.operator_applications == analytic.operator_applications
 
 
 class TestIntermediateScan:
@@ -84,12 +98,13 @@ class TestIntermediateScan:
         np.testing.assert_array_equal(aux.to_host(), exclusive_scan(before, axis=-1))
 
     def test_stats_match_closed_form(self, gpu):
-        problem, plan, host, data, aux = make_setup(gpu)
-        trace = Trace()
-        record = launch_intermediate_scan(trace, gpu, aux, plan)
-        analytic = intermediate_scan_stats(plan, gpu.arch.warp_size)
-        assert record.global_bytes_read == analytic.global_bytes_read
-        assert record.shuffle_instructions == analytic.shuffle_instructions
+        for dtype, fast in WARP_FLOWS:
+            problem, plan, host, data, aux = make_setup(gpu, dtype=dtype)
+            with fast_paths(fast):
+                record = launch_intermediate_scan(Trace(), gpu, aux, plan)
+            analytic = intermediate_scan_stats(plan, gpu.arch.warp_size)
+            assert record.global_bytes_read == analytic.global_bytes_read
+            assert record.shuffle_instructions == analytic.shuffle_instructions
 
 
 class TestScanAdd:
@@ -124,16 +139,18 @@ class TestScanAdd:
         np.testing.assert_array_equal(out, np.cumsum(host, axis=-1))
 
     def test_stats_match_closed_form(self, gpu):
-        problem, plan, host, data, aux = make_setup(gpu)
-        trace = Trace()
-        launch_chunk_reduce(trace, gpu, data, aux, plan)
-        launch_intermediate_scan(trace, gpu, aux, plan)
-        record = launch_scan_add(trace, gpu, data, aux, plan)
-        analytic = scan_add_stats(plan, gpu.arch.warp_size)
-        assert record.global_bytes_read == analytic.global_bytes_read
-        assert record.global_bytes_written == analytic.global_bytes_written
-        assert record.shuffle_instructions == analytic.shuffle_instructions
-        assert record.operator_applications == analytic.operator_applications
+        for dtype, fast in WARP_FLOWS:
+            problem, plan, host, data, aux = make_setup(gpu, dtype=dtype)
+            trace = Trace()
+            with fast_paths(fast):
+                launch_chunk_reduce(trace, gpu, data, aux, plan)
+                launch_intermediate_scan(trace, gpu, aux, plan)
+                record = launch_scan_add(trace, gpu, data, aux, plan)
+            analytic = scan_add_stats(plan, gpu.arch.warp_size)
+            assert record.global_bytes_read == analytic.global_bytes_read
+            assert record.global_bytes_written == analytic.global_bytes_written
+            assert record.shuffle_instructions == analytic.shuffle_instructions
+            assert record.operator_applications == analytic.operator_applications
 
 
 class TestBlockIndependence:
@@ -164,3 +181,172 @@ class TestBlockIndependence:
             ])
         np.testing.assert_array_equal(results[0], results[1])
         assert stats[0] == stats[1]  # counters are schedule-independent
+
+
+# --------------------------------------------------------------------------
+# Exact-dtype bodies: one pass per chunk, pinned to the warp flow
+# --------------------------------------------------------------------------
+
+EXACT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                np.uint8, np.uint32, np.uint64, np.bool_]
+OPERATORS = ["add", "mul", "max", "min", "or", "xor"]
+
+
+def _valid(op: str, dtype) -> bool:
+    try:
+        resolve_operator(op).identity(np.dtype(dtype))
+    except ConfigurationError:
+        return False
+    return True
+
+
+PARITY_GRID = [
+    pytest.param(dtype, op, id=f"{np.dtype(dtype).name}-{op}")
+    for dtype in EXACT_DTYPES for op in OPERATORS if _valid(op, dtype)
+]
+
+#: Two warps of 32 lanes, P=2, K=2: 256-element chunks, a cross-warp
+#: exchange and a cascade, at sizes the blockwise engine runs quickly.
+SMALL = KernelParams(s=1, p=1, l=6, lx=6, ly=0, K=2)
+#: One warp, P=2, K=1: 64-element chunks, so 2^14 elements make a
+#: four-round Stage 2 and a 256-block sp-dlb grid (over 208 resident).
+TINY = KernelParams(s=0, p=1, l=5, lx=5, ly=0, K=1)
+
+
+def exact_payload(rng, shape, dtype):
+    """Full-range values: integer add and mul wrap, bool is random."""
+    dtype = np.dtype(dtype)
+    if dtype == np.bool_:
+        return rng.random(shape) < 0.3
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
+
+
+def run_every_kernel(host, op, inclusive, mode, template):
+    """All four kernels over ``host`` on one GPU; every output and record.
+
+    The three-kernel pipeline runs as two GPUs' shares of each problem
+    would on one device: both halves reduce into one auxiliary array, the
+    second at ``chunk_column_offset = Bx``. sp-dlb scans the whole batch.
+    """
+    gpu = GPU(0, KEPLER_K80, engine=ExecutionEngine(mode, np.random.default_rng(4)))
+    g, n = host.shape
+    problem = ProblemConfig.from_sizes(N=n, G=g, dtype=host.dtype, operator=op,
+                                       inclusive=inclusive)
+    shared = build_execution_plan(gpu.arch, problem, K=template.K,
+                                  gpus_sharing_problem=2, stage1_template=template)
+    bx = shared.stage1.bx
+    halves = [gpu.upload(host[:, : n // 2]), gpu.upload(host[:, n // 2:])]
+    aux = gpu.alloc((g, shared.chunks_total), host.dtype)
+    trace = Trace()
+    for i, half in enumerate(halves):
+        launch_chunk_reduce(trace, gpu, half, aux, shared, chunk_column_offset=i * bx)
+    out = {"stage1": aux.to_host()}
+    launch_intermediate_scan(trace, gpu, aux, shared)
+    out["stage2"] = aux.to_host()
+    for i, half in enumerate(halves):
+        launch_scan_add(trace, gpu, half, aux, shared, chunk_column_offset=i * bx)
+    out["stage3"] = np.concatenate([h.to_host() for h in halves], axis=1)
+
+    single = build_execution_plan(gpu.arch, problem, K=template.K,
+                                  stage1_template=template)
+    data = gpu.upload(host)
+    status = gpu.alloc((g, single.stage1.bx), np.int32)
+    # Block 0 never publishes an aggregate: fill so the planes compare.
+    descriptors = gpu.alloc((g, single.stage1.bx, 2), host.dtype, fill=0)
+    launch_descriptor_reset(trace, gpu, status, single)
+    launch_single_pass_scan(trace, gpu, data, status, descriptors, single)
+    out.update(sp_dlb=data.to_host(), status=status.to_host(),
+               descriptors=descriptors.to_host())
+    return out, list(trace.kernel_records()), (shared, single)
+
+
+def assert_bodies_agree(host, op, inclusive, mode, template):
+    """Exact bodies and the warp flow: same bytes, same records."""
+    with fast_paths(False):
+        flow, flow_records, plans = run_every_kernel(host, op, inclusive, mode,
+                                                     template)
+    exact, exact_records, _ = run_every_kernel(host, op, inclusive, mode, template)
+    for name, arr in flow.items():
+        assert exact[name].dtype == arr.dtype, name
+        assert exact[name].tobytes() == arr.tobytes(), name
+    assert exact_records == flow_records
+    expected = (inclusive_scan if inclusive else exclusive_scan)(host, op)
+    assert exact["stage3"].tobytes() == expected.tobytes()
+    assert exact["sp_dlb"].tobytes() == expected.tobytes()
+    return plans
+
+
+class TestExactBodies:
+    @pytest.mark.parametrize("mode", ["vectorized", "blockwise"])
+    @pytest.mark.parametrize("inclusive", [True, False], ids=["inc", "exc"])
+    @pytest.mark.parametrize("dtype,op", PARITY_GRID)
+    def test_parity_with_warp_flow(self, rng, dtype, op, inclusive, mode):
+        host = exact_payload(rng, (2, 1 << 11), dtype)
+        assert_bodies_agree(host, op, inclusive, mode, SMALL)
+
+    @pytest.mark.parametrize("mode", ["vectorized", "blockwise"])
+    def test_int8_add_wraps(self, rng, mode):
+        host = exact_payload(rng, (2, 1 << 11), np.int8)
+        wide = np.cumsum(host, axis=1, dtype=np.int64)
+        assert (wide < -128).any() and (wide > 127).any()  # it does wrap
+        assert_bodies_agree(host, "add", True, mode, SMALL)
+
+    @pytest.mark.parametrize("mode", ["vectorized", "blockwise"])
+    @pytest.mark.parametrize("dtype,op", [(np.int32, "add"), (np.int8, "mul"),
+                                          (np.uint64, "xor"), (np.bool_, "max")])
+    def test_multi_round_stage2_and_multi_wave_lookback(self, rng, dtype, op, mode):
+        host = exact_payload(rng, (1, 1 << 14), dtype)
+        for inclusive in (True, False):
+            shared, single = assert_bodies_agree(host, op, inclusive, mode, TINY)
+        kp2 = shared.stage2.params
+        assert ceil_div(shared.chunks_total, kp2.P * kp2.Lx) > 1
+        assert single.stage1.bx > _lookback_geometry(single, KEPLER_K80)[1]
+
+
+class TestHostCost:
+    """Host-independent guard on the exact bodies: a warm ``sp`` scan runs
+    no warp scan, and its operator calls do not grow with the block count
+    (K sets Bx). Floats still replay the warp flow."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        for name in ("accumulate", "reduce", "combine"):
+            def counted(*args, _method=getattr(Operator, name), **kwargs):
+                calls.append(_method.__name__)
+                return _method(*args, **kwargs)
+            monkeypatch.setattr(Operator, name, counted)
+        warp_scans = []
+        original = kernels.warp_exclusive_scan
+
+        def counted_warp(*args, **kwargs):
+            warp_scans.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(kernels, "warp_exclusive_scan", counted_warp)
+        return calls, warp_scans
+
+    def warm_scan(self, machine, dtype, K, rng, counters):
+        data = rng.integers(-40, 90, (16, 1 << 14)).astype(dtype)
+        executor = ScanSP(machine.gpus[0], K=K)
+        executor.run(data)  # warm: plan resolved, buffers pooled
+        for counter in counters:
+            counter.clear()
+        result = executor.run(data)
+        np.testing.assert_array_equal(result.output,
+                                      np.cumsum(data, axis=1, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_exact_dtypes_take_one_pass(self, machine, rng, monkeypatch, dtype):
+        calls, warp_scans = self.count_calls(monkeypatch)
+        counts = {}
+        for K in (1, 4):
+            self.warm_scan(machine, dtype, K, rng, (calls, warp_scans))
+            assert warp_scans == []
+            counts[K] = len(calls)
+        assert counts[1] == counts[4] <= 12
+
+    def test_floats_keep_the_warp_flow(self, machine, rng, monkeypatch):
+        calls, warp_scans = self.count_calls(monkeypatch)
+        self.warm_scan(machine, np.float32, 1, rng, (calls, warp_scans))
+        assert len(warp_scans) > 0

@@ -66,6 +66,32 @@ class TestFloatDtypes:
         np.testing.assert_array_equal(result.output, np.maximum.accumulate(data, axis=-1))
 
 
+class TestByteOrder:
+    """Non-native byte order is converted once on entry (``coerce_batch``),
+    so results come back in the native dtype instead of a raw numpy
+    TypeError escaping the kernels."""
+
+    @pytest.mark.parametrize("proposal,spec", [
+        ("sp", {}), ("sp-dlb", {}), ("mps", {"W": 4, "V": 4}),
+    ], ids=["sp", "sp-dlb", "mps"])
+    @pytest.mark.parametrize("dtype", [">i4", ">i8", ">f8"])
+    def test_big_endian_input(self, machine, rng, dtype, proposal, spec):
+        data = rng.integers(-50, 100, (4, 1 << 13)).astype(dtype)
+        native = data.dtype.newbyteorder("=")
+        expected = np.add.accumulate(data.astype(native), axis=-1, dtype=native)
+        result = scan(data, topology=machine, proposal=proposal, **spec)
+        assert result.output.dtype == native
+        assert result.output.tobytes() == expected.tobytes()
+
+    def test_session_serves_big_endian(self, machine, rng):
+        from repro.core.session import ScanSession
+
+        data = rng.integers(-50, 100, 1 << 12).astype(">i4")
+        out = ScanSession(topology=machine).scan(data, operator="max").output
+        assert out.dtype == np.dtype(np.int32)
+        np.testing.assert_array_equal(out[0], np.maximum.accumulate(data))
+
+
 class TestPremise2DtypeAdaptation:
     def test_wider_elements_reduce_p(self):
         """int64 elements occupy two register words, halving P's budget."""

@@ -3,6 +3,9 @@
 Figure 4 draws the warp scan with warpSize=4, P=4 and Lx=4 "for clarity";
 running the full kernel machinery on an architecture with those toy
 dimensions makes every intermediate value small enough to check by hand.
+The kernel pipeline runs with the hot-path switch off, so its integer
+payloads go through the Figure-4 flow rather than the one-pass exact
+bodies.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.core.kernels import (
 )
 from repro.core.params import KernelParams, ProblemConfig
 from repro.core.plan import build_execution_plan
+from repro.util.hotpath import fast_paths
 
 #: A toy architecture with 4-lane warps (the paper's Figure 4 setting).
 TOY = KEPLER_K80.with_overrides(
@@ -53,9 +57,10 @@ class TestToyKernelPipeline:
         data = gpu.upload(host)
         aux = gpu.alloc((g, plan.chunks_total), host.dtype)
         trace = Trace()
-        launch_chunk_reduce(trace, gpu, data, aux, plan)
-        launch_intermediate_scan(trace, gpu, aux, plan)
-        launch_scan_add(trace, gpu, data, aux, plan)
+        with fast_paths(False):
+            launch_chunk_reduce(trace, gpu, data, aux, plan)
+            launch_intermediate_scan(trace, gpu, aux, plan)
+            launch_scan_add(trace, gpu, data, aux, plan)
         out = data.to_host()
         gpu.free(aux)
         gpu.free(data)
