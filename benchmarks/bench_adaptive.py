@@ -13,15 +13,17 @@ nothing when idle:
   traffic with periodic high-rate bursts) plus a mid-run device loss,
   served by a statically configured service and by an identical service
   wearing the full adaptive stack. The adaptive arm must win p99 by at
-  least :data:`P99_IMPROVEMENT_BAR` — it grows the coalescing window
-  under burst, so the executor backlog collapses.
+  least :data:`~repro.control.ab.P99_IMPROVEMENT_BAR` — it grows the
+  coalescing window under burst, so the executor backlog collapses.
 - **steady**: the same comparison at the calm base rate. The adaptive
-  arm must stay within :data:`STEADY_RATIO_BAR` of static p99 — the
-  controller's baseline floor means it never departs the static knobs
-  when there is nothing to adapt to (here it reproduces static exactly).
+  arm must stay within :data:`~repro.control.ab.STEADY_RATIO_BAR` of
+  static p99 — the controller's baseline floor means it never departs
+  the static knobs when there is nothing to adapt to (here it
+  reproduces static exactly).
 - **determinism**: every cell is replayed twice and must reproduce
   bit-identically — ticket latencies, batch shapes and the decision log.
 
+The experiment and its bars are defined once, in :mod:`repro.control.ab`.
 Everything is simulated time, so ``BENCH_adaptive.json`` doubles as the
 golden reference for the ``adaptive`` suite of ``repro bench check``.
 
@@ -34,76 +36,25 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.control.ab import DEFAULT_AB_PARAMS, run_ab, summarize
+from repro.bench.regression import enforce
+from repro.control.ab import DEFAULT_AB_PARAMS, bars, measure, summarize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: Acceptance bars (the ISSUE's): adaptive must be at least this much
-#: better at p99 under the bursty+fault workload...
-P99_IMPROVEMENT_BAR = 1.3
-#: ...and no more than this much worse on the steady workload.
-STEADY_RATIO_BAR = 1.05
-
-
-def _strip_logs(report: dict) -> dict:
-    """The JSON payload keeps digests, not the raw per-decision logs."""
-    out = {}
-    for name in ("bursty", "steady"):
-        block = dict(report[name])
-        for arm in ("static", "adaptive"):
-            cell = dict(block[arm])
-            cell.pop("decision_log")
-            cell.pop("batch_sim_times")
-            block[arm] = cell
-        out[name] = block
-    out["params"] = report["params"]
-    out["deterministic"] = report["deterministic"]
-    return out
-
-
-def check_bars(report: dict) -> None:
-    improvement = report["bursty"]["p99_improvement"]
-    ratio = report["steady"]["p99_ratio"]
-    if improvement < P99_IMPROVEMENT_BAR:
-        raise AssertionError(
-            f"adaptive p99 improvement {improvement:.2f}x under burst is "
-            f"below the {P99_IMPROVEMENT_BAR}x bar"
-        )
-    if ratio > STEADY_RATIO_BAR:
-        raise AssertionError(
-            f"adaptive p99 is {ratio:.3f}x static on the steady workload "
-            f"(> {STEADY_RATIO_BAR}x): adaptation is not free"
-        )
-    if not report["deterministic"]:
-        raise AssertionError("A/B replay is not bit-identical across repeats")
-    for workload in ("bursty", "steady"):
-        for arm in ("static", "adaptive"):
-            cell = report[workload][arm]
-            if cell["verified"] != cell["served"]:
-                raise AssertionError(
-                    f"{workload}/{arm}: {cell['served']} served but only "
-                    f"{cell['verified']} verified"
-                )
 
 
 def run_adaptive_benchmark(
     json_path: str | Path | None = REPO_ROOT / "BENCH_adaptive.json",
 ) -> dict:
-    report = run_ab(DEFAULT_AB_PARAMS, repeats=2)
-    check_bars(report)
-    payload = _strip_logs(report)
+    payload = measure(DEFAULT_AB_PARAMS)
+    enforce(bars(payload))
     if json_path is not None:
         Path(json_path).write_text(json.dumps(payload, indent=2) + "\n")
-    return report
-
-
-def format_adaptive_table(report: dict) -> str:
-    return summarize(report)
+    return payload
 
 
 def test_regenerate_adaptive(report):
     payload = run_adaptive_benchmark()
-    report("adaptive", format_adaptive_table(payload))
+    report("adaptive", summarize(payload))
 
 
 if __name__ == "__main__":
@@ -120,6 +71,6 @@ if __name__ == "__main__":
         json_path=None if (cli_args.no_json or cli_args.smoke)
         else REPO_ROOT / "BENCH_adaptive.json",
     )
-    print(format_adaptive_table(result))
+    print(summarize(result))
     if cli_args.smoke:
         print("smoke: OK")

@@ -1,27 +1,12 @@
 """Cluster benchmark — tail latency vs load and replica count.
 
-The cluster layer (:mod:`repro.cluster`) fronts N independent scan
-service replicas with one router: pluggable dispatch policies,
-per-tenant quotas/SLOs, and drain/re-admit failover. This benchmark
-replays seeded Poisson workloads through routers of increasing width
-and records what replication actually buys at the tail:
-
-- **scaling sweep**: the same workload through 1, 2 and 4 replicas
-  (serialised executors, managed dispatch). With one replica every
-  batch queues behind the previous batch's executor; with four the
-  router spreads them and p99 latency collapses (and throughput rises).
-- **policy comparison**: round_robin vs least_depth vs managed at the
-  widest point — same workload, different placement, different tails.
-- **drain/re-admit chaos**: a replica is taken down mid-traffic; its
-  queue is evicted and re-routed, parked requests retry, and the
-  replica re-admits from the leader's session snapshot. The run asserts
-  **zero lost requests** and **bit-identical determinism** (the replay
-  is repeated and must reproduce the same batch log and summary).
-
-Everything here is simulated time — closed-form cost model, caller-
-advanced clocks — so every number in ``BENCH_cluster.json`` is
-reproducible to the last bit and doubles as a golden reference for
-``repro bench check``.
+The experiment is defined once, in :mod:`repro.bench.cluster` (the
+replica-scaling sweep, the policy comparison, the drain/re-admit chaos
+scenario and the replication bar); this script runs it, prints the
+table and writes ``BENCH_cluster.json`` at the repo root. Everything is
+simulated time, so every number doubles as a golden reference for the
+``cluster`` suite of ``repro bench check``, which replays the same
+``measure``.
 
 Run directly (``python benchmarks/bench_cluster.py [--smoke]``) or via
 pytest (``pytest benchmarks/bench_cluster.py``).
@@ -32,122 +17,16 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.cluster import ClusterRouter, cluster_replay, policy_names
-from repro.serve.replay import poisson_workload
+from repro.bench.cluster import PARAMS, bars, measure
+from repro.bench.regression import enforce
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: Workload shape: enough requests to form many batches across replicas.
-REQUESTS = 64
-SIZES_LOG2 = (10, 12)
-RATE = 8e5  # requests per simulated second — saturates one replica
-SEED = 11
-
-REPLICA_COUNTS = (1, 2, 4)
-POLICY = "managed"
-MAX_BATCH = 8
-MAX_WAIT_S = 1e-4
-
-#: Chaos scenario: replica 0 goes down at this simulated instant.
-CHAOS_REPLICAS = 3
-CHAOS_FAIL_AT = 4e-5
-CHAOS_RECOVERY_S = 1e-4
-
-
-def _workload():
-    return poisson_workload(
-        REQUESTS, sizes_log2=SIZES_LOG2, rate=RATE, seed=SEED
-    )
-
-
-def _router(replicas: int, policy: str = POLICY, **kwargs) -> ClusterRouter:
-    kwargs.setdefault("max_batch", MAX_BATCH)
-    kwargs.setdefault("max_wait_s", MAX_WAIT_S)
-    return ClusterRouter(replicas=replicas, policy=policy, **kwargs)
-
-
-def _summary_row(summary: dict) -> dict:
-    return {
-        k: summary[k]
-        for k in (
-            "served", "request_failures", "rejected", "verified",
-            "rerouted", "drains", "readmits", "makespan_s",
-            "throughput_rps", "latency_p50_s", "latency_p95_s",
-            "latency_p99_s", "latency_mean_s", "latency_max_s",
-        )
-    }
-
-
-def _chaos_run() -> tuple[dict, list]:
-    router = _router(CHAOS_REPLICAS, recovery_s=CHAOS_RECOVERY_S)
-    summary = cluster_replay(
-        router, _workload(),
-        fail_replica_at=CHAOS_FAIL_AT, fail_replica_id=0,
-    )
-    return summary, [list(entry) for entry in router.batch_log]
 
 
 def run_cluster_benchmark(
     json_path: str | Path | None = REPO_ROOT / "BENCH_cluster.json",
 ) -> dict:
-    scaling: dict[str, dict] = {}
-    for n in REPLICA_COUNTS:
-        summary = cluster_replay(_router(n), _workload())
-        assert summary["verified"] == REQUESTS, summary
-        scaling[str(n)] = _summary_row(summary)
-
-    policies: dict[str, dict] = {}
-    widest = max(REPLICA_COUNTS)
-    for name in policy_names():
-        summary = cluster_replay(_router(widest, policy=name), _workload())
-        assert summary["verified"] == REQUESTS, summary
-        policies[name] = _summary_row(summary)
-
-    # Chaos: run twice — the second run must reproduce the first to the
-    # bit (same summary, same batch log) or the failover path leaked
-    # nondeterminism into the replay.
-    chaos, batch_log = _chaos_run()
-    chaos_again, batch_log_again = _chaos_run()
-    if chaos != chaos_again or batch_log != batch_log_again:
-        raise AssertionError(
-            "chaos replay is not deterministic: repeated run diverged"
-        )
-    lost = REQUESTS - (chaos["served"] + chaos["request_failures"]
-                       + chaos["rejected"])
-    if lost != 0:
-        raise AssertionError(f"chaos replay lost {lost} requests")
-    if chaos["drains"] < 1 or chaos["readmits"] < 1:
-        raise AssertionError(
-            f"chaos replay never exercised drain/re-admit: {chaos}"
-        )
-
-    base = scaling[str(REPLICA_COUNTS[0])]
-    wide = scaling[str(widest)]
-    p99_improvement = base["latency_p99_s"] / wide["latency_p99_s"]
-    throughput_gain = wide["throughput_rps"] / base["throughput_rps"]
-    payload = {
-        "requests": REQUESTS,
-        "sizes_log2": list(SIZES_LOG2),
-        "rate_per_s": RATE,
-        "seed": SEED,
-        "policy": POLICY,
-        "max_batch": MAX_BATCH,
-        "max_wait_s": MAX_WAIT_S,
-        "replica_counts": list(REPLICA_COUNTS),
-        "scaling": scaling,
-        "policies": policies,
-        "p99_improvement": p99_improvement,
-        "throughput_gain": throughput_gain,
-        "chaos": {
-            "replicas": CHAOS_REPLICAS,
-            "fail_replica_at_s": CHAOS_FAIL_AT,
-            "recovery_s": CHAOS_RECOVERY_S,
-            "summary": chaos,
-            "batch_log_len": len(batch_log),
-            "deterministic": True,
-            "lost_requests": lost,
-        },
-    }
+    payload = measure(PARAMS)
     if json_path is not None:
         Path(json_path).write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -194,10 +73,7 @@ def format_cluster_table(payload: dict) -> str:
 def test_regenerate_cluster(report):
     payload = run_cluster_benchmark()
     report("cluster", format_cluster_table(payload))
-    assert payload["chaos"]["lost_requests"] == 0, payload
-    assert payload["chaos"]["deterministic"], payload
-    assert (payload["p99_improvement"] > 1.0
-            or payload["throughput_gain"] >= 2.0), payload
+    enforce(bars(payload))
 
 
 if __name__ == "__main__":
@@ -216,12 +92,5 @@ if __name__ == "__main__":
     )
     print(format_cluster_table(result))
     if cli_args.smoke:
-        assert result["chaos"]["lost_requests"] == 0, result
-        assert result["chaos"]["deterministic"], result
-        assert (result["p99_improvement"] > 1.0
-                or result["throughput_gain"] >= 2.0), (
-            f"replication bought nothing: p99 "
-            f"{result['p99_improvement']:.2f}x, throughput "
-            f"{result['throughput_gain']:.2f}x"
-        )
+        enforce(bars(result))
         print("smoke: OK")

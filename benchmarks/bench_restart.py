@@ -1,34 +1,11 @@
 """Restart benchmark — cold start vs snapshot-restored start.
 
-A deployed scan service dies and respawns: deploys, preemptions, node
-failures. Everything the serving stack memoises — resolved plans, the
-empirically tuned K, the sp/sp-dlb variant choice, warm buffer pools —
-used to die with the process, so every replica re-paid the planning and
-K-sweep cost on its first requests. The persistence layer
-(:mod:`repro.core.store`) makes that state durable; this benchmark
-measures what a restored replica actually buys.
-
-Protocol, per repeat (everything process-fresh each time: new topology,
-new :class:`~repro.core.executor.PlanResolver`, new session):
-
-- **cold**: replay a seeded Poisson workload through the coalescing
-  service with ``proposal="auto"`` and ``K="tune"``. The first request's
-  wall-clock latency (submit + flush) pays proposal recommendation, the
-  single-GPU variant sweep, the K sweep and plan construction.
-- snapshot the now-warm session (once, from the first cold run).
-- **restored**: same machine shape, same fresh resolver, but the session
-  starts from the snapshot. The first request must be served entirely
-  from restored state: the run asserts **zero** plan-resolver misses and
-  **zero** tuner sweeps across the whole replay.
-
-Simulated time is a closed form of the plan geometry, so the cold and
-restored replays must produce *bit-identical* batch traces and latency
-distributions — the benchmark asserts it. The win is wall-clock only:
-``first_request_speedup = cold first-request latency / restored
-first-request latency`` (medians across repeats), gated at
->= ``MIN_FIRST_REQUEST_SPEEDUP``. Writes ``BENCH_restart.json`` at the
-repo root; ``repro bench check`` re-validates the determinism half and
-the recorded speedup against the floor.
+The protocol is defined once, in :mod:`repro.bench.restart` (cold and
+restored replays, their bit-identity and zero-miss checks, and the
+first-request speedup floor); this script runs it, prints the table and
+writes ``BENCH_restart.json`` at the repo root. ``repro bench check``
+replays the same ``measure`` and checks the recorded speedup against
+the floor.
 
 Run directly (``python benchmarks/bench_restart.py [--smoke]``) or via
 pytest (``pytest benchmarks/bench_restart.py``).
@@ -37,135 +14,19 @@ pytest (``pytest benchmarks/bench_restart.py``).
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.core.executor import PlanResolver, ScanExecutor
-from repro.core.session import ScanSession
-from repro.interconnect.topology import tsubame_kfc
-from repro.primitives.sequential import inclusive_scan
-from repro.serve.replay import poisson_workload
+from repro.bench.regression import enforce
+from repro.bench.restart import PARAMS, bars, measure
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: A restored replica's first request must be at least this much faster
-#: (wall-clock) than a cold replica's — the zero-warmup acceptance bar.
-MIN_FIRST_REQUEST_SPEEDUP = 2.0
-
-#: Workload shape: enough requests to form several batches, sizes mixed
-#: so both the sp/sp-dlb variant sweep and the K sweeps are exercised.
-REQUESTS = 32
-SIZES_LOG2 = (14, 12)
-RATE = 2e5  # requests per simulated second (Poisson arrivals)
-SEED = 7
-
-
-def _replay_run(snapshot=None) -> dict:
-    """One process-fresh replay; returns timings, traces and cache stats."""
-    topology = tsubame_kfc(1)
-    topology.enable_buffer_pooling()
-    ScanExecutor.resolver = PlanResolver()
-    session = ScanSession(topology, autotune_cache=None, snapshot=snapshot)
-    service = session.service(max_batch=8, proposal="auto", K="tune")
-    workload = poisson_workload(
-        REQUESTS, sizes_log2=SIZES_LOG2, rate=RATE, seed=SEED
-    )
-
-    # First request timed alone: submit + forced flush is the replica's
-    # time-to-first-result, the quantity a restart actually degrades.
-    first = workload[0]
-    t0 = time.perf_counter()
-    tickets = [service.submit(first.data, operator=first.operator,
-                              inclusive=first.inclusive, at=first.at_s)]
-    service.flush()
-    first_request_s = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    for req in workload[1:]:
-        tickets.append(service.submit(req.data, operator=req.operator,
-                                      inclusive=req.inclusive, at=req.at_s))
-    service.drain()
-    rest_s = time.perf_counter() - t1
-
-    for req, ticket in zip(workload, tickets):
-        np.testing.assert_array_equal(
-            ticket.result(), inclusive_scan(req.data, op=req.operator)
-        )
-
-    latencies = sorted(t.latency_s for t in tickets)
-    return {
-        "session": session,
-        "first_request_s": first_request_s,
-        "total_wall_s": first_request_s + rest_s,
-        "batch_sim_s": [b.sim_time_s for b in service.batches],
-        "latency_p50_s": float(np.percentile(latencies, 50)),
-        "latency_p99_s": float(np.percentile(latencies, 99)),
-        "resolver_misses": ScanExecutor.resolver.misses,
-        "tuner_misses": session.tuner.cache.misses,
-    }
-
 
 def run_restart_benchmark(
-    repeats: int = 5,
+    repeats: int = PARAMS["repeats"],
     json_path: str | Path | None = REPO_ROOT / "BENCH_restart.json",
 ) -> dict:
-    original_resolver = ScanExecutor.resolver
-    try:
-        cold_first: list[float] = []
-        restored_first: list[float] = []
-        snapshot = None
-        cold = restored = None
-        for _ in range(repeats):
-            cold = _replay_run()
-            if snapshot is None:
-                snapshot = cold["session"].snapshot()
-            restored = _replay_run(snapshot=snapshot)
-            cold_first.append(cold["first_request_s"])
-            restored_first.append(restored["first_request_s"])
-
-            if restored["resolver_misses"] != 0:
-                raise AssertionError(
-                    f"restored replay re-planned: "
-                    f"{restored['resolver_misses']} resolver misses"
-                )
-            if restored["tuner_misses"] != 0:
-                raise AssertionError(
-                    f"restored replay re-tuned: "
-                    f"{restored['tuner_misses']} tuner sweeps"
-                )
-            if cold["batch_sim_s"] != restored["batch_sim_s"]:
-                raise AssertionError(
-                    "restored replay diverged from cold (simulated batch "
-                    "times differ) — snapshot restore is not bit-identical"
-                )
-    finally:
-        ScanExecutor.resolver = original_resolver
-
-    cold_s = float(np.median(cold_first))
-    restored_s = float(np.median(restored_first))
-    payload = {
-        "requests": REQUESTS,
-        "sizes_log2": list(SIZES_LOG2),
-        "rate_per_s": RATE,
-        "seed": SEED,
-        "repeats": repeats,
-        "cold_first_request_s": cold_s,
-        "restored_first_request_s": restored_s,
-        "first_request_speedup": cold_s / restored_s,
-        "min_first_request_speedup": MIN_FIRST_REQUEST_SPEEDUP,
-        "cold_total_wall_s": cold["total_wall_s"],
-        "restored_total_wall_s": restored["total_wall_s"],
-        "latency_p50_s": cold["latency_p50_s"],
-        "latency_p99_s": cold["latency_p99_s"],
-        "restored_latency_p50_s": restored["latency_p50_s"],
-        "restored_latency_p99_s": restored["latency_p99_s"],
-        "restored_resolver_misses": restored["resolver_misses"],
-        "restored_tuner_misses": restored["tuner_misses"],
-        "identical_traces": cold["batch_sim_s"] == restored["batch_sim_s"],
-        "snapshot_counts": snapshot.counts,
-    }
+    payload = measure({**PARAMS, "repeats": repeats})
     if json_path is not None:
         Path(json_path).write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -196,36 +57,26 @@ def format_restart_table(payload: dict) -> str:
 def test_regenerate_restart(report):
     payload = run_restart_benchmark()
     report("restart", format_restart_table(payload))
-    assert payload["identical_traces"], payload
-    assert payload["restored_resolver_misses"] == 0, payload
-    assert payload["restored_tuner_misses"] == 0, payload
-    assert (payload["first_request_speedup"]
-            >= payload["min_first_request_speedup"]), payload
+    enforce(bars(payload))
 
 
 if __name__ == "__main__":
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=PARAMS["repeats"])
     parser.add_argument("--smoke", action="store_true",
                         help="fewer repeats; assert the acceptance bars "
                         "(CI cold-vs-restored smoke)")
     parser.add_argument("--no-json", action="store_true",
                         help="do not rewrite BENCH_restart.json")
     cli_args = parser.parse_args()
-    repeats = 3 if cli_args.smoke else cli_args.repeats
     result = run_restart_benchmark(
-        repeats=repeats,
+        repeats=3 if cli_args.smoke else cli_args.repeats,
         json_path=None if (cli_args.no_json or cli_args.smoke)
         else REPO_ROOT / "BENCH_restart.json",
     )
     print(format_restart_table(result))
     if cli_args.smoke:
-        assert result["identical_traces"], result
-        assert result["restored_resolver_misses"] == 0, result
-        assert result["first_request_speedup"] >= MIN_FIRST_REQUEST_SPEEDUP, (
-            f"restored start only {result['first_request_speedup']:.2f}x "
-            f"faster (need {MIN_FIRST_REQUEST_SPEEDUP}x)"
-        )
+        enforce(bars(result))
         print("smoke: OK")

@@ -1,18 +1,9 @@
 """Coalescing service throughput — batched dispatch vs one request at a time.
 
-The acceptance shape: 64 small requests (N=2^12) arrive as a burst. Served
-one at a time, each pays a full G=1 scan; coalesced through
-:class:`repro.serve.ScanService` they share one batched launch per
-admission key, so the per-request kernel/transfer overheads amortise
-across the batch. Both sides are *simulated* time from the same cost
-model, so the ratio is deterministic — this benchmark asserts the
-ISSUE's floor of **>= 2x** coalesced throughput and records the real
-figure (tens of x for sp/pp placements).
-
-Also swept: request rate (burst vs Poisson arrivals, where ``max_wait``
-caps how long the queue may hold a request) and placement (sp vs pp).
-Every replay is differentially verified against the numpy oracle inside
-:func:`repro.serve.replay`. Writes ``BENCH_serve.json`` at the repo root.
+The experiment is defined once, in :mod:`repro.bench.serve` (the
+placement x arrival grid and the burst-speedup floor); this script runs
+it, prints the table and writes ``BENCH_serve.json`` at the repo root.
+``repro bench check`` replays the same ``measure``.
 """
 
 from __future__ import annotations
@@ -20,81 +11,18 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.session import ScanSession
-from repro.interconnect.topology import tsubame_kfc
-from repro.serve import poisson_workload, replay, solo_baseline
+from repro.bench.regression import enforce
+from repro.bench.serve import MIN_BURST_SPEEDUP, PARAMS, bars, measure
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: (label, service placement kwargs) — single-GPU and pipelined placements
-#: win on small batched problems; mps-style partitioning pays inter-GPU
-#: carry traffic that tiny problems cannot amortise.
-PLACEMENTS = [
-    ("sp", dict(proposal="sp", W=1, V=1)),
-    ("pp", dict(proposal="pp", W=4, V=4)),
-]
-
-#: (label, arrival rate in requests per simulated second; 0 = burst)
-ARRIVALS = [("burst", 0.0), ("poisson_50k", 50_000.0)]
-
 
 def run_serve_benchmark(
-    requests: int = 64,
-    size_log2: int = 12,
-    max_batch: int = 64,
+    requests: int = PARAMS["requests"],
     json_path: str | Path | None = REPO_ROOT / "BENCH_serve.json",
 ) -> dict:
-    """Replay the workload grid; return (and optionally dump) the rows.
-
-    Every cell verifies all outputs against the sequential oracle and
-    must show coalesced simulated time strictly below solo time; the
-    burst cells carry the ISSUE's >= 2x acceptance bar.
-    """
-    rows: dict[str, dict] = {}
-    for place_label, place in PLACEMENTS:
-        for rate_label, rate in ARRIVALS:
-            workload = poisson_workload(
-                requests, sizes_log2=(size_log2,), rate=rate, seed=11,
-            )
-            service = ScanSession(tsubame_kfc(1)).service(
-                max_batch=max_batch, max_wait_s=1e-3, **place,
-            )
-            coalesced = replay(service, workload)
-            assert coalesced["verified"] == requests, coalesced
-            assert coalesced["request_failures"] == 0, coalesced
-
-            # solo_baseline verifies each output against the oracle inline
-            # (raises on mismatch).
-            solo = solo_baseline(ScanSession(tsubame_kfc(1)), workload)
-            assert solo["requests"] == requests, solo
-
-            speedup = solo["solo_sim_s"] / coalesced["coalesced_sim_s"]
-            rows[f"{place_label}/{rate_label}"] = {
-                "proposal": place["proposal"],
-                "W": place["W"],
-                "rate_per_s": rate,
-                "batches": coalesced["batches"],
-                "mean_batch_size": coalesced["mean_batch_size"],
-                "padded_rows": coalesced["padded_rows"],
-                "coalesced_sim_s": coalesced["coalesced_sim_s"],
-                "solo_sim_s": solo["solo_sim_s"],
-                "coalesce_speedup": speedup,
-                "latency_p50_s": coalesced["latency"]["p50"],
-                "latency_p95_s": coalesced["latency"]["p95"],
-                "total_queue_wait_s": coalesced["total_queue_wait_s"],
-            }
-
-    burst_speedups = [
-        r["coalesce_speedup"] for key, r in rows.items() if key.endswith("burst")
-    ]
-    payload = {
-        "requests": requests,
-        "size_log2": size_log2,
-        "max_batch": max_batch,
-        "dtype": "int32",
-        "cells": rows,
-        "min_burst_speedup": min(burst_speedups),
-    }
+    """Replay the workload grid; return (and optionally dump) the rows."""
+    payload = measure({**PARAMS, "requests": requests})
     if json_path is not None:
         Path(json_path).write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -114,7 +42,8 @@ def format_serve_table(payload: dict) -> str:
             f"{r['coalesce_speedup']:>7.1f}x {r['latency_p95_s'] * 1e6:>7.1f}us"
         )
     lines.append(
-        f"min burst speedup: {payload['min_burst_speedup']:.1f}x (floor: 2x)"
+        f"min burst speedup: {payload['min_burst_speedup']:.1f}x "
+        f"(floor: {MIN_BURST_SPEEDUP:g}x)"
     )
     return "\n".join(lines)
 
@@ -122,16 +51,14 @@ def format_serve_table(payload: dict) -> str:
 def test_regenerate_serve(report):
     payload = run_serve_benchmark()
     report("serve_coalescing", format_serve_table(payload))
-    # ISSUE acceptance: coalesced throughput >= 2x one-at-a-time at 64
-    # small requests arriving as a burst.
-    assert payload["min_burst_speedup"] >= 2.0, payload
+    enforce(bars(payload))
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry: full benchmark by default, ``--smoke`` for CI.
 
     Smoke mode shrinks the workload (16 requests) and skips the JSON
-    artifact; the simulated-time ratio is deterministic, so the 2x floor
+    artifact; the simulated-time ratio is deterministic, so the floor
     still holds and is still asserted.
     """
     import argparse
@@ -147,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         payload = run_serve_benchmark()
     print(format_serve_table(payload))
-    assert payload["min_burst_speedup"] >= 2.0, payload
+    enforce(bars(payload))
     print("serve coalescing OK")
     return 0
 

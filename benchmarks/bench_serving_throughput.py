@@ -1,196 +1,37 @@
 """Serving throughput — cold vs warm calls/sec for repeated scans.
 
-The paper benchmarks one scan of one configuration; a scan *service*
-solves the same (N, G) shape over and over. This benchmark measures the
-host-side serving rate of every proposal in two regimes:
-
-- **cold**: the pre-warm-path cost of one call. Each call builds a fresh
-  machine and a fresh :class:`~repro.core.session.ScanSession` with the
-  kernel fast paths disabled (:func:`repro.util.hotpath.fast_paths`) —
-  topology construction, the empirical K sweep (``K="tune"``: every
-  candidate in the premise search space is executed), planning, executor
-  setup and per-call buffer allocation are all paid per request, through
-  the original kernel code paths.
-- **warm**: one session with buffer pooling serves every call — the
-  sweep/plan/executors/buffers are reused and the fast paths are on, so
-  only uploads, kernel bodies and transfers remain.
-
-A deployed service wants the tuned K, which is why serving it cold is so
-expensive: the sweep re-runs the whole search space per request. (``pp``
-has no K sweep — problems are independent — so its warm win comes mostly
-from the kernel fast paths plus topology/executor/buffer reuse.)
-
-Simulated time must be identical in both regimes (the cost model is a
-closed form of the plan geometry), and recycled buffers must not change
-a single output bit even in poison mode (a third, untimed session runs
-with ``poison=True`` purely as that correctness gate); both are asserted
-here, not just eyeballed. Writes ``BENCH_serving.json`` at the repo root.
+The experiment is defined once, in :mod:`repro.bench.serving` (the
+regimes, the built-in correctness gates and the acceptance bar); this
+script runs it, prints the table and writes ``BENCH_serving.json`` at the
+repo root. ``repro bench check`` replays the same ``measure``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.core.session import ScanSession
-from repro.interconnect.topology import tsubame_kfc
-from repro.util.hotpath import fast_paths
+from repro.bench.regression import enforce, format_report, run_checks
+from repro.bench.serving import PARAMS, PROPOSAL_SPECS, bars, measure
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Placement per proposal on the paper's platform (per-node 2 networks x 4
-#: GPUs): mppc spans both networks (Y=2), mn-mps spans two nodes.
-PROPOSAL_SPECS = {
-    "sp": dict(W=1, V=1, M=1),
-    "pp": dict(W=4, V=4, M=1),
-    "mps": dict(W=4, V=4, M=1),
-    "mppc": dict(W=8, V=4, M=1),
-    "mn-mps": dict(W=4, V=4, M=2),
-}
-
-
-def _median(samples: list[float]) -> float:
-    return float(np.median(samples))
-
 
 def run_serving_benchmark(
-    n_log2: int = 13,
-    g: int = 16,
-    repeats: int = 15,
+    n_log2: int = PARAMS["n_log2"],
+    g: int = PARAMS["G"],
+    repeats: int = PARAMS["repeats"],
     proposals: tuple[str, ...] = tuple(PROPOSAL_SPECS),
     json_path: str | Path | None = REPO_ROOT / "BENCH_serving.json",
 ) -> dict:
-    """Measure cold vs warm serving rates; return (and optionally dump) rows.
-
-    Correctness gates built in: warm outputs (served from recycled
-    buffers) must equal cold outputs bit for bit — including under pool
-    poison mode — and the simulated ``total_time_s`` must be identical
-    across regimes.
-    """
-    rng = np.random.default_rng(7)
-    data = rng.integers(-(2**20), 2**20, size=(g, 1 << n_log2)).astype(np.int64)
-
-    rows: dict[str, dict] = {}
-    for proposal in proposals:
-        spec = PROPOSAL_SPECS[proposal]
-
-        cold_samples: list[float] = []
-        cold_result = None
-        with fast_paths(False):
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                topology = tsubame_kfc(spec["M"])
-                session = ScanSession(topology)
-                result = session.scan(data, proposal=proposal, K="tune", **spec)
-                cold_samples.append(time.perf_counter() - t0)
-                cold_result = result
-
-        warm_topology = tsubame_kfc(spec["M"])
-        warm_topology.enable_buffer_pooling()
-        warm_session = ScanSession(warm_topology)
-        warm_session.scan(data, proposal=proposal, K="tune", **spec)  # the miss
-        warm_samples: list[float] = []
-        warm_result = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = warm_session.scan(data, proposal=proposal, K="tune", **spec)
-            warm_samples.append(time.perf_counter() - t0)
-            warm_result = result
-
-        # Untimed correctness pass: serve twice from a poisoned pool so the
-        # second call runs on recycled, sentinel-filled buffers.
-        poison_topology = tsubame_kfc(spec["M"])
-        poison_topology.enable_buffer_pooling(poison=True)
-        poison_session = ScanSession(poison_topology)
-        poison_session.scan(data, proposal=proposal, K="tune", **spec)
-        poison_result = poison_session.scan(data, proposal=proposal, K="tune", **spec)
-
-        if not np.array_equal(cold_result.output, warm_result.output):
-            raise AssertionError(
-                f"{proposal}: warm (pooled) output differs from cold"
-            )
-        if not np.array_equal(cold_result.output, poison_result.output):
-            raise AssertionError(
-                f"{proposal}: output from poisoned recycled buffers differs from cold"
-            )
-        cold_sim = cold_result.trace.total_time()
-        warm_sim = warm_result.trace.total_time()
-        if cold_sim != warm_sim or poison_result.trace.total_time() != warm_sim:
-            raise AssertionError(
-                f"{proposal}: simulated time changed with caching "
-                f"({cold_sim} vs {warm_sim})"
-            )
-
-        cold_s, warm_s = _median(cold_samples), _median(warm_samples)
-        stats = warm_session.stats()
-        rows[proposal] = {
-            "W": spec["W"],
-            "V": spec["V"],
-            "M": spec["M"],
-            "cold_s_median": cold_s,
-            "warm_s_median": warm_s,
-            "cold_calls_per_sec": 1.0 / cold_s,
-            "warm_calls_per_sec": 1.0 / warm_s,
-            "warm_speedup": cold_s / warm_s,
-            "simulated_time_s": warm_sim,
-            "session_hits": stats["hits"],
-            "pool_hits": stats["buffer_pools"]["hits"],
-            "pool_bytes_reused": stats["buffer_pools"]["bytes_reused"],
-        }
-
-    speedups = [r["warm_speedup"] for r in rows.values()]
-    payload = {
-        "n_log2": n_log2,
-        "G": g,
-        "repeats": repeats,
-        "dtype": "int64",
-        "proposals": rows,
-        "geomean_warm_speedup": float(np.exp(np.mean(np.log(speedups)))),
-    }
+    """Measure cold vs warm serving rates; return (and optionally dump) rows."""
+    payload = measure({
+        "n_log2": n_log2, "G": g, "repeats": repeats,
+        "proposals": {name: PROPOSAL_SPECS[name] for name in proposals},
+    })
     if json_path is not None:
         Path(json_path).write_text(json.dumps(payload, indent=2) + "\n")
     return payload
-
-
-def verify_against_reference(
-    json_path: str | Path = REPO_ROOT / "BENCH_serving.json",
-) -> dict | None:
-    """Replay one warm scan per recorded proposal and gate on simulated time.
-
-    The simulated ``total_time_s`` of the no-fault serving path is fully
-    deterministic, so the recorded ``BENCH_serving.json`` doubles as a
-    golden artifact: any drift — e.g. health/fault hooks leaking cost
-    into the healthy path — shows up as a changed simulated time, and the
-    geomean of replayed/recorded ratios moves off 1.0. Returns the ratio
-    map, or ``None`` when no artifact exists to compare against.
-    """
-    path = Path(json_path)
-    if not path.exists():
-        return None
-    recorded = json.loads(path.read_text())
-    rng = np.random.default_rng(7)
-    data = rng.integers(
-        -(2**20), 2**20, size=(recorded["G"], 1 << recorded["n_log2"])
-    ).astype(np.int64)
-
-    ratios: dict[str, float] = {}
-    for proposal, row in recorded["proposals"].items():
-        spec = {k: row[k] for k in ("W", "V", "M")}
-        session = ScanSession(tsubame_kfc(spec["M"]))
-        result = session.scan(data, proposal=proposal, K="tune", **spec)
-        ratios[proposal] = result.trace.total_time() / row["simulated_time_s"]
-
-    geomean = float(np.exp(np.mean(np.log(list(ratios.values())))))
-    drifted = {name: r for name, r in ratios.items() if r != 1.0}
-    if drifted or geomean != 1.0:
-        raise AssertionError(
-            "no-fault serving path drifted from BENCH_serving.json: "
-            f"geomean ratio {geomean}, per-proposal {drifted}"
-        )
-    return ratios
 
 
 def format_serving_table(payload: dict) -> str:
@@ -215,9 +56,7 @@ def format_serving_table(payload: dict) -> str:
 def test_regenerate_serving_throughput(report):
     payload = run_serving_benchmark()
     report("serving_throughput", format_serving_table(payload))
-    # The tentpole target: repeated (G=16, N=2^13) scans serve >= 3x faster
-    # warm than cold.
-    assert payload["geomean_warm_speedup"] >= 3.0, payload
+    enforce(bars(payload))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -227,10 +66,10 @@ def main(argv: list[str] | None = None) -> int:
     ``BENCH_serving.json``; its value is the built-in correctness gates
     (warm/poisoned outputs and simulated time must match cold), a
     direction-only check that the warm path is not slower than cold —
-    wall-clock ratios at these sizes are too noisy to pin a 3x bar on —
-    and the :func:`verify_against_reference` drift gate: the no-fault
-    path's simulated times (hence their geomean) must be unchanged
-    versus the recorded ``BENCH_serving.json``.
+    wall-clock ratios at these sizes are too noisy to pin the full bar
+    on — and the ``serving`` suite of ``repro bench check``: every
+    non-wall-clock field of a full replay must equal the recorded
+    ``BENCH_serving.json``.
     """
     import argparse
 
@@ -252,19 +91,15 @@ def main(argv: list[str] | None = None) -> int:
         }
         if slow:
             raise AssertionError(f"warm serving slower than cold: {slow}")
-        ratios = verify_against_reference()
-        if ratios is None:
-            print("no BENCH_serving.json reference; drift gate skipped")
-        else:
-            print(
-                "no-fault simulated times match BENCH_serving.json "
-                f"(geomean ratio 1.0 across {len(ratios)} proposals)"
-            )
+        report = run_checks(REPO_ROOT, only=["serving"])
+        print(format_report(report))
+        if not report["ok"]:
+            return 1
         print("serving smoke OK")
         return 0
     payload = run_serving_benchmark()
     print(format_serving_table(payload))
-    assert payload["geomean_warm_speedup"] >= 3.0, payload
+    enforce(bars(payload))
     return 0
 
 

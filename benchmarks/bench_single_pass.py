@@ -1,22 +1,11 @@
 """Crossover bench — three-kernel pipeline vs sp-dlb vs LightScan.
 
-Sweeps N per (dtype, G) series and records where the decoupled-lookback
-single pass overtakes the paper's three-kernel plan: ``sp-dlb`` pays fixed
-protocol costs (descriptor reset + arming, polling stall) but streams ~2N
-bytes against the pipeline's ~3N, so the pipeline wins small problems and
-the lookback wins large ones. The frontier moves with dtype and G —
-heavier rows fill the machine sooner, pulling the crossover down — which
-is exactly the surface the autotuner memoises; every point also records
-the :class:`~repro.core.autotune_cache.CachedTuner` choice so the bench
-*proves* the tuner tracks the measured minimum.
-
-``baselines/lightscan.py`` rides along as the external reference point:
-the published single-pass implementation whose measured per-call overhead
-calibrated sp-dlb's protocol-arming cost.
-
-Writes ``BENCH_single_pass.json`` at the repo root (deterministic: every
-number is an analytic estimate). ``--smoke`` asserts the large-N win and
-the drift gate against the recorded artifact without rewriting it.
+The sweep is defined once, in :mod:`repro.bench.single_pass` (the
+series, the crossover rule and the acceptance bars); this script runs
+it, prints the table and writes ``BENCH_single_pass.json`` at the repo
+root (deterministic: every number is an analytic estimate). ``--smoke``
+asserts the bars and runs the ``single_pass`` suite of ``repro bench
+check`` against the recorded artifact without rewriting it.
 """
 
 from __future__ import annotations
@@ -24,70 +13,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-from repro.baselines import LIGHTSCAN
-from repro.core.autotune_cache import CachedTuner
-from repro.core.params import ProblemConfig
-from repro.core.single_gpu import ScanSP
-from repro.core.single_pass import ScanSinglePassDLB
-from repro.interconnect.topology import tsubame_kfc
+from repro.bench.regression import enforce, format_report, run_checks
+from repro.bench.single_pass import PARAMS, bars, measure
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: The swept series: one crossover per (dtype, G) pair.
-SERIES = (
-    ("int32", 1), ("int32", 8), ("int64", 1), ("int64", 8),
-)
-N_LOG2_SWEEP = tuple(range(13, 27))
-
-
-def _series_key(dtype: str, g: int) -> str:
-    return f"{dtype}|G{g}"
-
 
 def run_single_pass_benchmark(
-    n_log2_values=N_LOG2_SWEEP,
-    series=SERIES,
     json_path: str | Path | None = REPO_ROOT / "BENCH_single_pass.json",
 ) -> dict:
     """Sweep the crossover surface; return (and optionally record) it."""
-    machine = tsubame_kfc(1)
-    tuner = CachedTuner(machine)
-    gpu = machine.gpus[0]
-    payload: dict = {
-        "machine": machine.arch.name,
-        "n_log2": list(n_log2_values),
-        "series": {},
-        "crossover_n_log2": {},
-    }
-    for dtype, g in series:
-        key = _series_key(dtype, g)
-        points = []
-        for n in n_log2_values:
-            problem = ProblemConfig.from_sizes(N=1 << n, G=g, dtype=np.dtype(dtype))
-            sp = ScanSP(gpu).estimate(problem).total_time_s
-            dlb = ScanSinglePassDLB(gpu).estimate(problem).total_time_s
-            light, light_mode = LIGHTSCAN.time_batch(problem.N, g, machine.arch)
-            choice = tuner.best_single_gpu_variant(problem)
-            winner = "sp-dlb" if dlb < sp else "sp"
-            points.append({
-                "n_log2": n,
-                "sp_s": sp,
-                "sp_dlb_s": dlb,
-                "lightscan_s": light,
-                "lightscan_mode": light_mode,
-                "winner": winner,
-                "tuner_choice": choice,
-            })
-        # Crossover: the first n after which sp-dlb keeps winning.
-        crossover = None
-        for i, point in enumerate(points):
-            if all(p["winner"] == "sp-dlb" for p in points[i:]):
-                crossover = point["n_log2"]
-                break
-        payload["series"][key] = points
-        payload["crossover_n_log2"][key] = crossover
+    payload = measure(PARAMS)
     if json_path is not None:
         Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True))
     return payload
@@ -113,112 +49,41 @@ def format_crossover_table(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def verify_against_reference(
-    json_path: str | Path = REPO_ROOT / "BENCH_single_pass.json",
-) -> int | None:
-    """Drift gate: the simulator must reproduce the recorded crossover.
-
-    Every recorded number is a deterministic analytic estimate, so the
-    artifact doubles as a regression reference — any cost-model or plan
-    change that moves a point shows up as a non-1.0 ratio here and must be
-    re-recorded deliberately. Returns the number of verified points, or
-    ``None`` when no reference exists yet.
-    """
-    path = Path(json_path)
-    if not path.exists():
-        return None
-    reference = json.loads(path.read_text())
-    current = run_single_pass_benchmark(
-        n_log2_values=reference["n_log2"],
-        series=[(key.split("|G")[0], int(key.split("|G")[1]))
-                for key in sorted(reference["series"])],
-        json_path=None,
-    )
-    checked = 0
-    for key, points in reference["series"].items():
-        for ref, now in zip(points, current["series"][key]):
-            for field in ("sp_s", "sp_dlb_s", "lightscan_s"):
-                ratio = now[field] / ref[field]
-                if abs(ratio - 1.0) > 1e-9:
-                    raise AssertionError(
-                        f"single-pass bench drifted from {path.name}: "
-                        f"{key} n=2^{ref['n_log2']} {field} ratio {ratio:.6f}"
-                    )
-            if now["winner"] != ref["winner"]:
-                raise AssertionError(
-                    f"crossover moved: {key} n=2^{ref['n_log2']} winner "
-                    f"{now['winner']} != recorded {ref['winner']}"
-                )
-            checked += 1
-    if current["crossover_n_log2"] != reference["crossover_n_log2"]:
-        raise AssertionError(
-            f"crossover frontier drifted: {current['crossover_n_log2']} "
-            f"!= recorded {reference['crossover_n_log2']}"
-        )
-    return checked
-
-
-def test_regenerate_single_pass(machine, report):
-    """Pytest entry: regenerate the artifact and gate its structure."""
+def test_regenerate_single_pass(report):
+    """Pytest entry: regenerate the artifact and gate its bars."""
     payload = run_single_pass_benchmark()
     report("single_pass_crossover", format_crossover_table(payload))
-
-    for key, crossover in payload["crossover_n_log2"].items():
-        # A genuine crossover exists inside the sweep for every series...
-        assert crossover is not None, f"{key}: sp-dlb never wins"
-        assert crossover > min(payload["n_log2"]), f"{key}: sp never wins"
-        points = {p["n_log2"]: p for p in payload["series"][key]}
-        # ...the tuner tracks the measured minimum at both ends...
-        assert points[min(points)]["tuner_choice"] == "sp"
-        assert points[max(points)]["tuner_choice"] == "sp-dlb"
-        for p in points.values():
-            assert p["tuner_choice"] == p["winner"]
-    # ...and batching pulls the frontier down (G=8 fills the GPU sooner).
-    for dtype in ("int32", "int64"):
-        assert (payload["crossover_n_log2"][_series_key(dtype, 8)]
-                < payload["crossover_n_log2"][_series_key(dtype, 1)])
+    enforce(bars(payload))
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry: full sweep by default, ``--smoke`` for CI.
 
-    Smoke mode never rewrites the artifact; it asserts the headline claim
-    (sp-dlb beats the three-kernel pipeline on a large-N case and the
-    autotuner selects it) and runs the drift gate against the recorded
-    ``BENCH_single_pass.json``.
+    Smoke mode never rewrites the artifact; it asserts the acceptance
+    bars (among them: sp-dlb wins and the tuner picks it at every
+    series' largest N) on a fresh sweep and runs the ``single_pass``
+    drift gate against the recorded ``BENCH_single_pass.json``.
     """
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="no JSON rewrite; large-N win assertion + drift gate only",
+        help="no JSON rewrite; acceptance bars + drift gate only",
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        machine = tsubame_kfc(1)
-        problem = ProblemConfig.from_sizes(N=1 << 24, G=1, dtype=np.int32)
-        sp = ScanSP(machine.gpus[0]).estimate(problem).total_time_s
-        dlb = ScanSinglePassDLB(machine.gpus[0]).estimate(problem).total_time_s
-        if not dlb < sp:
-            raise AssertionError(
-                f"sp-dlb must beat three-kernel at N=2^24: {dlb} vs {sp}"
-            )
-        choice = CachedTuner(machine).best_single_gpu_variant(problem)
-        if choice != "sp-dlb":
-            raise AssertionError(f"autotuner picked {choice!r} at N=2^24")
-        print(f"large-N win OK (sp-dlb {dlb * 1e6:.1f}us < sp {sp * 1e6:.1f}us, "
-              f"tuner picks sp-dlb)")
-        checked = verify_against_reference()
-        if checked is None:
-            print("no BENCH_single_pass.json reference; drift gate skipped")
-        else:
-            print(f"crossover surface matches BENCH_single_pass.json "
-                  f"({checked} points)")
+        enforce(bars(measure(PARAMS)))
+        print("single-pass acceptance bars OK")
+        report = run_checks(REPO_ROOT, only=["single_pass"])
+        print(format_report(report))
+        if not report["ok"]:
+            return 1
         print("single-pass smoke OK")
         return 0
     payload = run_single_pass_benchmark()
     print(format_crossover_table(payload))
+    enforce(bars(payload))
     print(f"wrote {REPO_ROOT / 'BENCH_single_pass.json'}")
     return 0
 

@@ -5,51 +5,27 @@ of **deterministic simulated time** — the cost model is a closed form of
 the plan geometry, so the same code must reproduce the same numbers to
 the last bit. That makes the artifacts double as golden references: a
 cost-model tweak, a plan change, or a hook leaking simulated cost into
-the healthy path all show up as a drifted ratio. This module replays the
-deterministic parts of each benchmark and compares them against the
-committed baselines under explicit tolerances, replacing the ad-hoc
-drift-gate shell lines that used to live in CI with one command::
+the healthy path all show up as a drifted field. One command replays
+them all::
 
     repro bench check            # all suites
     repro bench check --only serving --only serve
 
-Suites (each skipped silently when its baseline file is absent):
-
-- ``serving`` (``BENCH_serving.json``): one warm scan per recorded
-  proposal on the seed-7 workload; simulated time must match the
-  recorded ``simulated_time_s`` exactly (ratio 1.0 — no tolerance, the
-  healthy path is bit-deterministic).
-- ``single_pass`` (``BENCH_single_pass.json``): the full analytic
-  crossover sweep; ``sp_s``/``sp_dlb_s``/``lightscan_s`` within 1e-9
-  relative, winners and the crossover frontier exactly equal.
-- ``serve`` (``BENCH_serve.json``): replays every placement x arrival
-  cell (seed-11 workloads); batch shapes exactly equal, simulated
-  times/latencies/speedups at ratio 1.0.
-- ``obs_overhead`` (``BENCH_obs_overhead.json``): wall-clock medians are
-  machine-dependent, so nothing is re-timed; the recorded ratios are
-  checked against their recorded budgets (``enabled_ratio`` within
-  ``max_enabled_ratio``, ``profile_ratio`` within ``max_profile_ratio``).
-- ``restart`` (``BENCH_restart.json``): the recorded cold-vs-restored
-  first-request speedup is checked against its recorded floor (wall
-  clock, so not re-timed), and the determinism half *is* re-run: a cold
-  replay is snapshotted, restored into a fresh resolver/session, and the
-  restored replay must reproduce the cold batch traces bit-identically
-  with zero plan-resolver misses and zero tuner sweeps.
-- ``cluster`` (``BENCH_cluster.json``): the replica-scaling sweep is
-  replayed cell by cell (latency percentiles and throughput at ratio
-  1.0, counters exactly equal), the recorded replication win is
-  re-checked against its acceptance bar, and the drain/re-admit chaos
-  scenario is re-run twice — zero lost requests, summary matching the
-  baseline, and the repeated run bit-identical to the first.
-- ``adaptive`` (``BENCH_adaptive.json``): the adaptive-vs-static A/B is
-  re-run from the parameters committed in the baseline (two repeats per
-  cell — the replay must be bit-identical, decision log included), every
-  cell's latency percentiles/counters/decision digest must match the
-  recorded values exactly, and the recorded win is re-checked against
-  the acceptance bars (p99 improvement under burst, parity on steady).
-
-Wall-clock fields (``cold_s_median`` etc.) are never compared — they are
-measurements of the host, not of the code under test.
+Each suite's experiment is defined once, as a ``measure(params)`` next to
+its acceptance bars: :mod:`repro.bench.serving`, ``single_pass``,
+``serve``, ``restart`` and ``cluster``, and :mod:`repro.control.ab` for
+``adaptive``. The bench script that writes a baseline and this gate call
+the same ``measure``: the gate passes it the recorded payload (it reads
+only the parameter fields) and diffs the result against the file field
+by field. Every field is compared exactly (ratio 1.0) except the
+suite's wall-clock fields, which measure the host, not the code, and are
+skipped; ``single_pass``'s analytic times keep a 1e-9 relative
+tolerance. The suite's acceptance bars are then checked against the
+recorded payload, so the wall-clock bars (``serving``'s warm speedup,
+``restart``'s first-request speedup) gate the recorded measurement
+rather than this host's. ``obs_overhead`` is budget-only: nothing is
+re-timed, its recorded ratios are checked against their recorded
+budgets. A suite whose baseline file is absent is skipped.
 """
 
 from __future__ import annotations
@@ -57,14 +33,16 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-import numpy as np
+from repro.bench import cluster, restart, serve, serving, single_pass
+from repro.control import ab
 
-__all__ = ["run_checks", "format_report", "SUITES"]
+__all__ = ["run_checks", "format_report", "enforce", "SUITES"]
 
-SUITES = ("serving", "single_pass", "serve", "obs_overhead", "restart",
-          "cluster", "adaptive")
+Facts = list[tuple[bool, str]]
 
 
 class _Suite:
@@ -79,7 +57,7 @@ class _Suite:
     def expect(self, ok: bool, message: str) -> None:
         self.checked += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(f"{self.name} {message}")
 
     def expect_ratio(self, actual: float, recorded: float, what: str,
                      rel_tol: float = 0.0) -> None:
@@ -98,6 +76,31 @@ class _Suite:
             f"(replayed {actual!r}, recorded {recorded!r}, tol {rel_tol:g})",
         )
 
+    def diff(self, replayed, recorded, where: str, gate: _Gate) -> None:
+        """One fact per recorded leaf, skipping the gate's wall-clock keys."""
+        if isinstance(recorded, dict) and isinstance(replayed, dict):
+            for key in [*recorded, *(k for k in replayed if k not in recorded)]:
+                if key in gate.wall_clock:
+                    continue
+                at = f"{where}.{key}" if where else key
+                if key in recorded and key in replayed:
+                    self.diff(replayed[key], recorded[key], at, gate)
+                else:
+                    side = "baseline" if key in recorded else "replay"
+                    self.expect(False, f"{at}: only in the {side}")
+        elif (isinstance(recorded, list) and isinstance(replayed, list)
+              and len(recorded) == len(replayed)):
+            for i, (now, then) in enumerate(zip(replayed, recorded)):
+                self.diff(now, then, f"{where}[{i}]", gate)
+        elif isinstance(recorded, float) and isinstance(replayed, float):
+            key = where.rsplit(".", 1)[-1]
+            self.expect_ratio(replayed, recorded, where,
+                              gate.tolerances.get(key, 0.0))
+        else:
+            self.expect(replayed == recorded,
+                        f"{where}: replayed {replayed!r} != recorded "
+                        f"{recorded!r}")
+
     def report(self) -> dict:
         return {
             "baseline": str(self.path),
@@ -113,370 +116,77 @@ def _load(path: Path) -> dict | None:
     return json.loads(path.read_text())
 
 
+def enforce(facts: Facts) -> None:
+    """Raise ``AssertionError`` naming every acceptance bar that fails."""
+    failed = [message for ok, message in facts if not ok]
+    if failed:
+        raise AssertionError("; ".join(failed))
+
+
 # ----------------------------------------------------------------- suites
 
 
-def _check_serving(suite: _Suite, recorded: dict) -> None:
-    from repro.core.session import ScanSession
-    from repro.interconnect.topology import tsubame_kfc
-
-    rng = np.random.default_rng(7)
-    data = rng.integers(
-        -(2**20), 2**20, size=(recorded["G"], 1 << recorded["n_log2"])
-    ).astype(np.int64)
-    for proposal, row in recorded["proposals"].items():
-        spec = {k: row[k] for k in ("W", "V", "M")}
-        session = ScanSession(tsubame_kfc(spec["M"]))
-        result = session.scan(data, proposal=proposal, K="tune", **spec)
-        suite.expect_ratio(
-            result.trace.total_time(), row["simulated_time_s"],
-            f"serving {proposal} simulated_time_s",
-        )
+def _obs_budgets(recorded: dict) -> Facts:
+    budgets = [("enabled_ratio", "max_enabled_ratio")]
+    if recorded.get("profile_ratio") is not None:
+        budgets.append(("profile_ratio", "max_profile_ratio"))
+    return [(math.isfinite(recorded[key]) and recorded[key] <= recorded[cap],
+             f"{key} {recorded[key]!r} exceeds budget {recorded[cap]!r}")
+            for key, cap in budgets]
 
 
-def _check_single_pass(suite: _Suite, recorded: dict) -> None:
-    from repro.baselines import LIGHTSCAN
-    from repro.core.params import ProblemConfig
-    from repro.core.single_gpu import ScanSP
-    from repro.core.single_pass import ScanSinglePassDLB
-    from repro.interconnect.topology import tsubame_kfc
+@dataclass(frozen=True)
+class _Gate:
+    """How one suite is replayed: its baseline file, its ``measure`` (fed
+    the recorded payload; ``None`` for a budget-only suite), the
+    wall-clock keys the diff skips, per-key relative tolerances and the
+    acceptance bars checked against the recorded payload."""
 
-    machine = tsubame_kfc(1)
-    gpu = machine.gpus[0]
-    crossovers: dict[str, int | None] = {}
-    for key, points in recorded["series"].items():
-        dtype, g = key.split("|G")[0], int(key.split("|G")[1])
-        winners = []
-        for ref in points:
-            problem = ProblemConfig.from_sizes(
-                N=1 << ref["n_log2"], G=g, dtype=np.dtype(dtype)
-            )
-            sp = ScanSP(gpu).estimate(problem).total_time_s
-            dlb = ScanSinglePassDLB(gpu).estimate(problem).total_time_s
-            light, _ = LIGHTSCAN.time_batch(problem.N, g, machine.arch)
-            label = f"single_pass {key} n=2^{ref['n_log2']}"
-            suite.expect_ratio(sp, ref["sp_s"], f"{label} sp_s", rel_tol=1e-9)
-            suite.expect_ratio(dlb, ref["sp_dlb_s"], f"{label} sp_dlb_s",
-                               rel_tol=1e-9)
-            suite.expect_ratio(light, ref["lightscan_s"],
-                               f"{label} lightscan_s", rel_tol=1e-9)
-            winner = "sp-dlb" if dlb < sp else "sp"
-            winners.append(winner)
-            suite.expect(
-                winner == ref["winner"],
-                f"{label}: winner {winner} != recorded {ref['winner']}",
-            )
-        crossover = None
-        for i in range(len(winners)):
-            if all(w == "sp-dlb" for w in winners[i:]):
-                crossover = points[i]["n_log2"]
-                break
-        crossovers[key] = crossover
-    suite.expect(
-        crossovers == recorded["crossover_n_log2"],
-        f"single_pass crossover frontier {crossovers} != recorded "
-        f"{recorded['crossover_n_log2']}",
-    )
+    filename: str
+    measure: Callable[[dict], dict] | None
+    bars: Callable[[dict], Facts]
+    wall_clock: tuple[str, ...] = ()
+    tolerances: dict[str, float] = field(default_factory=dict)
 
 
-def _check_serve(suite: _Suite, recorded: dict) -> None:
-    from repro.core.session import ScanSession
-    from repro.interconnect.topology import tsubame_kfc
-    from repro.serve import poisson_workload, replay, solo_baseline
-
-    requests = recorded["requests"]
-    size_log2 = recorded["size_log2"]
-    solo_by_rate: dict[float, float] = {}
-    for cell, row in recorded["cells"].items():
-        rate = row["rate_per_s"]
-        workload = poisson_workload(
-            requests, sizes_log2=(size_log2,), rate=rate, seed=11,
-        )
-        service = ScanSession(tsubame_kfc(1)).service(
-            max_batch=recorded["max_batch"], max_wait_s=1e-3,
-            proposal=row["proposal"], W=row["W"], V=row["W"],
-        )
-        coalesced = replay(service, workload)
-        suite.expect(
-            coalesced["verified"] == requests,
-            f"serve {cell}: only {coalesced['verified']}/{requests} verified",
-        )
-        suite.expect(
-            coalesced["batches"] == row["batches"],
-            f"serve {cell}: {coalesced['batches']} batches != "
-            f"recorded {row['batches']}",
-        )
-        suite.expect(
-            coalesced["padded_rows"] == row["padded_rows"],
-            f"serve {cell}: padded_rows {coalesced['padded_rows']} != "
-            f"recorded {row['padded_rows']}",
-        )
-        suite.expect_ratio(coalesced["mean_batch_size"],
-                           row["mean_batch_size"],
-                           f"serve {cell} mean_batch_size")
-        suite.expect_ratio(coalesced["coalesced_sim_s"],
-                           row["coalesced_sim_s"],
-                           f"serve {cell} coalesced_sim_s")
-        suite.expect_ratio(coalesced["latency"]["p50"], row["latency_p50_s"],
-                           f"serve {cell} latency_p50_s")
-        suite.expect_ratio(coalesced["latency"]["p95"], row["latency_p95_s"],
-                           f"serve {cell} latency_p95_s")
-        suite.expect_ratio(coalesced["total_queue_wait_s"],
-                           row["total_queue_wait_s"],
-                           f"serve {cell} total_queue_wait_s")
-        # The solo baseline's simulated time depends only on the request
-        # mix, not arrival times; compute it once per rate and compare.
-        if rate not in solo_by_rate:
-            solo_by_rate[rate] = solo_baseline(
-                ScanSession(tsubame_kfc(1)), workload
-            )["solo_sim_s"]
-        suite.expect_ratio(solo_by_rate[rate], row["solo_sim_s"],
-                           f"serve {cell} solo_sim_s")
-
-
-def _check_obs_overhead(suite: _Suite, recorded: dict) -> None:
-    ratio = recorded["enabled_ratio"]
-    budget = recorded["max_enabled_ratio"]
-    suite.expect(
-        math.isfinite(ratio) and ratio <= budget,
-        f"obs_overhead enabled_ratio {ratio!r} exceeds budget {budget!r}",
-    )
-    profile_ratio = recorded.get("profile_ratio")
-    if profile_ratio is not None:
-        profile_budget = recorded["max_profile_ratio"]
-        suite.expect(
-            math.isfinite(profile_ratio) and profile_ratio <= profile_budget,
-            f"obs_overhead profile_ratio {profile_ratio!r} exceeds "
-            f"budget {profile_budget!r}",
-        )
-
-
-def _check_restart(suite: _Suite, recorded: dict) -> None:
-    from repro.core.executor import PlanResolver, ScanExecutor
-    from repro.core.session import ScanSession
-    from repro.interconnect.topology import tsubame_kfc
-    from repro.serve import poisson_workload, replay
-
-    # Wall-clock half: the recorded speedup against its recorded floor.
-    speedup = recorded["first_request_speedup"]
-    floor = recorded["min_first_request_speedup"]
-    suite.expect(
-        math.isfinite(speedup) and speedup >= floor,
-        f"restart first_request_speedup {speedup!r} below floor {floor!r}",
-    )
-    suite.expect(
-        recorded["restored_resolver_misses"] == 0,
-        f"restart recorded {recorded['restored_resolver_misses']} "
-        "resolver misses on the restored replay (want 0)",
-    )
-    suite.expect(
-        recorded.get("identical_traces") is True,
-        "restart baseline recorded non-identical cold vs restored traces",
-    )
-
-    # Determinism half, re-run live: cold replay -> snapshot -> restore
-    # into a fresh resolver -> the restored replay must reproduce the
-    # cold one bit-identically with zero misses and zero sweeps.
-    workload = poisson_workload(
-        recorded["requests"],
-        sizes_log2=tuple(recorded["sizes_log2"]),
-        rate=recorded["rate_per_s"],
-        seed=recorded["seed"],
-    )
-    original_resolver = ScanExecutor.resolver
-    try:
-        def _run(snapshot=None):
-            topology = tsubame_kfc(1)
-            topology.enable_buffer_pooling()
-            ScanExecutor.resolver = PlanResolver()
-            session = ScanSession(topology, autotune_cache=None,
-                                  snapshot=snapshot)
-            service = session.service(max_batch=8, proposal="auto", K="tune")
-            stats = replay(service, workload)
-            return session, service, stats
-
-        cold_session, cold_service, cold_stats = _run()
-        snapshot = cold_session.snapshot()
-        restored_session, restored_service, restored_stats = _run(
-            snapshot=snapshot
-        )
-        suite.expect(
-            restored_session.tuner.cache.misses == 0,
-            f"restart restored replay re-tuned: "
-            f"{restored_session.tuner.cache.misses} tuner sweeps (want 0)",
-        )
-        suite.expect(
-            restored_stats["verified"] == recorded["requests"],
-            f"restart replay: only {restored_stats['verified']}/"
-            f"{recorded['requests']} verified",
-        )
-        suite.expect(
-            ScanExecutor.resolver.misses == 0,
-            f"restart restored replay re-planned: "
-            f"{ScanExecutor.resolver.misses} resolver misses (want 0)",
-        )
-        cold_batches = [b.sim_time_s for b in cold_service.batches]
-        restored_batches = [b.sim_time_s for b in restored_service.batches]
-        suite.expect(
-            cold_batches == restored_batches,
-            "restart restored replay diverged from cold "
-            f"({len(restored_batches)} batches vs {len(cold_batches)})",
-        )
-        suite.expect_ratio(
-            sum(restored_batches), sum(cold_batches),
-            "restart restored vs cold total simulated time",
-        )
-        # Latency percentiles compare restored-vs-cold from the live
-        # replays (the benchmark's timed protocol flushes its first
-        # request early, so its recorded distribution is not this one).
-        suite.expect_ratio(
-            restored_stats["latency"]["p50"],
-            cold_stats["latency"]["p50"],
-            "restart restored vs cold latency_p50_s",
-        )
-        suite.expect_ratio(
-            restored_stats["latency"]["p99"],
-            cold_stats["latency"]["p99"],
-            "restart restored vs cold latency_p99_s",
-        )
-    finally:
-        ScanExecutor.resolver = original_resolver
-
-
-def _check_cluster(suite: _Suite, recorded: dict) -> None:
-    from repro.cluster import ClusterRouter, cluster_replay
-    from repro.serve import poisson_workload
-
-    def _workload():
-        return poisson_workload(
-            recorded["requests"],
-            sizes_log2=tuple(recorded["sizes_log2"]),
-            rate=recorded["rate_per_s"],
-            seed=recorded["seed"],
-        )
-
-    def _router(replicas: int, **kwargs) -> ClusterRouter:
-        kwargs.setdefault("policy", recorded["policy"])
-        kwargs.setdefault("max_batch", recorded["max_batch"])
-        kwargs.setdefault("max_wait_s", recorded["max_wait_s"])
-        return ClusterRouter(replicas=replicas, **kwargs)
-
-    exact_keys = ("served", "request_failures", "rejected", "verified",
-                  "rerouted", "drains", "readmits")
-    ratio_keys = ("makespan_s", "throughput_rps", "latency_p50_s",
-                  "latency_p95_s", "latency_p99_s", "latency_mean_s",
-                  "latency_max_s")
-
-    def _compare(summary: dict, row: dict, label: str) -> None:
-        for key in exact_keys:
-            suite.expect(
-                summary[key] == row[key],
-                f"cluster {label} {key}: {summary[key]!r} != "
-                f"recorded {row[key]!r}",
-            )
-        for key in ratio_keys:
-            suite.expect_ratio(summary[key], row[key],
-                               f"cluster {label} {key}")
-
-    for n in recorded["replica_counts"]:
-        summary = cluster_replay(_router(n), _workload())
-        _compare(summary, recorded["scaling"][str(n)], f"{n} replicas")
-
-    base = recorded["scaling"][str(recorded["replica_counts"][0])]
-    wide = recorded["scaling"][str(max(recorded["replica_counts"]))]
-    p99_improvement = base["latency_p99_s"] / wide["latency_p99_s"]
-    throughput_gain = wide["throughput_rps"] / base["throughput_rps"]
-    suite.expect(
-        p99_improvement > 1.0 or throughput_gain >= 2.0,
-        f"cluster replication buys nothing in the recorded baseline: "
-        f"p99 {p99_improvement:.3f}x, throughput {throughput_gain:.3f}x",
-    )
-
-    # Chaos half, re-run live twice: drain/re-admit under traffic must
-    # lose nothing and must reproduce itself (and the baseline) exactly.
-    chaos = recorded["chaos"]
-
-    def _chaos_run():
-        router = _router(chaos["replicas"], recovery_s=chaos["recovery_s"])
-        summary = cluster_replay(
-            router, _workload(),
-            fail_replica_at=chaos["fail_replica_at_s"], fail_replica_id=0,
-        )
-        return summary, list(router.batch_log)
-
-    first, log_first = _chaos_run()
-    second, log_second = _chaos_run()
-    suite.expect(
-        first == second and log_first == log_second,
-        "cluster chaos replay is not deterministic: repeated run diverged",
-    )
-    lost = recorded["requests"] - (first["served"]
-                                   + first["request_failures"]
-                                   + first["rejected"])
-    suite.expect(lost == 0, f"cluster chaos replay lost {lost} requests")
-    _compare(first, chaos["summary"], "chaos")
-    suite.expect(
-        len(log_first) == chaos["batch_log_len"],
-        f"cluster chaos batch log has {len(log_first)} entries, "
-        f"recorded {chaos['batch_log_len']}",
-    )
-
-
-def _check_adaptive(suite: _Suite, recorded: dict) -> None:
-    from repro.control.ab import run_ab
-
-    report = run_ab(recorded["params"], repeats=2)
-    suite.expect(
-        report["deterministic"],
-        "adaptive A/B replay is not bit-identical across repeats",
-    )
-    exact_keys = ("served", "failed", "verified", "batches",
-                  "decisions", "decision_digest", "final_max_batch")
-    ratio_keys = ("mean_batch_size", "latency_p50_s", "latency_p99_s",
-                  "total_exec_s", "final_max_wait_s")
-    for workload in ("bursty", "steady"):
-        for arm in ("static", "adaptive"):
-            cell = report[workload][arm]
-            row = recorded[workload][arm]
-            label = f"adaptive {workload}/{arm}"
-            for key in exact_keys:
-                suite.expect(
-                    cell[key] == row[key],
-                    f"{label} {key}: {cell[key]!r} != recorded {row[key]!r}",
-                )
-            for key in ratio_keys:
-                suite.expect_ratio(cell[key], row[key], f"{label} {key}")
-    suite.expect_ratio(
-        report["bursty"]["p99_improvement"],
-        recorded["bursty"]["p99_improvement"],
-        "adaptive bursty p99_improvement",
-    )
-    suite.expect_ratio(
-        report["steady"]["p99_ratio"], recorded["steady"]["p99_ratio"],
-        "adaptive steady p99_ratio",
-    )
-    # The bars the baseline was accepted under must still hold.
-    suite.expect(
-        report["bursty"]["p99_improvement"] >= 1.3,
-        f"adaptive burst win {report['bursty']['p99_improvement']:.2f}x "
-        "fell below the 1.3x acceptance bar",
-    )
-    suite.expect(
-        report["steady"]["p99_ratio"] <= 1.05,
-        f"adaptive steady ratio {report['steady']['p99_ratio']:.3f}x "
-        "exceeds the 1.05x acceptance bar",
-    )
-
-
-_CHECKERS = {
-    "serving": ("BENCH_serving.json", _check_serving),
-    "single_pass": ("BENCH_single_pass.json", _check_single_pass),
-    "serve": ("BENCH_serve.json", _check_serve),
-    "obs_overhead": ("BENCH_obs_overhead.json", _check_obs_overhead),
-    "restart": ("BENCH_restart.json", _check_restart),
-    "cluster": ("BENCH_cluster.json", _check_cluster),
-    "adaptive": ("BENCH_adaptive.json", _check_adaptive),
+_GATES = {
+    "serving": _Gate(
+        "BENCH_serving.json", serving.measure, serving.bars,
+        wall_clock=("cold_s_median", "warm_s_median", "cold_calls_per_sec",
+                    "warm_calls_per_sec", "warm_speedup",
+                    "geomean_warm_speedup"),
+    ),
+    "single_pass": _Gate(
+        "BENCH_single_pass.json", single_pass.measure, single_pass.bars,
+        tolerances={"sp_s": 1e-9, "sp_dlb_s": 1e-9, "lightscan_s": 1e-9},
+    ),
+    "serve": _Gate("BENCH_serve.json", serve.measure, serve.bars),
+    "obs_overhead": _Gate("BENCH_obs_overhead.json", None, _obs_budgets),
+    "restart": _Gate(
+        "BENCH_restart.json", restart.measure, restart.bars,
+        wall_clock=("cold_first_request_s", "restored_first_request_s",
+                    "cold_total_wall_s", "restored_total_wall_s",
+                    "first_request_speedup"),
+    ),
+    "cluster": _Gate("BENCH_cluster.json", cluster.measure, cluster.bars),
+    "adaptive": _Gate("BENCH_adaptive.json",
+                      lambda recorded: ab.measure(recorded["params"]),
+                      ab.bars),
 }
+SUITES = tuple(_GATES)
+
+
+def _check(suite: _Suite, gate: _Gate, recorded: dict) -> None:
+    if gate.measure is not None:
+        try:
+            replayed = gate.measure(recorded)
+        except AssertionError as exc:
+            suite.expect(False, f"replay failed its own checks: {exc}")
+            return
+        # Through JSON, as the bench writes it: tuples become lists.
+        suite.diff(json.loads(json.dumps(replayed)), recorded, "", gate)
+    for ok, message in gate.bars(recorded):
+        suite.expect(ok, message)
 
 
 # ------------------------------------------------------------------ driver
@@ -494,20 +204,20 @@ def run_checks(repo_root: str | os.PathLike | None = None,
     root = Path(repo_root) if repo_root is not None else Path.cwd()
     names = tuple(only) if only else SUITES
     for name in names:
-        if name not in _CHECKERS:
+        if name not in _GATES:
             raise ValueError(f"unknown bench suite {name!r}; "
                              f"known: {', '.join(SUITES)}")
     suites: dict[str, dict] = {}
     for name in names:
-        filename, checker = _CHECKERS[name]
-        path = root / filename
+        gate = _GATES[name]
+        path = root / gate.filename
         recorded = _load(path)
         if recorded is None:
             suites[name] = {"baseline": str(path), "skipped": True,
                             "checked": 0, "ok": True, "failures": []}
             continue
         suite = _Suite(name, path)
-        checker(suite, recorded)
+        _check(suite, gate, recorded)
         suites[name] = suite.report()
     return {
         "ok": all(s["ok"] for s in suites.values()),

@@ -4,8 +4,8 @@
 ``repro control`` demos the same comparison interactively, and the
 ``adaptive`` suite of ``repro bench check`` replays it as a drift gate.
 All three call :func:`run_ab` with one parameter dict (committed
-verbatim into ``BENCH_adaptive.json``), so there is exactly one
-definition of the experiment:
+verbatim into ``BENCH_adaptive.json``; :func:`measure` builds that
+payload), so there is exactly one definition of the experiment:
 
 - a **bursty** Poisson workload (calm base-rate traffic with periodic
   high-rate bursts) plus a mid-run device loss, replayed through a
@@ -32,7 +32,14 @@ from repro.control.controllers import (
     adaptive_controller,
 )
 
-__all__ = ["DEFAULT_AB_PARAMS", "run_ab", "run_arm"]
+__all__ = ["DEFAULT_AB_PARAMS", "P99_IMPROVEMENT_BAR", "STEADY_RATIO_BAR",
+           "run_ab", "run_arm", "measure", "bars"]
+
+#: Acceptance bars: adaptive must be at least this much better at p99
+#: under the bursty+fault workload...
+P99_IMPROVEMENT_BAR = 1.3
+#: ...and no more than this much worse on the steady workload.
+STEADY_RATIO_BAR = 1.05
 
 
 #: The committed experiment. Everything :func:`run_ab` needs, JSON-pure,
@@ -189,13 +196,50 @@ def run_ab(params: dict | None = None, *, repeats: int = 2) -> dict:
         bursty_static, bursty_adaptive, steady_static, steady_adaptive,
     ))
     return {
-        "params": params,
         "bursty": {"static": bursty_static, "adaptive": bursty_adaptive,
                    "p99_improvement": p99_improvement},
         "steady": {"static": steady_static, "adaptive": steady_adaptive,
                    "p99_ratio": steady_ratio},
+        "params": params,
         "deterministic": deterministic,
     }
+
+
+def measure(params: dict) -> dict:
+    """The ``BENCH_adaptive.json`` payload: :func:`run_ab` with two repeats.
+
+    The payload keeps each cell's decision digest, not its raw
+    per-decision log or per-batch times.
+    """
+    report = run_ab(params, repeats=2)
+    for workload in ("bursty", "steady"):
+        for arm in ("static", "adaptive"):
+            del report[workload][arm]["decision_log"]
+            del report[workload][arm]["batch_sim_times"]
+    return report
+
+
+def bars(payload: dict) -> list[tuple[bool, str]]:
+    """The acceptance bars as ``(holds, failure message)`` facts."""
+    improvement = payload["bursty"]["p99_improvement"]
+    ratio = payload["steady"]["p99_ratio"]
+    facts = [
+        (improvement >= P99_IMPROVEMENT_BAR,
+         f"bursty p99_improvement {improvement:.2f}x is below the "
+         f"{P99_IMPROVEMENT_BAR}x bar"),
+        (ratio <= STEADY_RATIO_BAR,
+         f"steady p99_ratio {ratio:.3f}x exceeds the {STEADY_RATIO_BAR}x "
+         "bar: adaptation is not free"),
+        (payload["deterministic"],
+         "A/B replay is not bit-identical across repeats"),
+    ]
+    for workload in ("bursty", "steady"):
+        for arm in ("static", "adaptive"):
+            cell = payload[workload][arm]
+            facts.append((cell["verified"] == cell["served"],
+                          f"{workload}/{arm}: {cell['served']} served but "
+                          f"only {cell['verified']} verified"))
+    return facts
 
 
 def summarize(report: dict) -> str:

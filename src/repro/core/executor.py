@@ -70,6 +70,10 @@ def coerce_batch(data: np.ndarray) -> np.ndarray:
     converted to native once here, so results come back native.
     """
     arr = np.asarray(data)
+    if arr.size == 0:
+        raise ConfigurationError(
+            f"scan input must be non-empty, got shape {arr.shape}"
+        )
     if not arr.dtype.isnative:
         arr = arr.astype(arr.dtype.newbyteorder("="))
     if arr.ndim == 1:

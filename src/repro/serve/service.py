@@ -551,60 +551,78 @@ class ScanService:
             return
         self._scatter(key, pending, result, reason, flush_s)
 
+    def _settle(self, pending: list[_Pending], status: str, ok: bool,
+                flush_s: float, exec_s: float) -> tuple[float, float]:
+        """Stamp each ticket's outcome and latency accounting; book totals.
+
+        The one accounting path for served and failed requests alike:
+        ``exec_s`` is the batch's execution time (for a failed batch, the
+        time its attempts burned). Latency is queue wait plus executor
+        wait plus the request's share of ``exec_s``; the SLO outcome is
+        stamped at the simulated completion. Returns the batch's executor
+        wait and its summed queue wait.
+        """
+        requests = len(pending)
+        # With a serial executor, a batch flushed while an earlier batch
+        # is still running waits for it before starting.
+        if self.serialize_exec:
+            start_s = max(flush_s, self.busy_until_s)
+            self.busy_until_s = start_s + exec_s
+        else:
+            start_s = flush_s
+        exec_wait = start_s - flush_s
+        # Equal execution shares, with the division remainder assigned to
+        # the last request so the shares sum to exec_s *bit-exactly*
+        # (requests is not always a power of two; naive D/R shares would
+        # leak float drift into the accounting invariant).
+        share = exec_s / requests
+        queue_wait_total = 0.0
+        enabled = obs.is_enabled()
+        for i, p in enumerate(pending):
+            t = p.ticket
+            t.status = status
+            t.seq = self._seq
+            self._seq += 1
+            t.queue_wait_s = flush_s - t.arrival_s
+            t.exec_wait_s = exec_wait
+            t.exec_share_s = (share if i < requests - 1
+                              else exec_s - share * (requests - 1))
+            t.batch_time_s = exec_s
+            t.latency_s = t.queue_wait_s + t.exec_wait_s + t.exec_share_s
+            t.completion_s = start_s + exec_s
+            queue_wait_total += t.queue_wait_s
+            self.latency.observe(t.latency_s)
+            if self.slo is not None:
+                self.slo.observe(t.completion_s, latency_s=t.latency_s, ok=ok)
+            if enabled:
+                obs.histogram("serve.latency_s").observe(t.latency_s)
+                obs.histogram("serve.queue_wait_s").observe(t.queue_wait_s)
+        self.total_queue_wait_s += queue_wait_total
+        self.total_exec_wait_s += exec_wait * requests
+        self.total_exec_s += exec_s
+        self.total_latency_s += queue_wait_total + exec_wait * requests + exec_s
+        return exec_wait, queue_wait_total
+
     def _scatter(self, key: QueueKey, pending: list[_Pending],
                  result: ScanResult, reason: str, flush_s: float) -> None:
         """Hand each request its output row and its latency accounting."""
         requests = len(pending)
         batch_time = result.total_time_s
-        # With a serial executor, a batch flushed while an earlier batch
-        # is still running waits for it before starting.
-        if self.serialize_exec:
-            start_s = max(flush_s, self.busy_until_s)
-            self.busy_until_s = start_s + batch_time
-        else:
-            start_s = flush_s
-        exec_wait = start_s - flush_s
-        # Equal execution shares, with the division remainder assigned to
-        # the last request so the shares sum to batch_time *bit-exactly*
-        # (requests is not always a power of two; naive D/R shares would
-        # leak float drift into the accounting invariant).
-        share = batch_time / requests
+        exec_wait, queue_wait_total = self._settle(pending, "done", True,
+                                                   flush_s, batch_time)
         batch_index = len(self.batches)
         failover = result.config.get("failover")
-        queue_wait_total = 0.0
-        enabled = obs.is_enabled()
         for i, p in enumerate(pending):
             t = p.ticket
-            t.status = "done"
-            t.seq = self._seq
-            self._seq += 1
             t.output = result.output[i, : t.size].copy()
-            t.queue_wait_s = flush_s - t.arrival_s
-            t.exec_wait_s = exec_wait
-            t.exec_share_s = (share if i < requests - 1
-                              else batch_time - share * (requests - 1))
-            t.batch_time_s = batch_time
-            t.latency_s = t.queue_wait_s + t.exec_wait_s + t.exec_share_s
-            t.completion_s = start_s + batch_time
             t.batch_index = batch_index
             t.batch_requests = requests
             t.batch_g = result.problem.G
             t.failover = failover
-            queue_wait_total += t.queue_wait_s
-            self.latency.observe(t.latency_s)
-            if self.slo is not None:
-                self.slo.observe(t.completion_s, latency_s=t.latency_s, ok=True)
-            if enabled:
-                obs.histogram("serve.latency_s").observe(t.latency_s)
-                obs.histogram("serve.queue_wait_s").observe(t.queue_wait_s)
         self.served += requests
         self.padded_rows += result.problem.G - requests
-        self.total_queue_wait_s += queue_wait_total
-        self.total_exec_wait_s += exec_wait * requests
-        self.total_exec_s += batch_time
-        self.total_latency_s += queue_wait_total + exec_wait * requests + batch_time
         self.batch_size.observe(requests)
-        if enabled:
+        if obs.is_enabled():
             obs.histogram("serve.batch_size").observe(requests)
             obs.counter("serve.served").inc(requests)
             obs.counter("serve.padded_rows").inc(result.problem.G - requests)
@@ -639,47 +657,16 @@ class ScanService:
         availability outcome is stamped at the simulated completion
         (flush + attempted time), not at flush time.
         """
-        flush_s = self.clock.now
         requests = len(pending)
         attempted_s = 0.0
         if isinstance(exc, FailoverExhaustedError):
             attempted_s = float(sum(a.backoff_s for a in exc.attempts))
-        if self.serialize_exec:
-            start_s = max(flush_s, self.busy_until_s)
-            self.busy_until_s = start_s + attempted_s
-        else:
-            start_s = flush_s
-        exec_wait = start_s - flush_s
-        share = attempted_s / requests
-        queue_wait_total = 0.0
-        enabled = obs.is_enabled()
-        for i, p in enumerate(pending):
-            t = p.ticket
-            t.status = "failed"
-            t.seq = self._seq
-            self._seq += 1
-            t.error = exc
-            t.queue_wait_s = flush_s - t.arrival_s
-            t.exec_wait_s = exec_wait
-            t.exec_share_s = (share if i < requests - 1
-                              else attempted_s - share * (requests - 1))
-            t.batch_time_s = attempted_s
-            t.latency_s = t.queue_wait_s + t.exec_wait_s + t.exec_share_s
-            t.completion_s = start_s + attempted_s
-            t.splits = depth
-            queue_wait_total += t.queue_wait_s
-            self.latency.observe(t.latency_s)
-            if self.slo is not None:
-                self.slo.observe(t.completion_s, latency_s=t.latency_s, ok=False)
-            if enabled:
-                obs.histogram("serve.latency_s").observe(t.latency_s)
-                obs.histogram("serve.queue_wait_s").observe(t.queue_wait_s)
+        self._settle(pending, "failed", False, self.clock.now, attempted_s)
+        for p in pending:
+            p.ticket.error = exc
+            p.ticket.splits = depth
         self.failed += requests
-        self.total_queue_wait_s += queue_wait_total
-        self.total_exec_wait_s += exec_wait * requests
-        self.total_exec_s += attempted_s
-        self.total_latency_s += queue_wait_total + exec_wait * requests + attempted_s
-        if enabled:
+        if obs.is_enabled():
             obs.counter("serve.request_failures").inc(requests)
         if flight.is_armed():
             flight.note("requests_failed", at_s=self.clock.now,

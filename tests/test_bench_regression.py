@@ -1,12 +1,11 @@
 """Benchmark drift sentry: ``repro bench check`` against BENCH baselines.
 
-The committed artifacts' simulated-time fields are deterministic, so the
+The committed artifacts' non-wall-clock fields are deterministic, so the
 sentry must (a) pass against the repo's own baselines, (b) flag a
-tampered baseline as drift with an explanatory failure, (c) treat a
-missing baseline as skipped rather than failed, and (d) reject unknown
-suite names loudly. The heavyweight suites (serving, serve) replay real
-scans and are exercised by the CI gate itself; here the cheap analytic
-and budget-only suites keep the tier-1 run fast.
+tampered baseline as drift with a failure that names the field, (c) treat
+a missing baseline as skipped rather than failed, and (d) reject unknown
+suite names loudly. Every suite replays its bench's own ``measure`` in a
+few seconds at most, so all seven run here.
 """
 
 import json
@@ -50,6 +49,13 @@ class TestAgainstCommittedBaselines:
         assert report["suites"]["single_pass"]["checked"] > 100
         assert "PASS" in format_report(report)
 
+    def test_every_suite_passes(self):
+        report = run_checks(repo_root=REPO_ROOT)
+        assert report["ok"], format_report(report)
+        for name, suite in report["suites"].items():
+            assert not suite.get("skipped"), name
+            assert suite["checked"] >= 2, name
+
 
 def tampered(tmp_path: Path, filename: str, mutate) -> Path:
     """Copy one committed baseline into tmp_path with a field perturbed."""
@@ -58,6 +64,23 @@ def tampered(tmp_path: Path, filename: str, mutate) -> Path:
     mutate(payload)
     (tmp_path / filename).write_text(json.dumps(payload))
     return tmp_path
+
+
+#: One perturbed field per suite: (suite, path into its baseline, change).
+#: The serving, single_pass, serve, restart and cluster fields are outputs
+#: no acceptance bar reads, so only the field-by-field diff can catch them.
+TAMPERS = [
+    ("serving", ("proposals", "sp", "session_hits"), lambda v: v + 1),
+    ("single_pass", ("series", "int32|G1", 0, "tuner_choice"),
+     lambda v: "sp-dlb"),
+    ("serve", ("cells", "sp/burst", "coalesce_speedup"), lambda v: v * 1.01),
+    ("obs_overhead", ("enabled_ratio",), lambda v: v * 100),
+    ("restart", ("latency_p99_s",), lambda v: v * 1.01),
+    ("cluster", ("policies", "round_robin", "latency_p99_s"),
+     lambda v: v * 1.01),
+    ("adaptive", ("bursty", "adaptive", "decision_digest"),
+     lambda v: "0" * len(v)),
+]
 
 
 class TestTamperDetection:
@@ -97,6 +120,22 @@ class TestTamperDetection:
         assert not report["ok"]
         assert any("crossover" in failure
                    for failure in report["suites"]["single_pass"]["failures"])
+
+    @pytest.mark.parametrize("suite,path,change", TAMPERS,
+                             ids=[t[0] for t in TAMPERS])
+    def test_tampered_field_is_named(self, tmp_path, suite, path, change):
+        def mutate(payload):
+            *parents, leaf = path
+            for key in parents:
+                payload = payload[key]
+            payload[leaf] = change(payload[leaf])
+        root = tampered(tmp_path, f"BENCH_{suite}.json", mutate)
+        report = run_checks(repo_root=root, only=[suite])
+        assert not report["ok"]
+        label = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                        for k in path).lstrip(".")
+        failures = report["suites"][suite]["failures"]
+        assert any(f.startswith(f"{suite} {label}") for f in failures), failures
 
     def test_untouched_copy_still_passes(self, tmp_path):
         shutil.copy(REPO_ROOT / "BENCH_single_pass.json",

@@ -30,6 +30,17 @@ class TestCoerceBatch:
         with pytest.raises(ConfigurationError):
             coerce_batch(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("shape", [(0, 1024), (4, 0), (0,)])
+    def test_empty_rejected_as_empty(self, shape):
+        with pytest.raises(ConfigurationError, match="must be non-empty"):
+            coerce_batch(np.zeros(shape, dtype=np.int32))
+
+    def test_empty_rejected_through_scan(self):
+        import repro
+
+        with pytest.raises(ConfigurationError, match="must be non-empty"):
+            repro.scan(np.zeros((0, 1024), dtype=np.int32))
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ConfigurationError, match="powers of two"):
             coerce_batch(np.zeros((1, 100)))
