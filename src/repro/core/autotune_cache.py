@@ -45,18 +45,28 @@ def cost_fingerprint(topology: SystemTopology) -> str:
     current availability state. Two machines with identical (W, V, M) but
     different interconnect pricing — or one of them degraded — therefore
     get distinct autotune keys instead of silently sharing a stale best-K.
+
+    The digest is kept on the topology (``fingerprint_memo``) and reused
+    while the cost params and transfer params are the same (frozen)
+    objects and the health snapshot is unchanged.
     """
     from repro.interconnect.transfer import TransferCostParams
 
     cost = topology.gpus[0].cost_model.params
-    transfer = topology.transfer_params or TransferCostParams()
+    transfer = topology.transfer_params
     health = topology.health.snapshot() if topology.health is not None else ()
+    memo = topology.fingerprint_memo
+    if (memo is not None and memo[0] is cost and memo[1] is transfer
+            and memo[2] == health):
+        return memo[3]
     blob = repr((
         sorted(asdict(cost).items()),
-        sorted(asdict(transfer).items()),
+        sorted(asdict(transfer or TransferCostParams()).items()),
         health,
     ))
-    return hashlib.sha1(blob.encode()).hexdigest()[:12]
+    digest = hashlib.sha1(blob.encode()).hexdigest()[:12]
+    topology.fingerprint_memo = (cost, transfer, health, digest)
+    return digest
 
 
 def cache_key(

@@ -182,10 +182,7 @@ class ScanRequest:
     ) -> "ScanRequest":
         """Coerce a host array into a functional request."""
         batch = coerce_batch(data)
-        g, n = batch.shape
-        problem = ProblemConfig.from_sizes(
-            N=n, G=g, dtype=batch.dtype, operator=operator, inclusive=inclusive
-        )
+        problem = ProblemConfig.for_batch(batch, operator, inclusive)
         return cls(
             problem=problem, batch=batch, node=node, proposal=proposal,
             K=K, collect=collect, functional=True,

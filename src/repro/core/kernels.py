@@ -32,14 +32,24 @@ The bodies are vectorised over the blocks they are asked to process, which
 is legitimate because blocks are independent; the ``blockwise`` execution
 mode of :class:`~repro.gpusim.kernel.ExecutionEngine` re-runs them one
 block at a time in random order to prove that independence in tests.
+
+Everything a launch derives from its plan alone — the launch
+configuration, the closed-form counters of a whole-grid call, the
+block-flow and lookback geometry — is a :class:`LaunchSpec`, built on the
+kernel's first launch and kept with the plan (:func:`launch_spec`). Warm
+launches reuse it, and :meth:`repro.gpusim.device.GPU.launch` reuses the
+priced record, so a warm launch costs its body and a trace append.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError, LaunchError
 from repro.gpusim.arch import GPUArchitecture
+from repro.gpusim.costmodel import CostModelParams
 from repro.gpusim.device import GPU
 from repro.gpusim.events import KernelRecord, Trace
 from repro.gpusim.kernel import KernelContext, LaunchConfig
@@ -108,17 +118,12 @@ class _BlockScanCore:
     Operates on chunk data laid out ``(nb, K, nw, width, P)`` where ``nb``
     is however many blocks execute together, ``nw`` the warps per block and
     ``width`` the warp width. Produces every partial the two kernels need.
-
-    ``exact`` is decided once per launch: integer and bool payloads take
-    the one-pass bodies while the hot-path switch is on; floats, and every
-    dtype under ``fast_paths(False)``, run the flow.
     """
 
     def __init__(self, params: KernelParams, op: Operator, warp_size: int, dtype):
         self.params = params
         self.op = op
         self.dtype = np.dtype(dtype)
-        self.exact = self.dtype.kind in "biu" and fast_enabled()
         self.width, self.num_warps = _warp_geometry(params, warp_size)
         if params.Lx % self.width != 0:
             raise ConfigurationError(
@@ -258,15 +263,16 @@ def _scan_exact(
     op.accumulate(chunks, axis=-1, out=chunks)
 
 
-def _covers_grid(ctx: KernelContext, block_ids: np.ndarray) -> bool:
-    """Whether one call received every block of the grid, in launch order.
+def _exact(dtype: np.dtype) -> bool:
+    """Whether a launch takes the one-pass body, decided per launch.
 
-    Such a call (the vectorized engine's) works on reshaped views of the
-    device buffers; any other call gathers its blocks with ``(by, bx)``
-    fancy indices and scatters them back.
+    Integer and bool payloads do while the hot-path switch is on; floats,
+    and every dtype under ``fast_paths(False)``, run the block flow. A
+    call that covers the grid (:meth:`KernelContext.covers_grid`) then
+    works on reshaped views of the device buffers; any other call gathers
+    its blocks with ``(by, bx)`` fancy indices and scatters them back.
     """
-    total = ctx.config.blocks
-    return len(block_ids) == total and bool((block_ids == np.arange(total)).all())
+    return dtype.kind in "biu" and fast_enabled()
 
 
 def _warp_geometry(kp: KernelParams, warp_size: int) -> tuple[int, int]:
@@ -401,6 +407,114 @@ def scan_add_stats(
     return stats
 
 
+class LaunchSpec:
+    """One kernel's launch, derived from its plan once per architecture.
+
+    Everything here is a pure function of the plan, the data's geometry
+    and the architecture: the launch configuration, the closed-form
+    counters of a call that covers the whole grid, the block flow and,
+    for the decoupled-lookback pass, the resident-block capacity.
+    :func:`launch_spec` builds a spec on its kernel's first launch and
+    keeps it in :attr:`~repro.core.params.ExecutionPlan.launch_specs`.
+    The one value derived from the cost params, the lookback stall, is
+    kept with the params object it was priced under (:meth:`stall_s`).
+    """
+
+    __slots__ = ("arch", "config", "grid_stats", "flow", "capacity",
+                 "lookback", "_core", "_stall")
+
+    def __init__(
+        self,
+        arch: GPUArchitecture,
+        config: LaunchConfig,
+        grid_stats: LaunchStats,
+        flow: tuple[KernelParams, Operator, np.dtype] | None = None,
+        capacity: int = 0,
+        lookback: LookbackParams | None = None,
+    ):
+        self.arch = arch
+        self.config = config
+        #: Counters of one call covering the grid; never mutated.
+        self.grid_stats = grid_stats
+        #: ``(params, operator, dtype)`` of the block flow, or ``None``.
+        self.flow = flow
+        #: Lookback geometry (sp-dlb only): the resident-block capacity,
+        #: which is the lookback horizon, and the protocol params.
+        self.capacity = capacity
+        self.lookback = lookback
+        self._core: _BlockScanCore | None = None
+        self._stall: tuple[CostModelParams | None, float] = (None, 0.0)
+
+    def block_core(self) -> _BlockScanCore:
+        """The block flow, built and validated on the first functional launch.
+
+        A geometry the flow cannot run raises here, on every functional
+        launch, as before; analytic launches never ask.
+        """
+        if self._core is None:
+            params, op, dtype = self.flow
+            self._core = _BlockScanCore(params, op, self.arch.warp_size, dtype)
+        return self._core
+
+    def stall_s(self, params: CostModelParams) -> float:
+        """The lookback polling stall, priced once per cost-params object."""
+        if self._stall[0] is not params:
+            config = self.config
+            stall = lookback_stall_s(
+                config.blocks, config.grid_x, self.capacity,
+                params.dram_round_trip_s, params.lookback_contention,
+                self.lookback,
+            )
+            self._stall = (params, stall)
+        return self._stall[1]
+
+
+def launch_spec(
+    plan: ExecutionPlan,
+    arch: GPUArchitecture,
+    build: Callable[[ExecutionPlan, GPUArchitecture, Any], LaunchSpec],
+    shape: Any = None,
+) -> LaunchSpec:
+    """``build(plan, arch, shape)``, once per plan, builder, shape and arch.
+
+    ``shape`` is whatever of the launch's data its configuration depends
+    on (the problems a Stage-1/3 portion holds, the descriptor plane's
+    shape). A spec built for a different architecture object is rebuilt.
+    """
+    key = (build, shape)
+    spec = plan.launch_specs.get(key)
+    if spec is None or spec.arch is not arch:
+        spec = plan.launch_specs[key] = build(plan, arch, shape)
+    return spec
+
+
+def _chunk_reduce_spec(plan: ExecutionPlan, arch: GPUArchitecture, rows: int) -> LaunchSpec:
+    kp = plan.stage1.params
+    config = _launch_config(kp, plan.stage1.bx, rows, plan.problem.itemsize)
+    return LaunchSpec(
+        arch, config, chunk_reduce_stats(plan, arch.warp_size, config.blocks),
+        flow=(kp, plan.problem.operator, plan.problem.dtype),
+    )
+
+
+def _intermediate_scan_spec(plan: ExecutionPlan, arch: GPUArchitecture, _) -> LaunchSpec:
+    kp2 = plan.stage2.params
+    config = _launch_config(kp2, plan.stage2.bx, plan.stage2.by, plan.problem.itemsize)
+    return LaunchSpec(
+        arch, config, intermediate_scan_stats(plan, arch.warp_size),
+        flow=(_stage2_row_params(kp2), plan.problem.operator, plan.problem.dtype),
+    )
+
+
+def _scan_add_spec(plan: ExecutionPlan, arch: GPUArchitecture, rows: int) -> LaunchSpec:
+    kp = plan.stage3.params
+    config = _launch_config(kp, plan.stage3.bx, rows, plan.problem.itemsize)
+    return LaunchSpec(
+        arch, config, scan_add_stats(plan, arch.warp_size, config.blocks),
+        flow=(kp, plan.problem.operator, plan.problem.dtype),
+    )
+
+
 def launch_chunk_reduce(
     trace: Trace,
     gpu: GPU,
@@ -424,33 +538,34 @@ def launch_chunk_reduce(
     """
     data.require_on(gpu)
     aux.require_on(gpu)
-    kp = plan.stage1.params
-    op = plan.problem.operator
     g_local, n_local = data.shape
-    bx_total = plan.stage1.bx
-    itemsize = plan.problem.itemsize
     if n_local != plan.n_local:
         raise ConfigurationError(
             f"data has {n_local} elements per problem, plan expects {plan.n_local}"
         )
-    config = _launch_config(kp, bx_total, g_local, itemsize)
+    spec = launch_spec(plan, gpu.arch, _chunk_reduce_spec, g_local)
     if not functional:
         return gpu.launch(
-            trace, "chunk_reduce", phase, config, None,
-            coalesced=vector_loads,
-            precomputed_stats=chunk_reduce_stats(plan, gpu.arch.warp_size),
+            trace, "chunk_reduce", phase, spec.config, None,
+            coalesced=vector_loads, precomputed_stats=spec.grid_stats,
         )
+    core = spec.block_core()
+    kp = plan.stage1.params
+    op = plan.problem.operator
+    bx_total = plan.stage1.bx
     arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
     aux_cols = aux.data[:, chunk_column_offset:chunk_column_offset + bx_total]
-    core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
+    exact = _exact(plan.problem.dtype)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+        if exact and ctx.covers_grid(block_ids):
+            aux_cols[...] = op.reduce(arr, axis=-1)
+            ctx.stats.merge(spec.grid_stats)
+            return
         bx, g = ctx.block_xy(block_ids)
         nb = len(block_ids)
         costs = None
-        if core.exact and _covers_grid(ctx, block_ids):
-            aux_cols[...] = op.reduce(arr, axis=-1)
-        elif core.exact:
+        if exact:
             aux_cols[g, bx] = op.reduce(arr[g, bx], axis=-1)
         else:
             chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)  # gather-copy
@@ -459,7 +574,9 @@ def launch_chunk_reduce(
             costs = partials["costs"]
         ctx.stats.merge(chunk_reduce_stats(plan, ctx.warp_size, nb, costs))
 
-    return gpu.launch(trace, "chunk_reduce", phase, config, body, coalesced=vector_loads)
+    return gpu.launch(
+        trace, "chunk_reduce", phase, spec.config, body, coalesced=vector_loads
+    )
 
 
 def launch_intermediate_scan(
@@ -478,36 +595,34 @@ def launch_intermediate_scan(
     carry, which the instruction accounting reflects.
     """
     aux.require_on(gpu)
-    kp2 = plan.stage2.params
-    op = plan.problem.operator
-    g_local, cx = aux.shape
-    itemsize = plan.problem.itemsize
+    _, cx = aux.shape
     if cx != plan.chunks_total:
         raise ConfigurationError(
             f"aux has {cx} chunk columns, plan expects {plan.chunks_total}"
         )
-    config = _launch_config(kp2, plan.stage2.bx, plan.stage2.by, itemsize)
+    spec = launch_spec(plan, gpu.arch, _intermediate_scan_spec)
     if not functional:
         return gpu.launch(
-            trace, "intermediate_scan", phase, config, None,
-            precomputed_stats=intermediate_scan_stats(plan, gpu.arch.warp_size),
+            trace, "intermediate_scan", phase, spec.config, None,
+            precomputed_stats=spec.grid_stats,
         )
+    core = spec.block_core()
+    kp2 = plan.stage2.params
+    op = plan.problem.operator
     arr = aux.data
     identity = op.identity(plan.problem.dtype)
-    rounds = ceil_div(cx, kp2.P * kp2.Lx)
-    padded = rounds * kp2.P * kp2.Lx
-    core = _BlockScanCore(
-        _stage2_row_params(kp2), op, gpu.arch.warp_size, plan.problem.dtype
-    )
+    exact = _exact(plan.problem.dtype)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+        if exact and ctx.covers_grid(block_ids):
+            _scan_exact(op, arr, None, False, identity)
+            ctx.stats.merge(spec.grid_stats)
+            return
         _, by = ctx.block_xy(block_ids)
         problems = (by[:, None] * kp2.Ly + np.arange(kp2.Ly)).reshape(-1)
         npb = len(problems)
         costs = None
-        if core.exact and _covers_grid(ctx, block_ids):
-            _scan_exact(op, arr, None, False, identity)
-        elif core.exact:
+        if exact:
             rows = arr[problems]  # (npb, cx) gather-copy
             _scan_exact(op, rows, None, False, identity)
             arr[problems] = rows
@@ -516,6 +631,8 @@ def launch_intermediate_scan(
             # Identity-pad up to whole rounds; idle lanes execute but cannot
             # perturb any real element's prefix. The staging buffer is
             # reused scratch (fully re-filled each call).
+            rounds = ceil_div(cx, kp2.P * kp2.Lx)
+            padded = rounds * kp2.P * kp2.Lx
             staged = _scratch((npb, padded), rows.dtype, fill=identity)
             staged[:, :cx] = rows
             view = staged.reshape(npb, rounds, kp2.Lx, kp2.P)
@@ -529,7 +646,7 @@ def launch_intermediate_scan(
             costs = partials["costs"]
         ctx.stats.merge(intermediate_scan_stats(plan, ctx.warp_size, npb, costs))
 
-    return gpu.launch(trace, "intermediate_scan", phase, config, body)
+    return gpu.launch(trace, "intermediate_scan", phase, spec.config, body)
 
 
 def launch_scan_add(
@@ -552,31 +669,32 @@ def launch_scan_add(
     """
     data.require_on(gpu)
     aux_scanned.require_on(gpu)
-    kp = plan.stage3.params
-    op = plan.problem.operator
-    g_local, n_local = data.shape
-    bx_total = plan.stage3.bx
-    itemsize = plan.problem.itemsize
-    inclusive_out = plan.problem.inclusive
-    config = _launch_config(kp, bx_total, g_local, itemsize)
+    g_local = data.shape[0]
+    spec = launch_spec(plan, gpu.arch, _scan_add_spec, g_local)
     if not functional:
         return gpu.launch(
-            trace, "scan_add", phase, config, None,
-            coalesced=vector_loads,
-            precomputed_stats=scan_add_stats(plan, gpu.arch.warp_size),
+            trace, "scan_add", phase, spec.config, None,
+            coalesced=vector_loads, precomputed_stats=spec.grid_stats,
         )
+    core = spec.block_core()
+    kp = plan.stage3.params
+    op = plan.problem.operator
+    bx_total = plan.stage3.bx
+    inclusive_out = plan.problem.inclusive
     arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
     aux_cols = aux_scanned.data[:, chunk_column_offset:chunk_column_offset + bx_total]
     identity = op.identity(plan.problem.dtype)
-    core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
+    exact = _exact(plan.problem.dtype)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+        if exact and ctx.covers_grid(block_ids):
+            _scan_exact(op, arr, aux_cols, inclusive_out, identity)
+            ctx.stats.merge(spec.grid_stats)
+            return
         bx, g = ctx.block_xy(block_ids)
         nb = len(block_ids)
         costs = None
-        if core.exact and _covers_grid(ctx, block_ids):
-            _scan_exact(op, arr, aux_cols, inclusive_out, identity)
-        elif core.exact:
+        if exact:
             chunks = arr[g, bx]  # (nb, chunk) gather-copy
             _scan_exact(op, chunks, aux_cols[g, bx], inclusive_out, identity)
             arr[g, bx] = chunks
@@ -590,7 +708,9 @@ def launch_scan_add(
             costs = partials["costs"]
         ctx.stats.merge(scan_add_stats(plan, ctx.warp_size, nb, costs))
 
-    return gpu.launch(trace, "scan_add", phase, config, body, coalesced=vector_loads)
+    return gpu.launch(
+        trace, "scan_add", phase, spec.config, body, coalesced=vector_loads
+    )
 
 
 # --------------------------------------------------------------------------
@@ -628,6 +748,21 @@ def descriptor_reset_stats(g_local: int, bx_total: int) -> LaunchStats:
     return stats
 
 
+def _descriptor_reset_spec(
+    plan: ExecutionPlan, arch: GPUArchitecture, plane: tuple[int, int]
+) -> LaunchSpec:
+    g_local, bx_total = plane
+    config = LaunchConfig(
+        grid_x=ceil_div(g_local * bx_total, _RESET_BLOCK_THREADS),
+        grid_y=1,
+        block_x=_RESET_BLOCK_THREADS,
+        block_y=1,
+        regs_per_thread=8,
+        smem_per_block=0,
+    )
+    return LaunchSpec(arch, config, descriptor_reset_stats(g_local, bx_total))
+
+
 def launch_descriptor_reset(
     trace: Trace,
     gpu: GPU,
@@ -649,26 +784,22 @@ def launch_descriptor_reset(
     status.require_on(gpu)
     g_local, bx_total = status.shape
     n_desc = g_local * bx_total
-    config = LaunchConfig(
-        grid_x=ceil_div(n_desc, _RESET_BLOCK_THREADS),
-        grid_y=1,
-        block_x=_RESET_BLOCK_THREADS,
-        block_y=1,
-        regs_per_thread=8,
-        smem_per_block=0,
-    )
+    spec = launch_spec(plan, gpu.arch, _descriptor_reset_spec, status.shape)
     setup_s = gpu.cost_model.params.lookback_setup_s
     if not functional:
         return gpu.launch(
-            trace, "descriptor_reset", phase, config, None,
-            precomputed_stats=descriptor_reset_stats(g_local, bx_total),
-            extra_latency_s=setup_s,
+            trace, "descriptor_reset", phase, spec.config, None,
+            precomputed_stats=spec.grid_stats, extra_latency_s=setup_s,
         )
     words = status.data
     lb = LookbackParams()
     lanes = np.arange(_RESET_BLOCK_THREADS)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+        if ctx.covers_grid(block_ids):
+            words[...] = STATE_INVALID
+            ctx.stats.merge(spec.grid_stats)
+            return
         bx, _ = ctx.block_xy(block_ids)
         flat = (bx[:, None] * _RESET_BLOCK_THREADS + lanes).reshape(-1)
         flat = flat[flat < n_desc]
@@ -677,15 +808,16 @@ def launch_descriptor_reset(
         ctx.stats.address_math(flat.size)
 
     return gpu.launch(
-        trace, "descriptor_reset", phase, config, body, extra_latency_s=setup_s
+        trace, "descriptor_reset", phase, spec.config, body,
+        extra_latency_s=setup_s,
     )
 
 
 def single_pass_scan_stats(
     plan: ExecutionPlan,
     arch: GPUArchitecture,
-    blocks: int | None = None,
-    reads: int | None = None,
+    blocks: int,
+    reads: int,
     costs=None,
 ) -> LaunchStats:
     """Closed-form counters of the decoupled-lookback pass (exact).
@@ -697,15 +829,12 @@ def single_pass_scan_stats(
     functional bodies reproduce the same totals block by block) and two
     publishes per block (``A`` then ``P``), each
     :attr:`~repro.gpusim.lookback.LookbackParams.descriptor_words` words.
-    A functional call passes its own ``blocks`` and their ``reads``
-    (default: the whole grid); for ``costs`` see :func:`block_flow_stats`.
+    ``blocks`` are a call's blocks and ``reads`` their descriptor reads
+    (the whole grid's in the launch spec); for ``costs`` see
+    :func:`block_flow_stats`.
     """
     kp = plan.stage1.params
     itemsize = plan.problem.itemsize
-    if blocks is None:
-        _, capacity, _ = _lookback_geometry(plan, arch)
-        blocks = plan.stage1.blocks
-        reads = total_lookback_reads(plan.stage1.bx, plan.stage1.by, capacity)
     stats = block_flow_stats(
         kp, arch.warp_size, itemsize, blocks, kp.K, addressing=6, costs=costs
     )
@@ -715,6 +844,17 @@ def single_pass_scan_stats(
     stats.apply_operator(reads + blocks)  # lookback accumulation + P publish
     stats.address_math(reads)
     return stats
+
+
+def _single_pass_spec(plan: ExecutionPlan, arch: GPUArchitecture, _) -> LaunchSpec:
+    config, capacity, lookback = _lookback_geometry(plan, arch)
+    reads = total_lookback_reads(plan.stage1.bx, plan.stage1.by, capacity)
+    return LaunchSpec(
+        arch, config,
+        single_pass_scan_stats(plan, arch, config.blocks, reads),
+        flow=(plan.stage1.params, plan.problem.operator, plan.problem.dtype),
+        capacity=capacity, lookback=lookback,
+    )
 
 
 def _resolve_lookback(
@@ -822,7 +962,6 @@ def launch_single_pass_scan(
     op = plan.problem.operator
     g_local, n_local = data.shape
     bx_total = plan.stage1.bx
-    itemsize = plan.problem.itemsize
     inclusive_out = plan.problem.inclusive
     planes = (status.shape, descriptors.shape)
     if planes != ((g_local, bx_total), (g_local, bx_total, 2)):
@@ -830,32 +969,28 @@ def launch_single_pass_scan(
             f"descriptor planes must be {(g_local, bx_total)} and "
             f"{(g_local, bx_total, 2)}, got {planes[0]} and {planes[1]}"
         )
-    config, capacity, lb = _lookback_geometry(plan, gpu.arch)
-    params = gpu.cost_model.params
-    stall_s = lookback_stall_s(
-        config.blocks, bx_total, capacity,
-        params.dram_round_trip_s, params.lookback_contention, lb,
-    )
+    spec = launch_spec(plan, gpu.arch, _single_pass_spec)
+    stall_s = spec.stall_s(gpu.cost_model.params)
     if not functional:
         return gpu.launch(
-            trace, "single_pass_scan", phase, config, None, ordered=True,
-            precomputed_stats=single_pass_scan_stats(plan, gpu.arch),
-            extra_latency_s=stall_s,
+            trace, "single_pass_scan", phase, spec.config, None, ordered=True,
+            precomputed_stats=spec.grid_stats, extra_latency_s=stall_s,
         )
 
+    core = spec.block_core()
     arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
     words = status.data
     desc = descriptors.data
     identity = op.identity(plan.problem.dtype)
-    core = _BlockScanCore(kp, op, gpu.arch.warp_size, plan.problem.dtype)
+    exact = _exact(plan.problem.dtype)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
         bx, g = ctx.block_xy(block_ids)
         nb = len(block_ids)
+        covering = ctx.covers_grid(block_ids)
         costs = None
-        if core.exact:
-            view = _covers_grid(ctx, block_ids)
-            chunks = arr if view else arr[g, bx]
+        if exact:
+            chunks = arr if covering else arr[g, bx]
             totals = op.reduce(chunks, axis=-1)
             prefixes = _resolve_lookback(
                 op, words, desc, block_ids, bx, g, totals.reshape(-1)
@@ -863,7 +998,7 @@ def launch_single_pass_scan(
             _scan_exact(
                 op, chunks, prefixes.reshape(totals.shape), inclusive_out, identity
             )
-            if not view:
+            if not covering:
                 arr[g, bx] = chunks
         else:
             partials = core.run(arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P))
@@ -880,10 +1015,13 @@ def launch_single_pass_scan(
         # column and capacity), not how the simulator resolved the
         # prefixes — vectorized, blockwise and closed-form accounting
         # therefore agree exactly.
-        reads = int(lookback_reads_per_block(bx, capacity).sum())
+        if covering and costs is None:
+            ctx.stats.merge(spec.grid_stats)
+            return
+        reads = int(lookback_reads_per_block(bx, spec.capacity).sum())
         ctx.stats.merge(single_pass_scan_stats(plan, gpu.arch, nb, reads, costs))
 
     return gpu.launch(
-        trace, "single_pass_scan", phase, config, body, ordered=True,
+        trace, "single_pass_scan", phase, spec.config, body, ordered=True,
         extra_latency_s=stall_s,
     )

@@ -53,8 +53,9 @@ def upload_portions(
 ) -> list[DeviceArray]:
     """Slice each problem into ``parts`` contiguous portions, one per GPU.
 
-    When a ``scope`` is given the uploads are tracked for exception-safe
-    release.
+    Each GPU uploads its column slice of ``batch`` straight from the
+    strided view. When a ``scope`` is given the uploads are tracked for
+    exception-safe release.
     """
     g, n = batch.shape
     if n % parts != 0:
@@ -62,15 +63,26 @@ def upload_portions(
     n_local = n // parts
     portions = []
     for w, gpu in enumerate(gpus):
-        chunk = np.ascontiguousarray(batch[:, w * n_local : (w + 1) * n_local])
+        chunk = batch[:, w * n_local : (w + 1) * n_local]
         buf = scope.upload(gpu, chunk) if scope is not None else gpu.upload(chunk)
         portions.append(buf)
     return portions
 
 
-def collect_portions(portions: list[DeviceArray]) -> np.ndarray:
-    """Concatenate per-GPU portions back into a host (G, N) batch."""
-    return np.concatenate([p.to_host() for p in portions], axis=1)
+def collect_portions(
+    portions: list[DeviceArray], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Copy per-GPU portions side by side into a host (G, N) batch.
+
+    Each portion is copied once, straight into its column slice of
+    ``out`` (a fresh array when ``None``).
+    """
+    g, n_local = portions[0].shape
+    if out is None:
+        out = np.empty((g, n_local * len(portions)), dtype=portions[0].dtype)
+    for w, portion in enumerate(portions):
+        portion.to_host(out=out[:, w * n_local : (w + 1) * n_local])
+    return out
 
 
 def problem_scattering_flow(
@@ -364,9 +376,7 @@ class ScanProblemParallel(ScanExecutor):
                     gpu, (g_per_gpu, plan.chunks_total), problem.dtype, virtual=True
                 )
             else:
-                sub = np.ascontiguousarray(
-                    request.batch[i * g_per_gpu : (i + 1) * g_per_gpu]
-                )
+                sub = request.batch[i * g_per_gpu : (i + 1) * g_per_gpu]
                 data = scope.upload(gpu, sub)
                 aux = scope.alloc(gpu, (g_per_gpu, plan.chunks_total), problem.dtype)
             buffers.append((gpu, data, aux))
@@ -388,7 +398,11 @@ class ScanProblemParallel(ScanExecutor):
         return trace
 
     def _collect_output(self, buffers) -> np.ndarray:
-        return np.concatenate([data.to_host() for _, data, _ in buffers], axis=0)
+        g_per_gpu, n = buffers[0][1].shape
+        out = np.empty((g_per_gpu * len(buffers), n), dtype=buffers[0][1].dtype)
+        for i, (_, data, _) in enumerate(buffers):
+            data.to_host(out=out[i * g_per_gpu : (i + 1) * g_per_gpu])
+        return out
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         w, g_per_gpu = self._split(problem)

@@ -43,6 +43,7 @@ from repro.core.kernels import (
     launch_intermediate_scan,
     launch_scan_add,
 )
+from repro.core.multi_gpu import collect_portions, upload_portions
 from repro.core.params import ExecutionPlan, KernelParams, NodeConfig, ProblemConfig
 
 
@@ -103,15 +104,7 @@ class ScanMultiNodeMPS(ScanExecutor):
                 scope.alloc(gpu, (problem.G, n_local), problem.dtype, virtual=True)
                 for gpu in self.gpus
             ]
-        return [
-            scope.upload(
-                gpu,
-                np.ascontiguousarray(
-                    request.batch[:, r * n_local : (r + 1) * n_local]
-                ),
-            )
-            for r, gpu in enumerate(self.gpus)
-        ]
+        return upload_portions(self.gpus, request.batch, self.total_gpus, scope)
 
     def _device_flow(
         self, buffers, plan: ExecutionPlan, functional: bool = True
@@ -119,7 +112,7 @@ class ScanMultiNodeMPS(ScanExecutor):
         return self.run_on_device(buffers, plan, functional=functional)
 
     def _collect_output(self, buffers) -> np.ndarray:
-        return np.concatenate([p.to_host() for p in buffers], axis=1)
+        return collect_portions(buffers)
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         return {

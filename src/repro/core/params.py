@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.primitives.operators import ADD, Operator, resolve_operator
 from repro.util.ints import ilog2, is_power_of_two
 from repro.util.validation import require, require_power_of_two
@@ -30,6 +31,34 @@ from repro.util.validation import require, require_power_of_two
 #: only holds one partial per warp and warps/block <= 32 on every supported
 #: architecture, so S <= 32 ("thanks to use shuffle instructions, S <= 32").
 MAX_S_WITH_SHUFFLE = 5
+
+#: dtype kinds the kernels scan: bool, signed and unsigned integer, float
+#: and complex.
+SCANNABLE_KINDS = "biufc"
+
+
+def require_scannable(dtype, operator: Operator | str) -> None:
+    """Reject, with :class:`ConfigurationError`, what the kernels cannot scan.
+
+    The dtype kind must be one of :data:`SCANNABLE_KINDS` (no strings,
+    bytes, objects, datetimes, timedeltas or structured records), and the
+    operator must have an identity for the dtype (``or`` and ``xor`` need
+    an integer dtype). Every entry point that takes user data checks this
+    before planning, so no raw numpy error escapes the kernels.
+    """
+    dtype = np.dtype(dtype)
+    if dtype.kind not in SCANNABLE_KINDS:
+        raise ConfigurationError(
+            f"cannot scan dtype {dtype}: scan input must be bool, integer, "
+            "float or complex"
+        )
+    op = resolve_operator(operator)
+    try:
+        op.identity(dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"operator {op.name!r} has no identity for dtype {dtype}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -65,6 +94,18 @@ class ProblemConfig:
             dtype=np.dtype(dtype),
             operator=resolve_operator(operator),
             inclusive=inclusive,
+        )
+
+    @classmethod
+    def for_batch(
+        cls, batch: np.ndarray, operator: Operator | str, inclusive: bool
+    ) -> "ProblemConfig":
+        """The config of a coerced ``(G, N)`` host batch, checked with
+        :func:`require_scannable`."""
+        require_scannable(batch.dtype, operator)
+        g, n = batch.shape
+        return cls.from_sizes(
+            N=n, G=g, dtype=batch.dtype, operator=operator, inclusive=inclusive
         )
 
     @property
@@ -254,6 +295,13 @@ class ExecutionPlan:
     n_local: int
     chunks_total: int
     gpus_sharing_problem: int = 1
+    #: Launch specs of this plan's kernels, built on their first launch
+    #: (:func:`repro.core.kernels.launch_spec`). Derived state, not part
+    #: of the plan's value: it is not compared, hashed or serialised, and
+    #: it dies with the plan.
+    launch_specs: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # Section 3.1 equalities the implementation relies on.

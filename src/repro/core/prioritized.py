@@ -30,7 +30,11 @@ from repro.core.executor import (
     ScanRequest,
     register_proposal,
 )
-from repro.core.multi_gpu import problem_scattering_flow, upload_portions
+from repro.core.multi_gpu import (
+    collect_portions,
+    problem_scattering_flow,
+    upload_portions,
+)
 from repro.core.params import ExecutionPlan, KernelParams, NodeConfig, ProblemConfig
 
 
@@ -130,11 +134,14 @@ class ScanMPPC(ScanExecutor):
         return trace
 
     def _collect_output(self, buffers) -> np.ndarray:
-        rows = [
-            np.concatenate([p.to_host() for p in portions], axis=1)
-            for portions in buffers
-        ]
-        return np.concatenate(rows, axis=0)
+        g_per_group, n_local = buffers[0][0].shape
+        out = np.empty(
+            (g_per_group * len(buffers), n_local * len(buffers[0])),
+            dtype=buffers[0][0].dtype,
+        )
+        for j, portions in enumerate(buffers):
+            collect_portions(portions, out[j * g_per_group : (j + 1) * g_per_group])
+        return out
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         groups_used = self.groups_used(problem.G)

@@ -49,7 +49,7 @@ from repro.core.health import (
     RetryPolicy,
     degraded_candidates,
 )
-from repro.core.params import NodeConfig, ProblemConfig
+from repro.core.params import NodeConfig, ProblemConfig, require_scannable
 from repro.core.results import ScanResult
 
 #: Memoised default machines, keyed by node count. ``scan(data)`` without
@@ -334,10 +334,7 @@ class ScanSession:
                     V = min(W, self.topology.gpus_per_network)
                 node = NodeConfig.from_counts(W=W, V=V, M=M)
                 batch = coerce_batch(data)
-                problem = ProblemConfig.from_sizes(
-                    N=batch.shape[1], G=batch.shape[0], dtype=batch.dtype,
-                    operator=operator, inclusive=inclusive,
-                )
+                problem = ProblemConfig.for_batch(batch, operator, inclusive)
                 if proposal == "auto":
                     proposal = recommend_proposal(self.topology, node, problem)
                     # Single-GPU problems additionally pick the winning
@@ -399,6 +396,7 @@ class ScanSession:
         """
         from repro.core.api import recommend_proposal
 
+        require_scannable(problem.dtype, problem.operator)
         with obs.span("estimate") as root:
             with obs.span("plan") as plan_span:
                 if V is None:

@@ -44,9 +44,10 @@ from repro.core.executor import (
     register_proposal,
 )
 from repro.core.kernels import (
-    _lookback_geometry,
+    _single_pass_spec,
     launch_descriptor_reset,
     launch_single_pass_scan,
+    launch_spec,
 )
 from repro.core.params import ExecutionPlan, KernelParams, ProblemConfig
 
@@ -118,12 +119,12 @@ class ScanSinglePassDLB(ScanExecutor):
         return buffers[0].to_host()
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
-        _, capacity, lb = _lookback_geometry(plan, self.gpu.arch)
+        spec = launch_spec(plan, self.gpu.arch, _single_pass_spec)
         return {
             "K": plan.stage1.params.K,
             "single_pass": True,
-            "lookback_window": lb.window,
-            "lookback_capacity": capacity,
+            "lookback_window": spec.lookback.window,
+            "lookback_capacity": spec.capacity,
             "gpu_ids": [self.gpu.id],
         }
 

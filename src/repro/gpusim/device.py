@@ -5,6 +5,10 @@ the paper's platform). It owns a memory pool, executes kernel bodies
 through an :class:`~repro.gpusim.kernel.ExecutionEngine`, prices each
 launch with the :class:`~repro.gpusim.costmodel.CostModel`, and appends the
 resulting :class:`~repro.gpusim.events.KernelRecord` to the caller's trace.
+
+Pricing is a pure function of the launch's inputs, so each device keeps
+the records it priced: a launch whose pricing inputs all match an earlier
+one reuses that record instead of pricing again (see :meth:`GPU.launch`).
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ from repro.gpusim.kernel import (
     LaunchStats,
 )
 from repro.gpusim.memory import BufferPool, DeviceArray, MemoryPool
+from repro.gpusim.occupancy import OccupancyResult
+
+#: Bound on the launch configurations and priced records one device
+#: remembers; a full memo is dropped and refilled by later launches.
+_LAUNCH_MEMO_CAP = 256
 
 
 class GPU:
@@ -58,6 +67,12 @@ class GPU:
         #: Installed :class:`~repro.gpusim.faults.FaultSchedule`; launches
         #: tick it so count/time-triggered faults can fire mid-run.
         self.fault_schedule = None
+        #: Launch memo (:meth:`launch`): occupancy per launch configuration
+        #: and priced records per pricing key, valid for the pricing state
+        #: they were computed under.
+        self._occupancy: dict[LaunchConfig, OccupancyResult] = {}
+        self._records: dict[tuple, KernelRecord] = {}
+        self._priced_under: tuple = (None, None, None, None)
 
     def _check_online(self) -> None:
         if self.offline:
@@ -116,9 +131,13 @@ class GPU:
         return DeviceArray(self, logical, virtual=True)
 
     def upload(self, host: np.ndarray) -> DeviceArray:
-        """Copy a host array into a (possibly recycled) device buffer."""
+        """Copy a host array into a (possibly recycled) device buffer.
+
+        ``host`` may be any strided view (e.g. one GPU's column slice of a
+        batch): it is copied into the contiguous device buffer in one pass.
+        """
         self._check_online()
-        host = np.ascontiguousarray(host)
+        host = np.asarray(host)
         if self.buffer_pool is None:
             self.pool.allocate(host.nbytes, owner=self.name)
             return DeviceArray(self, host.copy())
@@ -178,13 +197,36 @@ class GPU:
         ``extra_latency_s`` adds schedule-independent exposed latency that
         the roofline cannot see — e.g. the decoupled-lookback polling
         stall, which is round-trip-bound rather than bandwidth-bound.
+
+        The record is priced once per pricing key: the kernel name, phase,
+        launch configuration, ``coalesced``, ``extra_latency_s``, the
+        device's ``bandwidth_scale`` and the stats the launch reported,
+        under the same architecture, cost model and cost params. A launch
+        that matches an earlier key reuses its record; the fault tick, the
+        body, the trace append, the fault clock and the telemetry run on
+        every launch either way.
         """
         if self.fault_schedule is not None:
             # Count-triggered faults fire *before* the launch executes, so
             # the n-th call is the first to see the failure.
             self.fault_schedule.tick()
         self._check_online()
-        occ = config.occupancy_on(self.arch)
+        model = self.cost_model
+        under = self._priced_under
+        if (under[0] is not self.arch or under[1] is not model
+                or under[2] is not model.params or under[3] is not model.arch):
+            # Architecture, cost model and cost params are frozen objects:
+            # the memo holds while they are the same objects.
+            self._occupancy.clear()
+            self._records.clear()
+            self._priced_under = (self.arch, model, model.params, model.arch)
+        occ = self._occupancy.get(config)
+        if occ is None:
+            # Residency is checked before any body runs.
+            occ = config.occupancy_on(self.arch)
+            if len(self._occupancy) >= _LAUNCH_MEMO_CAP:
+                self._occupancy.clear()
+            self._occupancy[config] = occ
         if precomputed_stats is not None:
             stats = precomputed_stats
         else:
@@ -193,6 +235,42 @@ class GPU:
             stats = LaunchStats()
             ctx = KernelContext(config=config, stats=stats, warp_size=self.arch.warp_size)
             self.engine.run(ctx, body, ordered=ordered)
+        key = (
+            self.id, name, phase, config, coalesced, extra_latency_s,
+            self.bandwidth_scale,
+            stats.global_bytes_read, stats.global_bytes_written,
+            stats.shuffle_instructions, stats.operator_applications,
+            stats.addressing_instructions,
+        )
+        record = self._records.get(key)
+        if record is None:
+            record = self._price(name, phase, config, occ, stats, coalesced,
+                                 extra_latency_s)
+            if len(self._records) >= _LAUNCH_MEMO_CAP:
+                self._records.clear()
+            self._records[key] = record
+        trace.add(record)
+        if self.fault_schedule is not None:
+            self.fault_schedule.advance_time(record.time_s)
+        if obs.is_enabled():
+            obs.counter("kernel.launches", name=name).inc()
+            obs.counter("kernel.sim_time_s", name=name).inc(record.time_s)
+            if flight.is_armed():
+                flight.note("kernel", name=name, phase=phase, lane=self.lane,
+                            time_s=record.time_s)
+        return record
+
+    def _price(
+        self,
+        name: str,
+        phase: str,
+        config: LaunchConfig,
+        occ: OccupancyResult,
+        stats: LaunchStats,
+        coalesced: bool,
+        extra_latency_s: float,
+    ) -> KernelRecord:
+        """Price one launch with the cost model into its trace record."""
         cost = KernelCostInput(
             total_blocks=config.blocks,
             global_bytes_read=stats.global_bytes_read,
@@ -204,7 +282,7 @@ class GPU:
             occupancy=occ,
             bandwidth_scale=self.bandwidth_scale,
         )
-        record = KernelRecord(
+        return KernelRecord(
             name=name,
             phase=phase,
             lane=self.lane,
@@ -220,16 +298,6 @@ class GPU:
             warp_occupancy=occ.warp_occupancy,
             stall_s=extra_latency_s,
         )
-        trace.add(record)
-        if self.fault_schedule is not None:
-            self.fault_schedule.advance_time(record.time_s)
-        if obs.is_enabled():
-            obs.counter("kernel.launches", name=name).inc()
-            obs.counter("kernel.sim_time_s", name=name).inc(record.time_s)
-            if flight.is_armed():
-                flight.note("kernel", name=name, phase=phase, lane=self.lane,
-                            time_s=record.time_s)
-        return record
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GPU(id={self.id}, arch={self.arch.name!r})"

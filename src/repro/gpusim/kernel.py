@@ -116,6 +116,29 @@ class LaunchStats:
         self.addressing_instructions += other.addressing_instructions
 
 
+#: Read-only ``arange(total)`` block-id arrays, one per grid size; the cap
+#: bounds memory for long-running servers.
+_GRID_IDS: dict[int, np.ndarray] = {}
+_GRID_IDS_CAP = 64
+
+
+def grid_ids(total: int) -> np.ndarray:
+    """The ids ``0 .. total-1`` of a whole grid, in launch order.
+
+    One cached read-only array per grid size: the vectorized engine hands
+    this very array to a body, so :meth:`KernelContext.covers_grid`
+    recognises such a call with an identity test instead of a compare.
+    """
+    ids = _GRID_IDS.get(total)
+    if ids is None:
+        if len(_GRID_IDS) >= _GRID_IDS_CAP:
+            _GRID_IDS.clear()
+        ids = np.arange(total, dtype=np.int64)
+        ids.flags.writeable = False
+        _GRID_IDS[total] = ids
+    return ids
+
+
 @dataclass
 class KernelContext:
     """What a kernel body sees: its launch geometry and its stats sink."""
@@ -123,6 +146,15 @@ class KernelContext:
     config: LaunchConfig
     stats: LaunchStats
     warp_size: int
+
+    def covers_grid(self, block_ids: np.ndarray) -> bool:
+        """Whether one call received every block of the grid, in launch order.
+
+        True exactly for the vectorized engine's single call, which passes
+        :func:`grid_ids`; any other delivery (blockwise, reordered test
+        engines) is answered ``False`` in O(1), without a compare.
+        """
+        return block_ids is _GRID_IDS.get(self.config.blocks)
 
     def block_xy(self, block_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decompose linear block ids into (bx, by) grid coordinates.
@@ -158,7 +190,7 @@ class ExecutionEngine:
         """
         total = ctx.config.blocks
         if self.mode == "vectorized":
-            body(ctx, np.arange(total, dtype=np.int64))
+            body(ctx, grid_ids(total))
         elif self.mode == "blockwise":
             order = (
                 np.arange(total, dtype=np.int64)

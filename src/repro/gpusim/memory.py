@@ -84,9 +84,22 @@ class DeviceArray:
         """A zero-copy reshape on the same device."""
         return DeviceArray(self._device, self._data.reshape(*shape), virtual=self.virtual)
 
-    def to_host(self) -> np.ndarray:
-        """Copy the contents out to host memory (always a copy)."""
-        return self._data.copy()
+    def to_host(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Copy the contents out to host memory (always a copy).
+
+        ``out`` receives the copy instead of a new array — e.g. this
+        buffer's slice of a preallocated host batch, so assembling a batch
+        from per-GPU portions copies each element once.
+        """
+        if out is None:
+            return self._data.copy()
+        if out.shape != self._data.shape or out.dtype != self._data.dtype:
+            raise AllocationError(
+                f"host buffer {out.shape} {out.dtype} does not match device "
+                f"buffer {self._data.shape} {self._data.dtype}"
+            )
+        out[...] = self._data
+        return out
 
     def fill_from_host(self, host: np.ndarray) -> None:
         """Overwrite the buffer contents from a host array of equal shape."""

@@ -120,6 +120,9 @@ class SystemTopology:
         self.health: HealthState | None = None
         #: Installed :class:`~repro.gpusim.faults.FaultSchedule` (or None).
         self.fault_schedule = None
+        #: The last :func:`~repro.core.autotune_cache.cost_fingerprint`
+        #: with the pricing state it digested (or None).
+        self.fingerprint_memo: tuple | None = None
         cost_model = CostModel(arch, cost_params)
 
         self.gpus: list[GPU] = []

@@ -19,11 +19,19 @@ their PCIe network's switch lane (copies inside one network serialise);
 host-staged transfers occupy the node's host-memory lane (all cross-network
 copies of a node serialise through the host). Lanes map onto the trace
 composition rule in :mod:`repro.gpusim.events`.
+
+Each engine keeps the records it priced. On a healthy machine a record is
+a pure function of the call's arguments and the cost params, so a repeated
+copy, dispatch or host copy reuses its record; the data still moves and
+the fault schedule and telemetry still see every call. While the machine
+has a health state, routes and lane speeds can change between two copies
+of one flow, so every record is priced afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro import obs
 from repro.obs import flight
@@ -82,12 +90,43 @@ def _observe(record: TransferRecord) -> None:
                     time_s=record.time_s)
 
 
+#: Bound on the priced records one engine remembers; a full memo is
+#: dropped and refilled by later calls.
+_RECORD_MEMO_CAP = 512
+
+
 class TransferEngine:
     """Executes and prices intra-node copies between device buffers."""
 
     def __init__(self, topology: SystemTopology, params: TransferCostParams | None = None):
         self.topology = topology
         self.params = params or topology.transfer_params or TransferCostParams()
+        #: Priced records by call key, valid for ``_records_params``.
+        self._records: dict[tuple, TransferRecord] = {}
+        self._records_params = self.params
+
+    def _priced(
+        self, key: tuple, price: Callable[[], TransferRecord]
+    ) -> TransferRecord:
+        """The record of the call ``key`` names, priced by ``price()`` once.
+
+        The record is kept while the machine is healthy and the params
+        object is unchanged. While the machine has a health state every
+        call is priced afresh: its routes and lane speeds can change
+        between two copies of one flow.
+        """
+        if self.topology.health is not None:
+            return price()
+        records = self._records
+        if self._records_params is not self.params or (
+            len(records) >= _RECORD_MEMO_CAP
+        ):
+            records.clear()
+            self._records_params = self.params
+        record = records.get(key)
+        if record is None:
+            record = records[key] = price()
+        return record
 
     # -------------------------------------------------------- availability
 
@@ -171,53 +210,46 @@ class TransferEngine:
         """Price an H2D copy (data distribution). The node's host-memory
         lane is the shared resource, so simultaneous uploads to several
         GPUs of one node serialise — matching one pinned staging buffer."""
+        return self._host_copy("h2d", trace, phase, gpu, nbytes, messages)
+
+    def device_to_host(
+        self, trace: Trace, phase: str, gpu, nbytes: int, messages: int = 1
+    ) -> TransferRecord:
+        """Price a D2H copy (result collection)."""
+        return self._host_copy("d2h", trace, phase, gpu, nbytes, messages)
+
+    def _host_copy(
+        self, kind: str, trace: Trace, phase: str, gpu, nbytes: int, messages: int
+    ) -> TransferRecord:
         self._schedule_tick()
-        if self.topology.health is not None:
-            self._check_reachable(gpu)
-        slot = self.topology.slot(gpu)
-        p = self.params
-        lane = f"host{slot.node}"
-        record = TransferRecord(
-            phase=phase,
-            lane=lane,
-            time_s=self._lane_scale(lane)
-            * (p.hostcopy_latency_s * messages + nbytes / (p.h2d_bandwidth_gbs * 1e9)),
-            src_gpu=-1,
-            dst_gpu=gpu.id,
-            nbytes=nbytes,
-            kind="h2d",
-            messages=messages,
+        record = self._priced(
+            (kind, phase, gpu.id, nbytes, messages),
+            lambda: self._price_host_copy(kind, phase, gpu, nbytes, messages),
         )
         trace.add(record)
         self._schedule_advance(record.time_s)
         _observe(record)
         return record
 
-    def device_to_host(
-        self, trace: Trace, phase: str, gpu, nbytes: int, messages: int = 1
+    def _price_host_copy(
+        self, kind: str, phase: str, gpu, nbytes: int, messages: int
     ) -> TransferRecord:
-        """Price a D2H copy (result collection)."""
-        self._schedule_tick()
         if self.topology.health is not None:
             self._check_reachable(gpu)
-        slot = self.topology.slot(gpu)
         p = self.params
-        lane = f"host{slot.node}"
-        record = TransferRecord(
+        lane = f"host{self.topology.slot(gpu).node}"
+        bandwidth = p.h2d_bandwidth_gbs if kind == "h2d" else p.d2h_bandwidth_gbs
+        return TransferRecord(
             phase=phase,
             lane=lane,
             time_s=self._lane_scale(lane)
-            * (p.hostcopy_latency_s * messages + nbytes / (p.d2h_bandwidth_gbs * 1e9)),
-            src_gpu=gpu.id,
-            dst_gpu=-1,
+            * (p.hostcopy_latency_s * messages + nbytes / (bandwidth * 1e9)),
+            src_gpu=-1 if kind == "h2d" else gpu.id,
+            dst_gpu=gpu.id if kind == "h2d" else -1,
             nbytes=nbytes,
-            kind="d2h",
+            kind=kind,
             messages=messages,
         )
-        trace.add(record)
-        self._schedule_advance(record.time_s)
-        _observe(record)
-        return record
 
     # ------------------------------------------------------------- dispatch
 
@@ -235,14 +267,17 @@ class TransferEngine:
         composed with parallel device work. Single-GPU runs skip this
         (their one dispatch pipelines behind the kernel itself).
         """
-        record = TransferRecord(
-            phase=phase,
-            lane=gpu.lane,
-            time_s=ordinal * self.params.host_dispatch_s,
-            src_gpu=gpu.id,
-            dst_gpu=gpu.id,
-            nbytes=0,
-            kind="dispatch",
+        record = self._priced(
+            ("dispatch", phase, gpu.id, ordinal),
+            lambda: TransferRecord(
+                phase=phase,
+                lane=gpu.lane,
+                time_s=ordinal * self.params.host_dispatch_s,
+                src_gpu=gpu.id,
+                dst_gpu=gpu.id,
+                nbytes=0,
+                kind="dispatch",
+            ),
         )
         trace.add(record)
         _observe(record)
@@ -280,21 +315,30 @@ class TransferEngine:
         if messages < 1:
             raise TransferError(f"messages must be >= 1, got {messages}")
         self._schedule_tick()
-        kind = self.route_kind(src.device, dst.device)
+        src_gpu, dst_gpu, nbytes = src.device, dst.device, src.nbytes
+        record = self._priced(
+            ("copy", phase, src_gpu.id, dst_gpu.id, nbytes, messages),
+            lambda: self._price_copy(phase, src_gpu, dst_gpu, nbytes, messages),
+        )
         if functional:
             dst.data[...] = src.data
-        lane = self._lane(kind, src.device, dst.device)
-        record = TransferRecord(
-            phase=phase,
-            lane=lane,
-            time_s=self._lane_scale(lane) * self._time(kind, src.nbytes, messages),
-            src_gpu=src.device.id,
-            dst_gpu=dst.device.id,
-            nbytes=src.nbytes,
-            kind=kind,
-            messages=messages,
-        )
         trace.add(record)
         self._schedule_advance(record.time_s)
         _observe(record)
         return record
+
+    def _price_copy(
+        self, phase: str, src_gpu, dst_gpu, nbytes: int, messages: int
+    ) -> TransferRecord:
+        kind = self.route_kind(src_gpu, dst_gpu)
+        lane = self._lane(kind, src_gpu, dst_gpu)
+        return TransferRecord(
+            phase=phase,
+            lane=lane,
+            time_s=self._lane_scale(lane) * self._time(kind, nbytes, messages),
+            src_gpu=src_gpu.id,
+            dst_gpu=dst_gpu.id,
+            nbytes=nbytes,
+            kind=kind,
+            messages=messages,
+        )

@@ -70,6 +70,7 @@ from repro.errors import (
 )
 from repro.obs.registry import Histogram
 from repro.core.executor import pad_rows_to_batch
+from repro.core.params import require_scannable
 from repro.core.results import ScanResult
 from repro.primitives.operators import resolve_operator
 from repro.serve.clock import SimClock
@@ -376,6 +377,7 @@ class ScanService:
         if arr.size == 0:
             raise ConfigurationError("service requests must be non-empty")
         op = resolve_operator(operator)
+        require_scannable(arr.dtype, op)
         if at is not None:
             self.advance_to(at)
         if self.depth >= self.max_queue:

@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core import autotune_cache
+from repro.core.session import ScanSession
 from repro.errors import TuningError
 from repro.core.autotune_cache import (
     VARIANT_PSEUDO_PROPOSAL,
@@ -74,6 +77,12 @@ class TestCostFingerprint:
                        fingerprint=cost_fingerprint(repriced))
         assert k1 != k2
 
+        # The same machine, repriced after its digest was taken (and kept).
+        machine = tsubame_kfc(1)
+        before = cost_fingerprint(machine)
+        machine.transfer_params = TransferCostParams(p2p_bandwidth_gbs=25.0)
+        assert cost_fingerprint(machine) == cost_fingerprint(repriced) != before
+
     def test_degraded_health_changes_fingerprint(self):
         """A degraded machine prices transfers differently; its best-K must
         not be read back on (or written for) the healthy machine."""
@@ -84,6 +93,19 @@ class TestCostFingerprint:
         degraded.mark_offline(0)
         assert cost_fingerprint(degraded) != before
         assert cost_fingerprint(degraded) != cost_fingerprint(healthy)
+
+    def test_warm_auto_call_computes_no_digest(self, monkeypatch):
+        """A warm ``auto`` call at W=1 looks its variant up under the cost
+        fingerprint; the digest is reused, not recomputed."""
+        session = ScanSession(tsubame_kfc(1))
+        data = np.arange(1 << 12, dtype=np.int32)
+        session.scan(data)
+        digested = []
+        real = autotune_cache.asdict
+        monkeypatch.setattr(autotune_cache, "asdict",
+                            lambda obj: digested.append(obj) or real(obj))
+        session.scan(data)
+        assert digested == []
 
     def test_armed_but_clean_health_state_is_distinct_key_space(self):
         # ensure_health() alone creates an empty HealthState; the fingerprint

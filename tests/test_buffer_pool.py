@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import scan
+from repro.core.kernels import _BlockScanCore
 from repro.gpusim.arch import KEPLER_K80
 from repro.gpusim.device import GPU
 from repro.gpusim.kernel import ExecutionEngine
@@ -149,17 +150,32 @@ class TestPooledScanEquivalence:
                              ids=lambda d: np.dtype(d).name)
     @pytest.mark.parametrize("proposal,spec,nodes", PROPOSALS,
                              ids=[p[0] for p in PROPOSALS])
-    def test_fast_paths_bit_identical_every_proposal(self, proposal, spec, nodes,
-                                                     dtype):
+    def test_fast_paths_bit_identical_every_proposal(self, monkeypatch, proposal,
+                                                     spec, nodes, dtype):
         """Exact dtypes take the one-pass kernel bodies on the fast path
-        and the warp flow without it: same bytes, same trace."""
+        and the warp flow without it: same bytes, same trace — also when
+        the warp flow runs on a warm machine whose launches the fast path
+        has already priced."""
         data = _batch(seed=29)
         data = (data > 0) if dtype is np.bool_ else data.astype(dtype)
         with fast_paths(False):
             slow = scan(data, topology=tsubame_kfc(nodes), proposal=proposal,
                         **spec)
-        fast = scan(data, topology=tsubame_kfc(nodes), proposal=proposal, **spec)
+        machine = tsubame_kfc(nodes)
+        fast = scan(data, topology=machine, proposal=proposal, **spec)
         assert slow.output.dtype == fast.output.dtype == data.dtype
         assert slow.output.tobytes() == fast.output.tobytes()
         assert slow.trace.records == fast.trace.records
         assert slow.trace.total_time() == fast.trace.total_time()
+
+        flows = []
+        run_flow = _BlockScanCore.run
+        monkeypatch.setattr(
+            _BlockScanCore, "run",
+            lambda core, chunks: flows.append(1) or run_flow(core, chunks),
+        )
+        with fast_paths(False):
+            warm = scan(data, topology=machine, proposal=proposal, **spec)
+        assert flows, "fast_paths(False) must run the warp flow on a warm plan"
+        assert warm.output.tobytes() == fast.output.tobytes()
+        assert warm.trace.records == fast.trace.records

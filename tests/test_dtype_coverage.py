@@ -5,6 +5,7 @@ import pytest
 
 from repro import scan
 from repro.core.params import ProblemConfig
+from repro.errors import ConfigurationError
 from repro.core.premises import premise2_p
 from repro.core.single_gpu import ScanSP
 
@@ -90,6 +91,44 @@ class TestByteOrder:
         out = ScanSession(topology=machine).scan(data, operator="max").output
         assert out.dtype == np.dtype(np.int32)
         np.testing.assert_array_equal(out[0], np.maximum.accumulate(data))
+
+
+class TestUnscannableInput:
+    """Input the kernels cannot serve is rejected up front with a typed
+    ``ConfigurationError``, never a raw numpy error from inside them."""
+
+    @pytest.mark.parametrize("entry", ["scan", "session", "service"])
+    @pytest.mark.parametrize("data,operator", [
+        pytest.param(np.array(list("abcdefgh")), "add", id="str"),
+        pytest.param(np.array([b"a"] * 8), "add", id="bytes"),
+        pytest.param(np.arange(8).astype(object), "add", id="object"),
+        pytest.param(np.arange(8).astype("datetime64[s]"), "add",
+                     id="datetime64"),
+        pytest.param(np.arange(8).astype("timedelta64[s]"), "add",
+                     id="timedelta64"),
+        pytest.param(np.zeros(8, dtype=[("a", "i4"), ("b", "f4")]), "add",
+                     id="structured"),
+        pytest.param(np.arange(8, dtype=np.float32), "or", id="float32-or"),
+        pytest.param(np.arange(8, dtype=np.float32), "xor", id="float32-xor"),
+        pytest.param(np.arange(8, dtype=np.float64), "or", id="float64-or"),
+        pytest.param(np.arange(8, dtype=np.float64), "xor", id="float64-xor"),
+    ])
+    def test_rejected_with_typed_error(self, machine, data, operator, entry):
+        from repro.core.session import ScanSession
+
+        session = ScanSession(topology=machine)
+        call = {
+            "scan": lambda: scan(data, topology=machine, operator=operator),
+            "session": lambda: session.scan(data, operator=operator),
+            "service": lambda: session.service().submit(data, operator=operator),
+        }[entry]
+        with pytest.raises(ConfigurationError):
+            call()
+
+    def test_complex_input_is_served(self, machine):
+        data = (np.arange(8) + 1j * np.arange(8)).astype(np.complex64)
+        result = scan(data, topology=machine)
+        np.testing.assert_array_equal(result.output[0], np.cumsum(data))
 
 
 class TestPremise2DtypeAdaptation:
