@@ -778,16 +778,16 @@ def _cmd_selfcheck() -> int:
             checks += 1
             print(f"  ok {proposal:>7} G={g:<3} N={n:<6} "
                   f"{result.total_time_s * 1e3:8.3f} ms")
-    chained = ScanChained(machine.gpus[0]).run(
-        rng.integers(0, 100, (4, 1 << 12)).astype(np.int32)
-    )
-    assert chained.output is not None
+    data = rng.integers(0, 100, (4, 1 << 12)).astype(np.int32)
+    chained = ScanChained(machine.gpus[0]).run(data)
+    np.testing.assert_array_equal(chained.output,
+                                  np.cumsum(data, axis=1, dtype=np.int32))
     checks += 1
     print(f"  ok chained scan ({chained.total_time_s * 1e3:.3f} ms)")
-    ragged, _ = scan_ragged(
-        [rng.integers(0, 9, s).astype(np.int32) for s in (7, 100, 1000)],
-        machine,
-    )
+    arrays = [rng.integers(0, 9, s).astype(np.int32) for s in (7, 100, 1000)]
+    ragged, _ = scan_ragged(arrays, machine)
+    for out, array in zip(ragged, arrays, strict=True):
+        np.testing.assert_array_equal(out, np.cumsum(array, dtype=np.int32))
     checks += 1
     print("  ok ragged batch")
     print(f"selfcheck passed ({checks} checks, all verified against numpy)")

@@ -413,15 +413,15 @@ class LaunchSpec:
     Everything here is a pure function of the plan, the data's geometry
     and the architecture: the launch configuration, the closed-form
     counters of a call that covers the whole grid, the block flow and,
-    for the decoupled-lookback pass, the resident-block capacity.
+    for the single pass, how the launch is named and priced.
     :func:`launch_spec` builds a spec on its kernel's first launch and
     keeps it in :attr:`~repro.core.params.ExecutionPlan.launch_specs`.
     The one value derived from the cost params, the lookback stall, is
     kept with the params object it was priced under (:meth:`stall_s`).
     """
 
-    __slots__ = ("arch", "config", "grid_stats", "flow", "capacity",
-                 "lookback", "_core", "_stall")
+    __slots__ = ("arch", "config", "grid_stats", "flow", "name", "call_stats",
+                 "capacity", "lookback", "_core", "_stall")
 
     def __init__(
         self,
@@ -429,6 +429,8 @@ class LaunchSpec:
         config: LaunchConfig,
         grid_stats: LaunchStats,
         flow: tuple[KernelParams, Operator, np.dtype] | None = None,
+        name: str = "",
+        call_stats: Callable[..., LaunchStats] | None = None,
         capacity: int = 0,
         lookback: LookbackParams | None = None,
     ):
@@ -438,8 +440,13 @@ class LaunchSpec:
         self.grid_stats = grid_stats
         #: ``(params, operator, dtype)`` of the block flow, or ``None``.
         self.flow = flow
-        #: Lookback geometry (sp-dlb only): the resident-block capacity,
-        #: which is the lookback horizon, and the protocol params.
+        #: Single pass only: the record name, ``call_stats(plan, bx, costs)``
+        #: (the counters of one call's blocks, ``bx`` their grid columns;
+        #: ``plan`` is passed, not captured, as the plan holds the spec),
+        #: the resident-block capacity, which is the lookback horizon, and
+        #: the protocol params (``None``: the protocol is free, no stall).
+        self.name = name
+        self.call_stats = call_stats
         self.capacity = capacity
         self.lookback = lookback
         self._core: _BlockScanCore | None = None
@@ -458,7 +465,7 @@ class LaunchSpec:
 
     def stall_s(self, params: CostModelParams) -> float:
         """The lookback polling stall, priced once per cost-params object."""
-        if self._stall[0] is not params:
+        if self.lookback is not None and self._stall[0] is not params:
             config = self.config
             stall = lookback_stall_s(
                 config.blocks, config.grid_x, self.capacity,
@@ -714,7 +721,8 @@ def launch_scan_add(
 
 
 # --------------------------------------------------------------------------
-# Decoupled-lookback single pass (the sp-dlb proposal, repro.core.single_pass)
+# Single pass: sp-dlb (repro.core.single_pass) and, under idealised
+# pricing, chained (repro.core.chained)
 # --------------------------------------------------------------------------
 
 #: Threads of the descriptor-reset memset kernel (a trivial 1D grid).
@@ -822,8 +830,8 @@ def single_pass_scan_stats(
 ) -> LaunchStats:
     """Closed-form counters of the decoupled-lookback pass (exact).
 
-    The streaming traffic is the chained kernel's ~2N bytes; on top of it
-    the protocol moves descriptors at warp granularity:
+    The streaming traffic is one pass's ~2N bytes; on top of it the
+    protocol moves descriptors at warp granularity:
     :func:`~repro.gpusim.lookback.total_lookback_reads` aggregate/prefix
     reads (a pure function of grid column and resident capacity, so the
     functional bodies reproduce the same totals block by block) and two
@@ -849,10 +857,16 @@ def single_pass_scan_stats(
 def _single_pass_spec(plan: ExecutionPlan, arch: GPUArchitecture, _) -> LaunchSpec:
     config, capacity, lookback = _lookback_geometry(plan, arch)
     reads = total_lookback_reads(plan.stage1.bx, plan.stage1.by, capacity)
+
+    def call_stats(plan: ExecutionPlan, bx: np.ndarray, costs) -> LaunchStats:
+        reads = int(lookback_reads_per_block(bx, capacity).sum())
+        return single_pass_scan_stats(plan, arch, len(bx), reads, costs)
+
     return LaunchSpec(
         arch, config,
         single_pass_scan_stats(plan, arch, config.blocks, reads),
         flow=(plan.stage1.params, plan.problem.operator, plan.problem.dtype),
+        name="single_pass_scan", call_stats=call_stats,
         capacity=capacity, lookback=lookback,
     )
 
@@ -923,14 +937,15 @@ def launch_single_pass_scan(
     plan: ExecutionPlan,
     phase: str = "sp-dlb",
     functional: bool = True,
+    build: Callable[..., LaunchSpec] = _single_pass_spec,
 ) -> KernelRecord:
     """The decoupled-lookback pass: local scan + descriptor protocol, once.
 
     The global-memory protocol state is two planes per block: ``status``,
-    the ``(g_local, Bx)`` integer status word reset to ``X`` by
-    :func:`launch_descriptor_reset`, and ``descriptors``, the
-    ``(g_local, Bx, 2)`` ``[aggregate, inclusive_prefix]`` pair in the
-    payload dtype. Each block:
+    the ``(g_local, Bx)`` integer status word, reset to ``X`` before the
+    pass (by :func:`launch_descriptor_reset`, or allocated so), and
+    ``descriptors``, the ``(g_local, Bx, 2)`` ``[aggregate,
+    inclusive_prefix]`` pair in the payload dtype. Each block:
 
     1. runs the Stage-1/3 register/warp/smem flow over its chunk;
     2. resolves its exclusive prefix — on hardware by looking back over
@@ -944,12 +959,13 @@ def launch_single_pass_scan(
     result is the sequential fold, and one accumulate over each row's
     chunk totals resolves every block of the call with the same bits
     (:func:`_resolve_lookback`). Float results are therefore
-    bit-identical to the chained executor's and across the vectorized
-    and blockwise execution modes.
+    bit-identical across the vectorized and blockwise execution modes.
 
-    The residency window shapes only the model: the descriptor reads
-    (:func:`~repro.gpusim.lookback.lookback_reads_per_block`) and the
-    polling stall. The stall is round-trip-bound, invisible to the
+    ``build`` makes the :class:`LaunchSpec` that names and prices the
+    launch; :mod:`repro.core.chained` passes one with free descriptors.
+    The default, sp-dlb's, lets the residency window shape the descriptor
+    reads (:func:`~repro.gpusim.lookback.lookback_reads_per_block`) and
+    the polling stall. The stall is round-trip-bound, invisible to the
     byte-counting roofline, so it rides on the launch as
     ``extra_latency_s`` — computed closed-form from the grid geometry
     (schedule-independent), identical for the functional run and the
@@ -969,11 +985,11 @@ def launch_single_pass_scan(
             f"descriptor planes must be {(g_local, bx_total)} and "
             f"{(g_local, bx_total, 2)}, got {planes[0]} and {planes[1]}"
         )
-    spec = launch_spec(plan, gpu.arch, _single_pass_spec)
+    spec = launch_spec(plan, gpu.arch, build)
     stall_s = spec.stall_s(gpu.cost_model.params)
     if not functional:
         return gpu.launch(
-            trace, "single_pass_scan", phase, spec.config, None, ordered=True,
+            trace, spec.name, phase, spec.config, None, ordered=True,
             precomputed_stats=spec.grid_stats, extra_latency_s=stall_s,
         )
 
@@ -1018,10 +1034,9 @@ def launch_single_pass_scan(
         if covering and costs is None:
             ctx.stats.merge(spec.grid_stats)
             return
-        reads = int(lookback_reads_per_block(bx, spec.capacity).sum())
-        ctx.stats.merge(single_pass_scan_stats(plan, gpu.arch, nb, reads, costs))
+        ctx.stats.merge(spec.call_stats(plan, bx, costs))
 
     return gpu.launch(
-        trace, "single_pass_scan", phase, spec.config, body, ordered=True,
+        trace, spec.name, phase, spec.config, body, ordered=True,
         extra_latency_s=stall_s,
     )

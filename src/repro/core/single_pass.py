@@ -1,9 +1,9 @@
 """``sp-dlb``: single-pass decoupled-lookback scan as a registry proposal.
 
-Where :mod:`repro.core.chained` models the StreamScan family as an
-*idealised* serial chain (a handful of descriptor words per block, no
-protocol cost), this executor prices the protocol honestly, the way CUB's
-``DeviceScan`` and LightScan (arXiv:1604.04815) actually pay for it:
+This executor runs the repo's one single-pass kernel
+(:func:`repro.core.kernels.launch_single_pass_scan`) and prices its
+descriptor protocol honestly, the way CUB's ``DeviceScan`` and LightScan
+(arXiv:1604.04815) actually pay for it:
 
 - a descriptor-reset memset launch plus fixed protocol-arming latency
   before the pass can start;
@@ -20,10 +20,11 @@ memory pass dominates). That crossover is exactly what
 memoises; sessions resolve ``proposal="auto"`` through it so callers get
 the winner transparently (see ``benchmarks/bench_single_pass.py``).
 
-The executor shares the :class:`~repro.core.executor.PlanResolver` /
-:class:`~repro.core.executor.Placement` machinery: its plan spec is
-identical to the chained executor's (small K keeps many blocks in flight
-to pipeline the lookback), so the two even share a resolver cache entry.
+:class:`~repro.core.chained.ScanChained` is this executor with the
+protocol priced at zero: same plan (small K keeps many blocks in flight
+to pipeline the lookback, so the two share a resolver cache entry), same
+buffers and kernel body, but an idealised launch spec and no reset
+launch.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro import obs
 from repro.gpusim.arch import GPUArchitecture
 from repro.gpusim.device import GPU
 from repro.gpusim.events import Trace
+from repro.gpusim.lookback import STATE_INVALID
 from repro.gpusim.memory import AllocationScope
 from repro.core.executor import (
     Placement,
@@ -57,6 +59,12 @@ class ScanSinglePassDLB(ScanExecutor):
 
     proposal = "sp-dlb"
     result_label = "scan-sp-dlb"
+    #: Builds the pass's :class:`~repro.core.kernels.LaunchSpec`, which
+    #: names the launch record and prices it.
+    build_spec = staticmethod(_single_pass_spec)
+    #: Whether a priced ``descriptor_reset`` launch clears the status plane
+    #: before the pass. Without one the plane is allocated already reset.
+    reset_launch = True
 
     def __init__(
         self,
@@ -73,9 +81,8 @@ class ScanSinglePassDLB(ScanExecutor):
         return self.gpu.arch
 
     def _plan_spec(self, problem: ProblemConfig) -> PlanSpec:
-        # Same geometry preference as the chained executor: lookback
-        # pipelining wants many blocks in flight, so K stays at the bottom
-        # of the search space unless explicitly overridden.
+        # Lookback pipelining wants many blocks in flight, so K stays at
+        # the bottom of the search space unless explicitly overridden.
         return PlanSpec(
             problem=problem, parts=1, K=self.K, template=self.stage1_template,
             k_space="sp", k_pick="min", clamp_chunks=True,
@@ -95,7 +102,10 @@ class ScanSinglePassDLB(ScanExecutor):
             )
         else:
             device_data = scope.upload(self.gpu, request.batch)
-        status = scope.alloc(self.gpu, status_shape, np.int32, virtual=virtual)
+        status = scope.alloc(
+            self.gpu, status_shape, np.int32, virtual=virtual,
+            fill=None if self.reset_launch else STATE_INVALID,
+        )
         descriptors = scope.alloc(
             self.gpu, status_shape + (2,), problem.dtype, virtual=virtual
         )
@@ -105,13 +115,15 @@ class ScanSinglePassDLB(ScanExecutor):
                      functional: bool = True) -> Trace:
         device_data, status, descriptors = buffers
         trace = Trace()
-        with obs.span("sp-dlb"):
-            launch_descriptor_reset(
-                trace, self.gpu, status, plan, functional=functional,
-            )
+        with obs.span(self.proposal):
+            if self.reset_launch:
+                launch_descriptor_reset(
+                    trace, self.gpu, status, plan, functional=functional,
+                )
             launch_single_pass_scan(
                 trace, self.gpu, device_data, status, descriptors, plan,
-                functional=functional,
+                phase=self.proposal, functional=functional,
+                build=self.build_spec,
             )
         return trace
 

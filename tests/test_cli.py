@@ -203,6 +203,26 @@ class TestFigures:
         assert "selfcheck passed" in out
         assert "chained scan" in out
 
+    @pytest.mark.parametrize("target", ["chained", "ragged"])
+    def test_selfcheck_fails_on_a_wrong_output(self, monkeypatch, target):
+        """Every output selfcheck reports is compared against numpy."""
+        from repro.core import ragged
+        from repro.core.chained import ScanChained
+
+        if target == "chained":
+            collect = ScanChained._collect_output
+            monkeypatch.setattr(ScanChained, "_collect_output",
+                                lambda self, buffers: collect(self, buffers) + 1)
+        else:
+            scan_ragged = ragged.scan_ragged
+
+            def off_by_one(*args, **kwargs):
+                outputs, results = scan_ragged(*args, **kwargs)
+                return [out + 1 for out in outputs], results
+            monkeypatch.setattr(ragged, "scan_ragged", off_by_one)
+        with pytest.raises(AssertionError):
+            main(["selfcheck"])
+
 
 class TestAsciiChart:
     def test_renders_all_series(self):

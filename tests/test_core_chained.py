@@ -5,11 +5,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpusim.arch import KEPLER_K80
+from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import GPU
 from repro.gpusim.kernel import ExecutionEngine
 from repro.core.chained import ScanChained
 from repro.core.params import ProblemConfig
 from repro.primitives.sequential import exclusive_scan
+
+#: What chained's one launch is priced from, as literals: global bytes
+#: read and written, shuffles, operator applications and addressing
+#: instructions. They keep the idealised pricing (a few descriptor words
+#: per block) from drifting into sp-dlb's costed protocol.
+PINNED_COUNTERS = [
+    pytest.param(
+        lambda gpu: ScanChained(gpu).estimate(
+            ProblemConfig.from_sizes(N=1 << 28, G=1)
+        ),
+        (1080033280, 1075838976, 86245376, 589561856, 201326592),
+        id="estimate-n28-g1",
+    ),
+    pytest.param(
+        lambda gpu: ScanChained(gpu).estimate(
+            ProblemConfig.from_sizes(N=1 << 13, G=1 << 15)
+        ),
+        (1080033280, 1075838976, 86245376, 589561856, 201326592),
+        id="estimate-n13-g15",
+    ),
+    pytest.param(
+        lambda gpu: ScanChained(gpu).run(
+            np.random.default_rng(1).integers(0, 100, (8, 1 << 14)).astype(np.int32)
+        ),
+        (527360, 525312, 42112, 287872, 98304),
+        id="run-8x2^14-int32",
+    ),
+]
 
 
 class TestChainedScan:
@@ -98,3 +127,26 @@ class TestChainedScan:
         data = rng.integers(-1000, 1000, (1 << log_g, 1 << log_n)).astype(np.int64)
         result = ScanChained(gpu).run(data)
         np.testing.assert_array_equal(result.output, np.cumsum(data, axis=-1))
+
+
+class TestIdealisedPricing:
+    @pytest.mark.parametrize("call,counters", PINNED_COUNTERS)
+    def test_priced_counters_are_pinned(self, machine, monkeypatch, call, counters):
+        priced = []
+        kernel_time = CostModel.kernel_time
+
+        def capture(model, cost):
+            priced.append((
+                cost.global_bytes_read, cost.global_bytes_written,
+                cost.shuffle_instructions, cost.operator_applications,
+                cost.addressing_instructions,
+            ))
+            return kernel_time(model, cost)
+
+        monkeypatch.setattr(CostModel, "kernel_time", capture)
+        result = call(machine.gpus[0])
+        assert priced == [counters]
+        (record,) = result.trace.records
+        assert (record.name, record.phase, record.stall_s) == (
+            "chained_scan", "chained", 0.0
+        )

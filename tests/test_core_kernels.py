@@ -10,6 +10,7 @@ from repro.gpusim.device import GPU
 from repro.gpusim.events import Trace
 from repro.gpusim.kernel import ExecutionEngine
 from repro.core import kernels
+from repro.core.chained import ScanChained
 from repro.core.kernels import (
     _lookback_geometry,
     chunk_reduce_stats,
@@ -326,9 +327,9 @@ class TestHostCost:
         monkeypatch.setattr(kernels, "warp_exclusive_scan", counted_warp)
         return calls, warp_scans
 
-    def warm_scan(self, machine, dtype, K, rng, counters):
+    def warm_scan(self, machine, dtype, K, rng, counters, executor_cls=ScanSP):
         data = rng.integers(-40, 90, (16, 1 << 14)).astype(dtype)
-        executor = ScanSP(machine.gpus[0], K=K)
+        executor = executor_cls(machine.gpus[0], K=K)
         executor.run(data)  # warm: plan resolved, buffers pooled
         for counter in counters:
             counter.clear()
@@ -350,3 +351,11 @@ class TestHostCost:
         calls, warp_scans = self.count_calls(monkeypatch)
         self.warm_scan(machine, np.float32, 1, rng, (calls, warp_scans))
         assert len(warp_scans) > 0
+
+    def test_chained_runs_the_single_pass_body(self, machine, rng, monkeypatch):
+        """chained is sp-dlb's pass under idealised pricing, so an exact
+        dtype takes the one-pass body there too: no warp scan."""
+        calls, warp_scans = self.count_calls(monkeypatch)
+        self.warm_scan(machine, np.int32, None, rng, (calls, warp_scans),
+                       executor_cls=ScanChained)
+        assert warp_scans == []

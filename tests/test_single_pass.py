@@ -250,6 +250,25 @@ class TestLookbackProtocol:
         with pytest.raises(LaunchError, match="protocol violated"):
             ScanSinglePassDLB(m.gpus[0]).run(data)
 
+    @pytest.mark.parametrize("pool", ["fresh", "recycled"])
+    @pytest.mark.parametrize("mode", ["blockwise", "vectorized"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.bool_])
+    def test_chained_out_of_order_blocks_raise_launch_error(
+        self, rng, dtype, mode, pool
+    ):
+        """chained has no reset launch, so its status plane must come
+        allocated already reset: a recycled plane that still reads ``P``
+        from an earlier sp-dlb run on other data would hide the ordering
+        violation behind a silently wrong output."""
+        m = tsubame_kfc(1)
+        data = payload(rng, (2, 1 << 13), dtype)
+        if pool == "recycled":
+            m.enable_buffer_pooling()
+            ScanSinglePassDLB(m.gpus[0]).run(payload(rng, data.shape, dtype))
+        m.gpus[0].engine = ReversedEngine(mode=mode)
+        with pytest.raises(LaunchError, match="protocol violated"):
+            ScanChained(m.gpus[0]).run(data)
+
     def test_trace_shape(self, machine, rng):
         """Exactly two launches — reset + pass — against the pipeline's 3."""
         data = rng.integers(0, 100, (1, 1 << 13)).astype(np.int32)
