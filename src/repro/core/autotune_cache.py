@@ -50,8 +50,6 @@ def cost_fingerprint(topology: SystemTopology) -> str:
     while the cost params and transfer params are the same (frozen)
     objects and the health snapshot is unchanged.
     """
-    from repro.interconnect.transfer import TransferCostParams
-
     cost = topology.gpus[0].cost_model.params
     transfer = topology.transfer_params
     health = topology.health.snapshot() if topology.health is not None else ()
@@ -59,6 +57,8 @@ def cost_fingerprint(topology: SystemTopology) -> str:
     if (memo is not None and memo[0] is cost and memo[1] is transfer
             and memo[2] == health):
         return memo[3]
+    from repro.interconnect.transfer import TransferCostParams
+
     blob = repr((
         sorted(asdict(cost).items()),
         sorted(asdict(transfer or TransferCostParams()).items()),

@@ -20,7 +20,7 @@ path:
   grouped (single device, one node group, one group per PCIe network, or
   a whole cluster), extracted from the executors' constructors.
 - :class:`ScanExecutor` — the template-method base class. ``execute()``
-  owns coerce → plan → upload → device flow → collect → result assembly;
+  owns plan → upload → device flow → collect → result assembly;
   a subclass supplies only its buffer placement, its device flow and its
   config summary. ``run()`` and ``estimate()`` are thin wrappers that
   build the request — the analytic estimate is the *same* pipeline with
@@ -62,6 +62,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpusim.device import GPU
     from repro.interconnect.topology import SystemTopology
 
+#: Bound on the plans one executor holds (:meth:`ScanExecutor._held_plan`);
+#: a full map is dropped and refilled by later calls.
+_HELD_PLANS_CAP = 64
+
+
+def native_rows(arr: np.ndarray) -> np.ndarray:
+    """``arr`` in native byte order, 1-D input as one row; checks nothing."""
+    if not arr.dtype.isnative:
+        arr = arr.astype(arr.dtype.newbyteorder("="))
+    return arr[None, :] if arr.ndim == 1 else arr
+
 
 def coerce_batch(data: np.ndarray) -> np.ndarray:
     """Normalise input to shape (G, N); 1-D input becomes a G=1 batch.
@@ -74,10 +85,7 @@ def coerce_batch(data: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"scan input must be non-empty, got shape {arr.shape}"
         )
-    if not arr.dtype.isnative:
-        arr = arr.astype(arr.dtype.newbyteorder("="))
-    if arr.ndim == 1:
-        arr = arr[None, :]
+    arr = native_rows(arr)
     if arr.ndim != 2:
         raise ConfigurationError(
             f"scan input must be 1-D or 2-D (G, N), got shape {arr.shape}"
@@ -297,7 +305,11 @@ class PlanResolver:
         template = spec.template or derive_stage_kernel_params(arch, problem.dtype)
         template = shrink_template_to_fit(template, n_local)
         if spec.K is not None:
+            # Checked before the chunk clamp below, which would otherwise
+            # turn an invalid K into a valid one on small problems.
             k = spec.K
+            if isinstance(k, bool) or not is_power_of_two(k):
+                raise ConfigurationError(f"K must be a power of two, got {k!r}")
         else:
             space = k_search_space(
                 problem, template, template, arch,
@@ -426,6 +438,9 @@ class ScanExecutor(ABC):
     resolver: PlanResolver = PLAN_RESOLVER
     #: Which GPUs this executor drives; set by subclass constructors.
     placement: Placement
+    #: ``problem -> (resolver, arch, plan)``: the plans :meth:`execute`
+    #: resolved, created on first use (see :meth:`_held_plan`).
+    _held: dict | None = None
 
     @property
     def gpus(self) -> list["GPU"]:
@@ -464,9 +479,13 @@ class ScanExecutor(ABC):
         return self.execute(ScanRequest.analytic(problem))
 
     def execute(self, request: ScanRequest) -> ScanResult:
-        """The template method: coerce → plan → place → flow → collect."""
+        """The template method: plan → place → flow → collect.
+
+        ``request`` is already validated (:meth:`ScanRequest.from_host`,
+        :meth:`ScanRequest.analytic` or the session's own checks).
+        """
         problem = request.problem
-        plan = self.plan_for(problem)
+        plan = self._held_plan(problem)
         with AllocationScope() as scope:
             if request.functional:
                 with obs.span("upload"):
@@ -501,6 +520,26 @@ class ScanExecutor(ABC):
     def plan_for(self, problem: ProblemConfig) -> ExecutionPlan:
         """The memoised plan for this executor's share of ``problem``."""
         return self.resolver.resolve(self._arch(), self._plan_spec(problem))
+
+    def _held_plan(self, problem: ProblemConfig) -> ExecutionPlan:
+        """:meth:`plan_for`, kept per problem while the resolver and the
+        architecture are the objects that resolved it.
+
+        A warm call then builds no :class:`PlanSpec` and asks no resolver.
+        Swapping ``resolver`` or the architecture re-resolves.
+        """
+        resolver, arch = self.resolver, self._arch()
+        held = self._held
+        if held is None:
+            held = self._held = {}
+        hit = held.get(problem)
+        if hit is not None and hit[0] is resolver and hit[1] is arch:
+            return hit[2]
+        plan = self.plan_for(problem)
+        if len(held) >= _HELD_PLANS_CAP:
+            held.clear()
+        held[problem] = (resolver, arch, plan)
+        return plan
 
     # ----------------------------------------------------------------- hooks
 

@@ -63,7 +63,11 @@ def require_scannable(dtype, operator: Operator | str) -> None:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """The batch the library is asked to scan: G problems of N elements."""
+    """The batch the library is asked to scan: G problems of N elements.
+
+    ``inclusive`` must be a ``bool`` or ``np.bool_`` (stored as ``bool``);
+    anything else raises :class:`ConfigurationError`.
+    """
 
     n: int
     g: int = 0
@@ -74,8 +78,13 @@ class ProblemConfig:
     def __post_init__(self) -> None:
         require(self.n >= 0, f"n must be >= 0, got {self.n}")
         require(self.g >= 0, f"g must be >= 0, got {self.g}")
+        require(
+            isinstance(self.inclusive, (bool, np.bool_)),
+            f"inclusive must be a bool, got {self.inclusive!r}",
+        )
         object.__setattr__(self, "dtype", np.dtype(self.dtype))
         object.__setattr__(self, "operator", resolve_operator(self.operator))
+        object.__setattr__(self, "inclusive", bool(self.inclusive))
 
     @classmethod
     def from_sizes(
@@ -235,6 +244,7 @@ class NodeConfig:
         require_power_of_two(W, "W")
         require_power_of_two(V, "V")
         require_power_of_two(M, "M")
+        require(V <= W, f"V cannot exceed W: V={V}, W={W} (W = Y*V with Y >= 1)")
         return cls(w=ilog2(W), v=ilog2(V), m=ilog2(M))
 
     @property

@@ -7,7 +7,10 @@ premise-derived kernel geometry, the empirically tuned K, the executor
 objects with their GPU groups — can be computed once and replayed. A
 :class:`ScanSession` owns one machine and memoises all of it keyed by the
 full problem/placement configuration, so a repeated call pays only for
-uploads, kernel bodies and transfers.
+uploads, kernel bodies and transfers. On top of that, each call
+signature is validated and resolved once: a repeated ``scan`` with the
+same input type, shape, dtype and arguments reuses that decision (see
+:class:`_Binding`) instead of re-validating its input.
 
 Combined with the per-GPU :class:`~repro.gpusim.memory.BufferPool` (stage
 buffers recycled instead of reallocated) this is the simulated analogue of
@@ -42,7 +45,12 @@ from repro.core.autotune_cache import (
     cost_fingerprint,
     default_autotune_cache,
 )
-from repro.core.executor import ScanRequest, coerce_batch, get_proposal
+from repro.core.executor import (
+    ScanRequest,
+    coerce_batch,
+    get_proposal,
+    native_rows,
+)
 from repro.core.health import (
     AttemptRecord,
     HealthTracker,
@@ -91,6 +99,71 @@ class _SessionEntry:
         self.node = node
 
 
+#: Bound on the call signatures one session keeps bound; a full map is
+#: dropped and refilled by later calls.
+_BINDING_CAP = 256
+
+
+def _call_signature(data, operator, inclusive, proposal, W, V, M, K,
+                    collect, include_distribution) -> tuple | None:
+    """What decides a :meth:`ScanSession.scan` call's validation and plan.
+
+    The input's exact type, shape and dtype (byte order included) and
+    every argument with its exact type, so ``W=4`` and ``W=4.0`` (or
+    ``True`` and ``1``) never share a decision. ``None`` for input that
+    is not an ndarray: such calls are always decided afresh.
+    """
+    if not isinstance(data, np.ndarray):
+        return None
+    return (
+        type(data), data.shape, data.dtype,
+        type(operator), operator, type(inclusive), inclusive,
+        type(proposal), proposal, type(W), W, type(V), V, type(M), M,
+        type(K), K, type(collect), collect,
+        type(include_distribution), include_distribution,
+    )
+
+
+class _Binding:
+    """One call signature's decision: validated problem, placement, entry.
+
+    ``problem``, ``node`` and ``proposal`` (``auto``'s sp/sp-dlb variant
+    included) are what the signature's first call validated and resolved;
+    ``entry`` is the executor entry it was served from, under the session
+    key ``key``. The decision stands while ``entry`` is still the
+    session's entry for ``key``, the health epoch is still ``epoch`` and
+    the cost fingerprint is still ``fingerprint``.
+    """
+
+    __slots__ = ("problem", "node", "proposal", "key", "entry", "epoch",
+                 "fingerprint")
+
+    def __init__(self, request: ScanRequest, entry: _SessionEntry,
+                 epoch: int, fingerprint: str):
+        self.problem = request.problem
+        self.node = request.node
+        self.proposal = request.proposal
+        self.key = request.cache_key
+        self.entry = entry
+        self.epoch = epoch
+        self.fingerprint = fingerprint
+
+    def request(self, data: np.ndarray, K, collect) -> ScanRequest:
+        """The call's request: its input as a native ``(G, N)`` batch."""
+        return ScanRequest(
+            problem=self.problem, batch=native_rows(np.asarray(data)),
+            node=self.node, proposal=self.proposal, K=K, collect=collect,
+        )
+
+
+def _check_k(K) -> None:
+    """K is a (non-bool) int, ``None`` or ``"tune"``."""
+    if K is None or (isinstance(K, str) and K == "tune"):
+        return
+    if isinstance(K, bool) or not isinstance(K, int):
+        raise ConfigurationError(f"K must be an int, None or 'tune', got {K!r}")
+
+
 class ScanSession:
     """A reusable scan service bound to one simulated machine.
 
@@ -124,6 +197,8 @@ class ScanSession:
     :class:`NodeConfig`, the resolved proposal and the K request. Anything
     that would change plans *behind* those keys — swapping the topology's
     engine, cost params or architecture in place — requires :meth:`reset`.
+    Bound call signatures are re-decided by themselves when the health
+    epoch or the cost fingerprint moves.
     """
 
     def __init__(
@@ -148,6 +223,7 @@ class ScanSession:
         #: bookkeeping until a retryable failure actually occurs).
         self.health = HealthTracker(self.topology, policy=retry_policy)
         self._entries: dict[tuple, _SessionEntry] = {}
+        self._bindings: dict[tuple, _Binding] = {}
         self.hits = 0
         self.misses = 0
         self.calls = 0
@@ -322,50 +398,51 @@ class ScanSession:
         """Scan a host batch, reusing every cached decision for its shape.
 
         Same contract as :func:`repro.core.api.scan` minus the
-        ``topology`` argument (the session owns the machine).
+        ``topology`` argument (the session owns the machine). The first
+        call of each call signature (input type, shape and dtype plus
+        every argument, exact types included) is validated and resolved
+        in full; later calls of that signature reuse the decision while
+        it stands (see :class:`_Binding`).
         """
-        from repro.core.api import add_distribution_records, recommend_proposal
-
         enabled = obs.is_enabled()
         t0 = time.perf_counter() if enabled else 0.0
         with obs.span("scan") as root:
             with obs.span("plan") as plan_span:
-                if V is None:
-                    V = min(W, self.topology.gpus_per_network)
-                node = NodeConfig.from_counts(W=W, V=V, M=M)
-                batch = coerce_batch(data)
-                problem = ProblemConfig.for_batch(batch, operator, inclusive)
-                if proposal == "auto":
-                    proposal = recommend_proposal(self.topology, node, problem)
-                    # Single-GPU problems additionally pick the winning
-                    # algorithm (three-kernel vs decoupled lookback) from
-                    # the memoised crossover — transparently, so callers
-                    # and the service get sp-dlb at large N for free.
-                    if proposal == "sp":
-                        proposal = self.tuner.best_single_gpu_variant(problem)
-                if K != "tune" and K is not None and not isinstance(K, int):
-                    raise ConfigurationError(
-                        f"K must be an int, None or 'tune', got {K!r}"
-                    )
-                request = ScanRequest(
-                    problem=problem, batch=batch, node=node,
-                    proposal=proposal, K=K, collect=collect,
+                signature = _call_signature(
+                    data, operator, inclusive, proposal, W, V, M, K,
+                    collect, include_distribution,
                 )
-                entry = self._entry_for(request, plan_span)
+                try:
+                    binding = self._bindings.get(signature)
+                except TypeError:  # an unhashable argument: decide afresh
+                    signature = binding = None
+                if binding is not None and self._stands(binding):
+                    self._count_hit(plan_span)
+                    request = binding.request(data, K, collect)
+                else:
+                    request, binding = self._decide(
+                        data, proposal, W, V, M, operator, inclusive, K,
+                        collect, plan_span,
+                    )
+                    if signature is not None:
+                        if len(self._bindings) >= _BINDING_CAP:
+                            self._bindings.clear()
+                        self._bindings[signature] = binding
+                entry = binding.entry
+                proposal = request.proposal
                 plan_span.set("proposal", proposal)
             entry.calls += 1
             self.calls += 1
 
-            result = self._run_with_failover(
-                entry, request, batch,
-                operator=operator, inclusive=inclusive, collect=collect,
-            )
+            result = self._run_with_failover(entry, request)
             if include_distribution:
+                from repro.core.api import add_distribution_records
+
                 with obs.span("distribute"):
                     add_distribution_records(result, self.topology)
             root.set("proposal", proposal)
-            root.set("N", problem.N)
-            root.set("G", problem.G)
+            root.set("N", request.problem.N)
+            root.set("G", request.problem.G)
             root.annotate_trace(result.trace)
         if enabled:
             wall = time.perf_counter() - t0
@@ -376,6 +453,48 @@ class ScanSession:
             obs.histogram("scan.latency_s", proposal=proposal).observe(wall)
             obs.histogram("scan.sim_time_s", proposal=proposal).observe(sim)
         return result
+
+    def _decide(
+        self, data, proposal, W, V, M, operator, inclusive, K, collect,
+        plan_span,
+    ) -> tuple[ScanRequest, _Binding]:
+        """Validate and resolve one call in full: its request and binding.
+
+        The epoch and cost fingerprint are read before anything is
+        decided, so a change mid-decision can only invalidate the binding.
+        """
+        from repro.core.api import recommend_proposal
+
+        epoch = self.health.epoch
+        fingerprint = cost_fingerprint(self.topology)
+        if V is None:
+            V = min(W, self.topology.gpus_per_network)
+        node = NodeConfig.from_counts(W=W, V=V, M=M)
+        batch = coerce_batch(data)
+        problem = ProblemConfig.for_batch(batch, operator, inclusive)
+        if proposal == "auto":
+            proposal = recommend_proposal(self.topology, node, problem)
+            # Single-GPU problems additionally pick the winning
+            # algorithm (three-kernel vs decoupled lookback) from
+            # the memoised crossover — transparently, so callers
+            # and the service get sp-dlb at large N for free.
+            if proposal == "sp":
+                proposal = self.tuner.best_single_gpu_variant(problem)
+        _check_k(K)
+        request = ScanRequest(
+            problem=problem, batch=batch, node=node,
+            proposal=proposal, K=K, collect=collect,
+        )
+        entry = self._entry_for(request, plan_span)
+        return request, _Binding(request, entry, epoch, fingerprint)
+
+    def _stands(self, binding: _Binding) -> bool:
+        """Whether a bound decision still holds (see :class:`_Binding`)."""
+        return (
+            binding.epoch == self.health.epoch
+            and self._entries.get(binding.key) is binding.entry
+            and binding.fingerprint == cost_fingerprint(self.topology)
+        )
 
     def estimate(
         self,
@@ -408,10 +527,7 @@ class ScanSession:
                     # resolves through the memoised sp vs sp-dlb crossover.
                     if proposal == "sp":
                         proposal = self.tuner.best_single_gpu_variant(problem)
-                if K != "tune" and K is not None and not isinstance(K, int):
-                    raise ConfigurationError(
-                        f"K must be an int, None or 'tune', got {K!r}"
-                    )
+                _check_k(K)
                 request = ScanRequest.analytic(
                     problem, node=node, proposal=proposal, K=K
                 )
@@ -431,14 +547,13 @@ class ScanSession:
     # ------------------------------------------------------------- failover
 
     def _run_with_failover(
-        self, entry: _SessionEntry, request: ScanRequest, batch,
-        operator, inclusive, collect,
+        self, entry: _SessionEntry, request: ScanRequest
     ) -> ScanResult:
         """Run the entry's executor, retrying on availability failures.
 
-        The healthy path is one straight-through ``executor.run`` — no
-        extra records, no extra simulated time. On a
-        :class:`~repro.errors.DeviceLostError` /
+        The healthy path is one straight-through ``executor.execute`` of
+        the validated ``request`` — no extra records, no extra simulated
+        time. On a :class:`~repro.errors.DeviceLostError` /
         :class:`~repro.errors.LinkDownError` the failed resource is
         quarantined, a backoff is charged (exponential, simulated
         seconds), and the request is *replanned* on the degraded machine
@@ -454,10 +569,7 @@ class ScanSession:
             attempt_no = len(attempts) + 1
             try:
                 with obs.span("execute", proposal=entry.proposal) as exec_span:
-                    result = entry.executor.run(
-                        batch, operator=operator, inclusive=inclusive,
-                        collect=collect,
-                    )
+                    result = entry.executor.execute(request)
                     exec_span.annotate_trace(result.trace)
                 break
             except HealthTracker.RETRYABLE as exc:
@@ -601,11 +713,14 @@ class ScanSession:
             if plan_span is not None:
                 plan_span.set("cache", "miss")
         else:
-            self.hits += 1
-            obs.counter("session.plan_cache.hits").inc()
-            if plan_span is not None:
-                plan_span.set("cache", "hit")
+            self._count_hit(plan_span)
         return entry
+
+    def _count_hit(self, plan_span) -> None:
+        self.hits += 1
+        obs.counter("session.plan_cache.hits").inc()
+        if plan_span is not None:
+            plan_span.set("cache", "hit")
 
     def _resolve_k(self, request: ScanRequest, spec) -> int | None:
         """Turn the K request into a concrete cascade depth (or None).
@@ -644,12 +759,13 @@ class ScanSession:
     # -------------------------------------------------------- introspection
 
     def reset(self) -> None:
-        """Drop every cached executor/plan/K and the hit counters.
+        """Drop every cached executor/plan/K, bound call and hit counter.
 
         Required after mutating the machine in place (engine mode, cost
         parameters); cached plans would otherwise describe the old one.
         """
         self._entries.clear()
+        self._bindings.clear()
         self.hits = 0
         self.misses = 0
         self.calls = 0

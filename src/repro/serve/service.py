@@ -378,6 +378,8 @@ class ScanService:
             raise ConfigurationError("service requests must be non-empty")
         op = resolve_operator(operator)
         require_scannable(arr.dtype, op)
+        if not isinstance(inclusive, (bool, np.bool_)):
+            raise ConfigurationError(f"inclusive must be a bool, got {inclusive!r}")
         if at is not None:
             self.advance_to(at)
         if self.depth >= self.max_queue:
