@@ -17,11 +17,16 @@ router:
   order, to the same simulated instant, firing their ``max_wait``
   flushes on the way — so a fixed request schedule produces the same
   batches on the same replicas every run, regardless of replica count.
+- Each :class:`Replica` **subscribes** to its service's outcome stream:
+  an admission binds the replica ticket to its cluster request
+  (:attr:`~repro.serve.service.SubmitResult.origin`) and counts it, a
+  scattered batch settles its cluster requests, and a failed batch
+  reroutes them.
 - **Cluster failover**: each :class:`~repro.errors.FailoverExhaustedError`
-  a replica reports (via the service's ``on_fail`` hook) bumps its
-  strike count; at ``drain_after`` strikes the replica is **drained** —
-  its queued requests are evicted and re-routed to surviving replicas —
-  and marked down. After ``recovery_s`` of simulated time it is
+  a replica reports (its ``on_fail`` outcome) bumps its strike count;
+  at ``drain_after`` strikes the replica is **drained** — its queued
+  requests are evicted and re-routed to surviving replicas — and marked
+  down. After ``recovery_s`` of simulated time it is
   **re-admitted**: a brand-new session is spawned on a fresh topology
   shard, primed from the current leader's
   :class:`~repro.core.store.SessionSnapshot`
@@ -71,8 +76,10 @@ class ClusterTicket:
     __slots__ = ("index", "tenant", "arrival_s", "size", "inner",
                  "replica_id", "reroutes")
 
-    def __init__(self, index: int, tenant: str, arrival_s: float, size: int):
-        self.index = index
+    def __init__(self, tenant: str, arrival_s: float, size: int):
+        #: Admission order across the cluster; ``None`` until a replica
+        #: first admits the request.
+        self.index: int | None = None
         self.tenant = tenant
         self.arrival_s = arrival_s
         self.size = size
@@ -130,18 +137,32 @@ class ClusterTicket:
 
 
 class Replica:
-    """One service shard and its cluster-side health bookkeeping."""
+    """One service shard and its cluster-side health bookkeeping.
 
-    __slots__ = ("id", "service", "state", "strikes", "down_since_s")
+    The replica subscribes to its service's outcome stream and hands
+    each outcome the router acts on to the router, with itself attached.
+    """
 
-    def __init__(self, rid: int, service: ScanService):
+    __slots__ = ("id", "router", "service", "state", "strikes", "down_since_s")
+
+    def __init__(self, rid: int, router: "ClusterRouter"):
         self.id = rid
-        self.service = service
+        self.router = router
+        self.service = router._build_service(self, snapshot=None)
         #: "active" | "down"
         self.state = "active"
         #: Consecutive FailoverExhaustedError count (reset on success).
         self.strikes = 0
         self.down_since_s: float | None = None
+
+    def on_submit(self, service, ticket) -> None:
+        self.router._admitted(self, ticket)
+
+    def on_batch(self, service, report, tickets) -> None:
+        self.router._served(self, report, tickets)
+
+    def on_fail(self, service, pairs, exc) -> None:
+        self.router._failed(self, pairs, exc)
 
 
 class ClusterRouter:
@@ -232,13 +253,9 @@ class ClusterRouter:
         self.replica_slo = replica_slo
         self.service_kwargs = dict(service_kwargs)
         self.clock = SimClock()
-        self._replicas = [
-            Replica(rid, self._build_service(rid, snapshot=None))
-            for rid in range(replicas)
-        ]
-        self._service_rid = {id(r.service): r.id for r in self._replicas}
-        # Cluster tickets by their current inner ticket.
-        self._by_inner: dict[int, ClusterTicket] = {}
+        # The cluster request a replica submit is placing (see _place).
+        self._placing: ClusterTicket | None = None
+        self._replicas = [Replica(rid, self) for rid in range(replicas)]
         # Requests no replica can hold right now: (ticket, data, op, inc).
         self._parked: list[tuple[ClusterTicket, np.ndarray, str, bool]] = []
         self.tenants: dict[str, TenantSpec] = {}
@@ -262,9 +279,11 @@ class ClusterRouter:
 
     # ------------------------------------------------------------- replicas
 
-    def _build_service(self, rid: int, snapshot) -> ScanService:
+    def _build_service(self, replica: Replica, snapshot) -> ScanService:
+        """A fresh service for ``replica``, with the replica subscribed."""
         from repro.core.store import spawn_replica_session
 
+        rid = replica.id
         session = spawn_replica_session(snapshot, self.topology_factory(rid))
         extra = {}
         if self.controller_factory is not None:
@@ -273,14 +292,14 @@ class ClusterRouter:
             from repro.obs.slo import slo_class
 
             extra["slo"] = slo_class(self.replica_slo, prefix=f"replica{rid}")
-        return ScanService(
+        service = ScanService(
             session=session,
             serialize_exec=self.serialize_exec,
-            on_scatter=self._on_scatter,
-            on_fail=self._on_fail,
             **extra,
             **self.service_kwargs,
         )
+        service.subscribe(replica)
+        return service
 
     def replica(self, rid: int) -> Replica:
         return self._replicas[rid]
@@ -343,31 +362,30 @@ class ClusterRouter:
         arr = np.asarray(data)
         spec = self._tenant(tenant)
         if spec.max_inflight and self._outstanding_count(tenant) >= spec.max_inflight:
-            self.quota_rejected += 1
-            self._tenant_slo[tenant].observe(self.clock.now, ok=False)
-            if obs.is_enabled():
-                obs.counter("cluster.quota_rejected", tenant=tenant).inc()
-            raise QuotaExceededError(
+            raise self._shed(tenant, QuotaExceededError(
                 f"tenant {tenant!r} is at its in-flight quota "
                 f"({spec.max_inflight}); request shed"
-            )
-        ticket = ClusterTicket(self.submitted, tenant, self.clock.now, arr.size)
-        self.submitted += 1
-        rid = self._place(ticket, arr, operator, inclusive, self.clock.now)
-        if rid is None:
-            self.submitted -= 1
-            self.rejected += 1
-            self._tenant_slo[tenant].observe(self.clock.now, ok=False)
-            if obs.is_enabled():
-                obs.counter("cluster.rejected").inc()
-            raise BackpressureError(
+            ), "quota_rejected", tenant=tenant)
+        ticket = ClusterTicket(tenant, self.clock.now, arr.size)
+        if self._place(ticket, arr, operator, inclusive, self.clock.now) is None:
+            raise self._shed(tenant, BackpressureError(
                 "every active replica shed the request "
                 f"({len(self.active_replica_ids())} active)"
-            )
-        self._outstanding[tenant].append(ticket)
-        if obs.is_enabled():
-            obs.counter("cluster.submitted", tenant=tenant).inc()
+            ), "rejected")
         return ticket
+
+    def _shed(self, tenant: str, error: Exception, counter: str, /,
+              **labels) -> Exception:
+        """Count one cluster-level rejection; returns ``error`` to raise."""
+        self._count(counter, **labels)
+        self._tenant_slo[tenant].observe(self.clock.now, ok=False)
+        return error
+
+    def _count(self, name: str, /, **labels) -> None:
+        """Count one router outcome: its attribute and its obs mirror."""
+        setattr(self, name, getattr(self, name) + 1)
+        if obs.is_enabled():
+            obs.counter(f"cluster.{name}", **labels).inc()
 
     def _place(self, ticket: ClusterTicket, data: np.ndarray, operator,
                inclusive: bool, at_s: float,
@@ -378,7 +396,10 @@ class ClusterRouter:
         target's local clock — during a lockstepped advance the replicas
         reach the target time one after another, so a reroute sourced
         from a replica that is mid-advance must never drag an
-        already-advanced neighbour's clock backwards.
+        already-advanced neighbour's clock backwards. What happens to
+        the request once admitted (served or failed, even inside this
+        very submit) reaches the router through the replica's
+        subscription.
         """
         order = self.policy.select(self, data.size)
         if self.replica_slo is not None:
@@ -391,60 +412,84 @@ class ClusterRouter:
             if rid == exclude:
                 continue
             replica = self._replicas[rid]
+            # The submit may first advance the replica's clock, and the
+            # flushes on the way may place other requests: restore.
+            outer, self._placing = self._placing, ticket
             try:
-                inner = replica.service.submit(
+                replica.service.submit(
                     data, operator=operator, inclusive=inclusive,
                     at=max(at_s, replica.service.clock.now),
                 )
             except BackpressureError:
                 continue
-            ticket.inner = inner
-            ticket.replica_id = rid
-            if obs.is_enabled():
-                obs.counter("cluster.routed", replica=rid).inc()
-            if inner.status == "queued":
-                self._by_inner[id(inner)] = ticket
-            elif inner.done:
-                # The submit itself tripped max_batch and flushed before
-                # the router could register the ticket; the scatter hook
-                # already fired, so settle the straggler here.
-                self._finish(ticket, inner, ok=True)
-            else:
-                # Failed inside the submit-triggered flush: same failure
-                # handling the on_fail hook gives registered tickets.
-                if ticket.reroutes < self.max_reroutes:
-                    self._reroute(ticket, inner, data,
-                                  at_s=replica.service.clock.now,
-                                  exclude=rid)
-                else:
-                    self._finish(ticket, inner, ok=False)
+            finally:
+                self._placing = outer
             return rid
         return None
 
     def _burn_bucket(self, rid: int) -> int:
         """Integer SLO-burn bucket for one replica (0 = healthy).
 
-        Uses the worst short-window burn rate across the replica's
-        latency objectives, floored to an int and capped at 100 so
-        infinitesimal burn differences cannot reorder placement.
+        The replica monitor's worst short-window latency burn, floored
+        to an int and capped at 100 so infinitesimal burn differences
+        cannot reorder placement.
         """
         monitor = self._replicas[rid].service.slo
         if monitor is None:
             return 0
-        worst = 0.0
-        rates = monitor.burn_rates()
-        for objective in monitor.objectives:
-            if objective.kind != "latency":
-                continue
-            short, _long = rates[objective.name]
-            worst = max(worst, short)
-        return int(min(worst, 100.0))
+        return int(min(monitor.latency_burn(), 100.0))
 
-    def _finish(self, ct: ClusterTicket, inner, ok: bool) -> None:
+    # ------------------------------------------- replica outcome stream
+
+    def _admitted(self, replica: Replica, inner) -> None:
+        """A replica admitted the request being placed."""
+        ct = inner.origin = self._placing
+        if ct is None:  # submitted to the replica directly
+            return
+        ct.inner = inner
+        ct.replica_id = replica.id
+        if obs.is_enabled():
+            obs.counter("cluster.routed", replica=replica.id).inc()
+        if ct.index is None:  # first admission: count it once
+            ct.index = self.submitted
+            self._outstanding[ct.tenant].append(ct)
+            self._count("submitted", tenant=ct.tenant)
+
+    def _served(self, replica: Replica, report, tickets) -> None:
+        replica.strikes = 0
+        self.batch_log.append(
+            (replica.id, str(report.key), report.requests, report.flush_s,
+             report.sim_time_s)
+        )
+        if obs.is_enabled():
+            obs.counter("cluster.batches", replica=replica.id).inc()
+        for inner in tickets:
+            if inner.origin is not None:
+                self._finish(inner.origin, ok=True)
+
+    def _failed(self, replica: Replica, pairs, exc) -> None:
+        replica.strikes += 1
+        must_drain = (replica.strikes >= self.drain_after
+                      and replica.state == "active")
+        if must_drain:
+            # Down first so the reroutes below can't land back on it.
+            self._drain(replica.id)
+        at_s = replica.service.clock.now
+        for inner, data in pairs:
+            ct = inner.origin
+            if ct is None:
+                continue
+            if ct.reroutes < self.max_reroutes:
+                self._reroute(ct, inner, data, at_s=at_s,
+                              exclude=None if must_drain else replica.id)
+            else:
+                self._finish(ct, ok=False)
+
+    def _finish(self, ct: ClusterTicket, ok: bool) -> None:
         """Terminal bookkeeping for one cluster request."""
         self.latency.observe(ct.latency_s)
         self._tenant_slo[ct.tenant].observe(
-            inner.completion_s, latency_s=ct.latency_s, ok=ok
+            ct.completion_s, latency_s=ct.latency_s, ok=ok
         )
         if obs.is_enabled():
             obs.histogram("cluster.latency_s").observe(ct.latency_s)
@@ -496,69 +541,21 @@ class ClusterRouter:
 
     # ------------------------------------------------------------- failover
 
-    def _on_scatter(self, service, report, tickets) -> None:
-        rid = self._service_rid.get(id(service))
-        if rid is None:  # pragma: no cover - foreign service
-            return
-        self._replicas[rid].strikes = 0
-        self.batch_log.append(
-            (rid, str(report.key), report.requests, report.flush_s,
-             report.sim_time_s)
-        )
-        if obs.is_enabled():
-            obs.counter("cluster.batches", replica=rid).inc()
-        for inner in tickets:
-            ct = self._by_inner.pop(id(inner), None)
-            if ct is None:
-                # The flush fired inside the submit that created this
-                # ticket; _place settles it when the submit returns.
-                continue
-            self._finish(ct, inner, ok=True)
-
-    def _on_fail(self, service, pairs, exc) -> None:
-        rid = self._service_rid.get(id(service))
-        if rid is None:  # pragma: no cover - foreign service
-            return
-        replica = self._replicas[rid]
-        replica.strikes += 1
-        must_drain = (replica.strikes >= self.drain_after
-                      and replica.state == "active")
-        if must_drain:
-            # Down first so the reroutes below can't land back on it.
-            self._drain(rid)
-        at_s = service.clock.now
-        for inner, data in pairs:
-            ct = self._by_inner.pop(id(inner), None)
-            if ct is None:
-                continue
-            if ct.reroutes < self.max_reroutes:
-                self._reroute(ct, inner, data, at_s=at_s,
-                              exclude=None if must_drain else rid)
-            else:
-                self._finish(ct, inner, ok=False)
-
     def _reroute(self, ct: ClusterTicket, old_inner, data, *, at_s: float,
                  exclude: int | None, count_reroute: bool = True) -> None:
         """Move a request to another replica (or park it)."""
         if count_reroute:
             ct.reroutes += 1
-        key = old_inner.key if old_inner is not None else None
-        rid = self._place(ct, data, key.operator if key else "add",
-                          key.inclusive if key else True, at_s,
-                          exclude=exclude)
-        if rid is None:
-            ct.inner = None
-            ct.replica_id = None
-            self._parked.append(
-                (ct, data, key.operator if key else "add",
-                 key.inclusive if key else True)
-            )
-            if obs.is_enabled():
-                obs.counter("cluster.parked").inc()
+        key = old_inner.key
+        if self._place(ct, data, key.operator, key.inclusive, at_s,
+                       exclude=exclude) is not None:
+            self._count("rerouted")
             return
-        self.rerouted += 1
+        ct.inner = None
+        ct.replica_id = None
+        self._parked.append((ct, data, key.operator, key.inclusive))
         if obs.is_enabled():
-            obs.counter("cluster.rerouted").inc()
+            obs.counter("cluster.parked").inc()
 
     def _retry_parked(self) -> None:
         if not self._parked:
@@ -569,9 +566,7 @@ class ClusterRouter:
             if rid is None:
                 self._parked.append((ct, data, operator, inclusive))
             else:
-                self.rerouted += 1
-                if obs.is_enabled():
-                    obs.counter("cluster.rerouted").inc()
+                self._count("rerouted")
 
     def _drain(self, rid: int) -> None:
         """Take a replica out of rotation, rerouting its queued requests."""
@@ -580,14 +575,13 @@ class ClusterRouter:
                       queued=replica.service.depth):
             replica.state = "down"
             replica.down_since_s = self.clock.now
-            self.drains += 1
+            self._count("drains", replica=rid)
             if obs.is_enabled():
-                obs.counter("cluster.drains", replica=rid).inc()
                 obs.gauge("cluster.active_replicas").set(
                     len(self.active_replica_ids()))
             at_s = replica.service.clock.now
             for inner, data in replica.service.evict_pending():
-                ct = self._by_inner.pop(id(inner), None)
+                ct = inner.origin
                 if ct is None:
                     continue
                 # Eviction reroutes are the cluster's fault; they are
@@ -615,18 +609,14 @@ class ClusterRouter:
         snapshot = leader.service.session.snapshot() if leader is not None else None
         with obs.span("cluster.readmit", replica=rid,
                       leader=(leader.id if leader is not None else None)):
-            service = self._build_service(rid, snapshot=snapshot)
+            service = self._build_service(replica, snapshot=snapshot)
             service.clock.advance_to(self.clock.now)
-            old = replica.service
-            self._service_rid.pop(id(old), None)
             replica.service = service
-            self._service_rid[id(service)] = rid
             replica.state = "active"
             replica.strikes = 0
             replica.down_since_s = None
-            self.readmits += 1
+            self._count("readmits", replica=rid)
             if obs.is_enabled():
-                obs.counter("cluster.readmits", replica=rid).inc()
                 obs.gauge("cluster.active_replicas").set(
                     len(self.active_replica_ids()))
         self._retry_parked()

@@ -9,12 +9,12 @@ epochs, batch traces) and feed adjustments back into the policy knobs.
 
 The design constraint is **determinism**. A control decision is a pure
 function of ``(simulated clock, metrics snapshot, config)``: controllers
-never read wall clocks, never sample randomness, and only act at the
-service's own deterministic hook points (request admission, batch
-scatter, batch failure). Replaying the same workload against the same
-configuration therefore reproduces the same decision log bit-for-bit —
-which is exactly what `tests/test_control.py` and the ``adaptive``
-bench-drift suite pin.
+never read wall clocks, never sample randomness, and only act on the
+service's own outcome stream, which they subscribe to (request
+admission, batch scatter, batch failure). Replaying the same workload
+against the same configuration therefore reproduces the same decision
+log bit-for-bit — which is exactly what `tests/test_control.py` and the
+``adaptive`` bench-drift suite pin.
 
 Three controllers, one shared decision-log contract:
 
@@ -101,11 +101,14 @@ class ControlDecision:
 class Controller:
     """Base controller: hook surface + shared decision log.
 
-    The service calls :meth:`on_submit` after each admitted request,
-    :meth:`on_batch` after each scattered batch and :meth:`on_fail`
-    after a batch fails terminally — all at deterministic simulated
-    instants. Subclasses override the hooks they care about and record
-    actions through :meth:`record`.
+    A controller subscribes to its service's outcome stream, after the
+    stats record, the SLO monitor and the obs mirror, so each hook reads
+    metrics that already hold the outcome it is called for. The hooks
+    take a subscriber's arguments: :meth:`on_submit` after each admitted
+    request, :meth:`on_batch` after each scattered batch and
+    :meth:`on_fail` after a batch fails terminally — all at
+    deterministic simulated instants. Subclasses override the hooks they
+    care about and record actions through :meth:`record`.
     """
 
     name = "controller"
@@ -121,14 +124,14 @@ class Controller:
     def bind(self, service) -> None:
         """Called once when the service adopts this controller."""
 
-    def on_submit(self, service) -> None:
-        """After one request was admitted (service clock at arrival)."""
+    def on_submit(self, service, ticket) -> None:
+        """After ``ticket`` was admitted (service clock at arrival)."""
 
-    def on_batch(self, service, report) -> None:
-        """After one batch scattered successfully."""
+    def on_batch(self, service, report, tickets) -> None:
+        """After one batch scattered ``tickets`` successfully."""
 
-    def on_fail(self, service, exc) -> None:
-        """After one batch failed terminally (post-bisection)."""
+    def on_fail(self, service, pairs, exc) -> None:
+        """After ``(ticket, data)`` rows failed terminally (post-bisection)."""
 
     # -- decision log ----------------------------------------------------
 
@@ -174,17 +177,17 @@ class ControllerGroup(Controller):
         for c in self.controllers:
             c.bind(service)
 
-    def on_submit(self, service) -> None:
+    def on_submit(self, service, ticket) -> None:
         for c in self.controllers:
-            c.on_submit(service)
+            c.on_submit(service, ticket)
 
-    def on_batch(self, service, report) -> None:
+    def on_batch(self, service, report, tickets) -> None:
         for c in self.controllers:
-            c.on_batch(service, report)
+            c.on_batch(service, report, tickets)
 
-    def on_fail(self, service, exc) -> None:
+    def on_fail(self, service, pairs, exc) -> None:
         for c in self.controllers:
-            c.on_fail(service, exc)
+            c.on_fail(service, pairs, exc)
 
     def snapshot(self) -> dict:
         return {
@@ -309,26 +312,13 @@ class ServiceController(Controller):
             return math.inf
         return (len(self._arrivals) - 1) / span
 
-    @staticmethod
-    def latency_burn(service) -> float:
-        """Worst short-window latency burn rate, 0.0 without a monitor."""
-        if service.slo is None:
-            return 0.0
-        burn = 0.0
-        for obj in service.slo.objectives:
-            if obj.kind != "latency":
-                continue
-            short, _long = service.slo.burn_rates()[obj.name]
-            burn = max(burn, short)
-        return burn
-
     # -- hook -----------------------------------------------------------
 
-    def on_submit(self, service) -> None:
+    def on_submit(self, service, ticket) -> None:
         now = service.clock.now
         self._arrivals.append(now)
         rate = self.observed_rate()
-        burn = self.latency_burn(service)
+        burn = service.slo.latency_burn() if service.slo is not None else 0.0
         verdict = self.decide(
             now, rate, burn, service.max_batch, service.max_wait_s,
             self._baseline_batch, self._baseline_wait_s,
@@ -464,11 +454,11 @@ class TuneController(Controller):
         self._fingerprint = fingerprint
         self._seen_fingerprints.add(fingerprint)
 
-    def on_batch(self, service, report) -> None:
+    def on_batch(self, service, report, tickets) -> None:
         self._remember(report.key, report.g)
         self._check(service, service.clock.now)
 
-    def on_fail(self, service, exc) -> None:
+    def on_fail(self, service, pairs, exc) -> None:
         self._check(service, service.clock.now)
 
     def snapshot(self) -> dict:
@@ -526,7 +516,7 @@ class CalibrationController(Controller):
         #: full window, rebased wholesale on a recalibration).
         self.reference: dict[str, dict] = {}
 
-    def on_batch(self, service, report) -> None:
+    def on_batch(self, service, report, tickets) -> None:
         if report.result is None:
             return
         shape = f"{report.key}|G={report.g}"

@@ -26,6 +26,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.interconnect.topology import SystemTopology
 from repro.core.api import scan
+from repro.core.executor import pad_rows_to_batch
 from repro.core.results import ScanResult
 from repro.primitives.operators import resolve_operator
 from repro.util.ints import next_power_of_two
@@ -57,8 +58,6 @@ def scan_ragged(
             raise ConfigurationError(
                 f"array {i} has dtype {a.dtype}, expected {dtype} (uniform dtypes)"
             )
-    identity = op.identity(dtype)
-
     # Group problem indices by padded size.
     groups: dict[int, list[int]] = defaultdict(list)
     for i, a in enumerate(arrays):
@@ -68,11 +67,8 @@ def scan_ragged(
     results: list[ScanResult] = []
     for padded_n in sorted(groups):
         indices = groups[padded_n]
-        g_real = len(indices)
-        g_padded = next_power_of_two(g_real)
-        batch = np.full((g_padded, padded_n), identity, dtype=dtype)
-        for row, idx in enumerate(indices):
-            batch[row, : arrays[idx].size] = arrays[idx]
+        batch = pad_rows_to_batch([arrays[idx] for idx in indices], padded_n,
+                                  op, dtype=dtype)
         result = scan(
             batch, topology=topology, operator=op, inclusive=inclusive,
             **scan_kwargs,

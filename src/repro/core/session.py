@@ -407,34 +407,27 @@ class ScanSession:
         enabled = obs.is_enabled()
         t0 = time.perf_counter() if enabled else 0.0
         with obs.span("scan") as root:
-            with obs.span("plan") as plan_span:
-                signature = _call_signature(
-                    data, operator, inclusive, proposal, W, V, M, K,
-                    collect, include_distribution,
-                )
+            attempts: list[AttemptRecord] = []
+            while True:
                 try:
-                    binding = self._bindings.get(signature)
-                except TypeError:  # an unhashable argument: decide afresh
-                    signature = binding = None
-                if binding is not None and self._stands(binding):
-                    self._count_hit(plan_span)
-                    request = binding.request(data, K, collect)
-                else:
-                    request, binding = self._decide(
+                    request, entry = self._plan(
                         data, proposal, W, V, M, operator, inclusive, K,
-                        collect, plan_span,
+                        collect, include_distribution,
                     )
-                    if signature is not None:
-                        if len(self._bindings) >= _BINDING_CAP:
-                            self._bindings.clear()
-                        self._bindings[signature] = binding
-                entry = binding.entry
-                proposal = request.proposal
-                plan_span.set("proposal", proposal)
+                    break
+                except HealthTracker.RETRYABLE as exc:
+                    # A fault can fire while deciding: auto's variant
+                    # tuner ticks the fault schedule through its
+                    # estimates. It fails over like one in execute, and
+                    # the next decision is taken on the degraded machine.
+                    v = V if V is not None else min(
+                        W, self.topology.gpus_per_network)
+                    self._record_attempt(attempts, exc, proposal, (W, v, M))
+            proposal = request.proposal
             entry.calls += 1
             self.calls += 1
 
-            result = self._run_with_failover(entry, request)
+            result = self._run_with_failover(entry, request, attempts)
             if include_distribution:
                 from repro.core.api import add_distribution_records
 
@@ -453,6 +446,36 @@ class ScanSession:
             obs.histogram("scan.latency_s", proposal=proposal).observe(wall)
             obs.histogram("scan.sim_time_s", proposal=proposal).observe(sim)
         return result
+
+    def _plan(
+        self, data, proposal, W, V, M, operator, inclusive, K, collect,
+        include_distribution,
+    ) -> tuple[ScanRequest, _SessionEntry]:
+        """The request and entry of one call: its signature's bound
+        decision while that stands, else a fresh (then bound) one."""
+        with obs.span("plan") as plan_span:
+            signature = _call_signature(
+                data, operator, inclusive, proposal, W, V, M, K,
+                collect, include_distribution,
+            )
+            try:
+                binding = self._bindings.get(signature)
+            except TypeError:  # an unhashable argument: decide afresh
+                signature = binding = None
+            if binding is not None and self._stands(binding):
+                self._count_hit(plan_span)
+                request = binding.request(data, K, collect)
+            else:
+                request, binding = self._decide(
+                    data, proposal, W, V, M, operator, inclusive, K,
+                    collect, plan_span,
+                )
+                if signature is not None:
+                    if len(self._bindings) >= _BINDING_CAP:
+                        self._bindings.clear()
+                    self._bindings[signature] = binding
+            plan_span.set("proposal", request.proposal)
+        return request, binding.entry
 
     def _decide(
         self, data, proposal, W, V, M, operator, inclusive, K, collect,
@@ -547,7 +570,8 @@ class ScanSession:
     # ------------------------------------------------------------- failover
 
     def _run_with_failover(
-        self, entry: _SessionEntry, request: ScanRequest
+        self, entry: _SessionEntry, request: ScanRequest,
+        attempts: list[AttemptRecord],
     ) -> ScanResult:
         """Run the entry's executor, retrying on availability failures.
 
@@ -561,44 +585,21 @@ class ScanSession:
         bounded by the session's :class:`~repro.core.health.RetryPolicy`
         and exhaustion raises
         :class:`~repro.errors.FailoverExhaustedError` carrying the
-        attempt trace.
+        attempt trace. ``attempts`` holds the attempts that already
+        failed while the call was being decided.
         """
-        policy = self.health.policy
-        attempts: list[AttemptRecord] = []
         while True:
-            attempt_no = len(attempts) + 1
             try:
                 with obs.span("execute", proposal=entry.proposal) as exec_span:
                     result = entry.executor.execute(request)
                     exec_span.annotate_trace(result.trace)
                 break
             except HealthTracker.RETRYABLE as exc:
-                kind = self.health.record_failure(exc)
-                backoff = policy.backoff_s(attempt_no)
                 node = entry.node or request.node
-                attempts.append(AttemptRecord(
-                    attempt=attempt_no,
-                    proposal=entry.proposal,
-                    node=(node.W, node.V, node.M),
-                    error_type=type(exc).__name__,
-                    error=str(exc),
-                    backoff_s=backoff,
-                ))
-                self.health.last_attempts = list(attempts)
-                if obs.is_enabled():
-                    obs.counter("scan.retries", proposal=entry.proposal,
-                                kind=kind).inc()
-                if attempt_no >= policy.max_attempts:
-                    if obs.is_enabled():
-                        obs.histogram("scan.attempts").observe(attempt_no)
-                    error = FailoverExhaustedError(
-                        f"scan failed after {attempt_no} attempts "
-                        f"(last: {exc})", attempts,
-                    )
-                    self._flight_dump(error)
-                    raise error from exc
+                self._record_attempt(attempts, exc, entry.proposal,
+                                     (node.W, node.V, node.M))
                 with obs.span("failover", proposal=entry.proposal,
-                              attempt=attempt_no, error=type(exc).__name__):
+                              attempt=len(attempts), error=type(exc).__name__):
                     entry = self._degraded_entry(request, attempts)
         if attempts:
             # Success after failover: charge the accumulated backoff into
@@ -627,6 +628,37 @@ class ScanSession:
         if obs.is_enabled():
             obs.histogram("scan.attempts").observe(len(attempts) + 1)
         return result
+
+    def _record_attempt(self, attempts: list[AttemptRecord],
+                        exc: BaseException, proposal: str, node) -> None:
+        """Quarantine what ``exc`` blames and log one failed attempt.
+
+        Raises :class:`~repro.errors.FailoverExhaustedError` once the
+        retry policy's attempts are spent.
+        """
+        policy = self.health.policy
+        attempt_no = len(attempts) + 1
+        kind = self.health.record_failure(exc)
+        attempts.append(AttemptRecord(
+            attempt=attempt_no,
+            proposal=proposal,
+            node=node,
+            error_type=type(exc).__name__,
+            error=str(exc),
+            backoff_s=policy.backoff_s(attempt_no),
+        ))
+        self.health.last_attempts = list(attempts)
+        if obs.is_enabled():
+            obs.counter("scan.retries", proposal=proposal, kind=kind).inc()
+        if attempt_no >= policy.max_attempts:
+            if obs.is_enabled():
+                obs.histogram("scan.attempts").observe(attempt_no)
+            error = FailoverExhaustedError(
+                f"scan failed after {attempt_no} attempts "
+                f"(last: {exc})", attempts,
+            )
+            self._flight_dump(error)
+            raise error from exc
 
     def _degraded_entry(
         self, request: ScanRequest, attempts: list[AttemptRecord]

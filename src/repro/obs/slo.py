@@ -18,7 +18,8 @@ on the rising edge, so a sustained violation produces one alert, not one
 per request. Alerts go to a pluggable sink (any callable); by default
 they accumulate on :attr:`SLOMonitor.alerts`.
 
-The service wiring lives in :class:`repro.serve.service.ScanService`:
+A monitor subscribes to a :class:`repro.serve.service.ScanService`'s
+outcome stream (its ``on_batch``/``on_fail``/``on_reject`` hooks below):
 completed tickets feed latency outcomes at their simulated completion
 time, failed and backpressure-rejected requests feed availability
 outcomes. Nothing here reads wall clocks.
@@ -244,6 +245,29 @@ class SLOMonitor:
             elif not violating:
                 self._active.discard(obj.name)
         return fired
+
+    def latency_burn(self) -> float:
+        """Worst short-window burn rate across the latency objectives.
+
+        ``0.0`` without a latency objective. Controllers and the cluster
+        router read it to tell a replica burning its latency budget.
+        """
+        rates = self.burn_rates()
+        return max((rates[obj.name][0] for obj in self.objectives
+                    if obj.kind == "latency"), default=0.0)
+
+    # -- service subscriber: each outcome at its simulated instant ------
+
+    def on_reject(self, service, error) -> None:
+        self.observe(service.clock.now, ok=False)
+
+    def on_batch(self, service, report, tickets) -> None:
+        for t in tickets:
+            self.observe(t.completion_s, latency_s=t.latency_s)
+
+    def on_fail(self, service, pairs, exc) -> None:
+        for t, _data in pairs:
+            self.observe(t.completion_s, latency_s=t.latency_s, ok=False)
 
     def burn_rates(self) -> dict[str, tuple[float, float]]:
         """Current (short, long) burn rate per objective."""

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import BackpressureError, ConfigurationError
-from repro.obs.registry import Histogram
 from repro.primitives.sequential import exclusive_scan, inclusive_scan
-from repro.serve.service import ScanService, SubmitResult
+from repro.serve.service import ScanService, ServiceStats, SubmitResult
 from repro.util.ints import next_power_of_two
 
 __all__ = ["Request", "poisson_workload", "bursty_workload", "replay",
@@ -130,41 +129,28 @@ def replay(
     :mod:`repro.primitives.sequential` — the service is a front-end and
     must be output-invisible.
 
-    The summary reports **per-run deltas**, not the service's lifetime
-    counters: replaying twice on the same service (the restart/cluster
-    pattern) yields two independent summaries instead of the second one
-    double-counting the first's ``submitted``/``served``/``rejected``.
-    The latency and batch-size distributions are rebuilt from this run's
-    tickets and batches in the service's own terminal order
-    (:attr:`SubmitResult.seq`), so a replay on a *fresh* service is
-    bit-identical to the lifetime summary it used to report.
+    The summary is **this run's**, not the service's lifetime: the
+    replay subscribes a fresh :class:`~repro.serve.service.ServiceStats`
+    record for the run, so replaying twice on the same service (the
+    restart/cluster pattern) yields two independent summaries, and a
+    replay on a fresh service reports exactly its lifetime record.
     """
-    # Counter/total baseline so the summary can report this run only.
-    base = {
-        "submitted": service.submitted,
-        "served": service.served,
-        "failed": service.failed,
-        "rejected": service.rejected,
-        "evicted": service.evicted,
-        "splits": service.splits,
-        "padded_rows": service.padded_rows,
-        "batches": len(service.batches),
-        "total_queue_wait_s": service.total_queue_wait_s,
-        "total_exec_wait_s": service.total_exec_wait_s,
-        "total_exec_s": service.total_exec_s,
-        "total_latency_s": service.total_latency_s,
-    }
+    run = ServiceStats()
+    service.subscribe(run)
     tickets: list[tuple[Request, SubmitResult]] = []
     rejected = 0
-    for req in sorted(workload, key=lambda r: r.at_s):
-        try:
-            ticket = service.submit(req.data, operator=req.operator,
-                                    inclusive=req.inclusive, at=req.at_s)
-        except BackpressureError:
-            rejected += 1
-            continue
-        tickets.append((req, ticket))
-    service.drain()
+    try:
+        for req in sorted(workload, key=lambda r: r.at_s):
+            try:
+                ticket = service.submit(req.data, operator=req.operator,
+                                        inclusive=req.inclusive, at=req.at_s)
+            except BackpressureError:
+                rejected += 1
+                continue
+            tickets.append((req, ticket))
+        service.drain()
+    finally:
+        service.unsubscribe(run)
     verified = 0
     failures = 0
     for req, ticket in tickets:
@@ -174,29 +160,7 @@ def replay(
         if verify:
             np.testing.assert_array_equal(ticket.result(), _oracle(req))
             verified += 1
-    stats = service.stats()
-    # Per-run deltas over the baseline.
-    for name in ("submitted", "served", "failed", "rejected", "evicted",
-                 "splits", "padded_rows", "batches", "total_queue_wait_s",
-                 "total_exec_wait_s", "total_exec_s", "total_latency_s"):
-        stats[name] = stats[name] - base[name]
-    run_batches = service.batches[base["batches"]:]
-    stats["mean_batch_size"] = (stats["served"] / len(run_batches)
-                                if run_batches else 0.0)
-    # Rebuild the distributions from this run's terminal tickets, in the
-    # exact order the service observed them (seq is the service's own
-    # terminal-order stamp), so the summaries reproduce bit-identically.
-    latency = Histogram("serve.latency_s")
-    for _, ticket in sorted(
-        (pair for pair in tickets if pair[1].status in ("done", "failed")),
-        key=lambda pair: pair[1].seq,
-    ):
-        latency.observe(ticket.latency_s)
-    batch_size = Histogram("serve.batch_size")
-    for report in run_batches:
-        batch_size.observe(report.requests)
-    stats["latency"] = latency.summary()
-    stats["batch_size"] = batch_size.summary()
+    stats = run.summary(service)
     stats.update({
         "requests": len(workload),
         "rejected_by_backpressure": rejected,

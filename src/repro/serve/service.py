@@ -42,6 +42,15 @@ requests::
 
 which the test suite pins as the no-double-counting invariant.
 
+**Each outcome is reported once.** Admitted, rejected, flushed, split,
+batch completed, batch failed and evicted requests each go through one
+:meth:`ScanService._report` call to an ordered subscriber list, and
+everything that reacts to an outcome is a subscriber: the lifetime
+:class:`ServiceStats` record (behind :meth:`ScanService.stats` and the
+``served``/``total_exec_s``/... attributes), the SLO monitor, the obs
+registry and flight-recorder mirror, the controller, and whatever
+subscribes later — a fronting router, or a replay's per-run record.
+
 **Failed requests are charged too**: a batch that exhausts failover (and
 service-level bisection) marks its tickets failed with their queue wait
 *plus* the simulated time the failed attempts actually consumed (the
@@ -57,6 +66,8 @@ latency distribution nor reported before they simulated-happened.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +87,12 @@ from repro.primitives.operators import resolve_operator
 from repro.serve.clock import SimClock
 from repro.util.ints import next_power_of_two
 
-__all__ = ["QueueKey", "SubmitResult", "BatchReport", "ScanService"]
+__all__ = ["QueueKey", "SubmitResult", "BatchReport", "ServiceStats",
+           "ScanService"]
+
+#: The outcome hooks a subscriber may define (see ScanService.subscribe).
+_EVENTS = ("on_submit", "on_reject", "on_flush", "on_split", "on_batch",
+          "on_fail", "on_evict")
 
 
 @dataclass(frozen=True)
@@ -112,7 +128,7 @@ class SubmitResult:
         "index", "key", "arrival_s", "size", "status", "output", "error",
         "queue_wait_s", "exec_wait_s", "exec_share_s", "batch_time_s",
         "latency_s", "completion_s", "batch_index", "batch_requests",
-        "batch_g", "failover", "splits", "seq",
+        "batch_g", "failover", "splits", "origin",
     )
 
     def __init__(self, index: int, key: QueueKey, arrival_s: float, size: int):
@@ -145,10 +161,10 @@ class SubmitResult:
         self.failover: dict | None = None
         #: How many service-level bisections this request went through.
         self.splits = 0
-        #: Monotone terminal-order stamp: the order in which this service
-        #: resolved tickets (done/failed/evicted). Lets callers rebuild
-        #: the service's own observation order bit-exactly.
-        self.seq: int | None = None
+        #: The request this ticket carries for a fronting router (its
+        #: :class:`~repro.cluster.router.ClusterTicket`), set when the
+        #: router's replica subscription sees the admission.
+        self.origin = None
 
     @property
     def done(self) -> bool:
@@ -182,9 +198,9 @@ class SubmitResult:
                 f"latency={self.latency_s * 1e3:.3f} ms)")
 
 
-@dataclass
-class _Pending:
-    """A queued request: its ticket plus the raw row to coalesce."""
+class _Pending(NamedTuple):
+    """A queued request: its ticket plus the raw row to coalesce (the
+    ``(ticket, data)`` pair failure and eviction outcomes carry)."""
 
     ticket: SubmitResult
     data: np.ndarray
@@ -208,6 +224,181 @@ class BatchReport:
     result: ScanResult | None = field(default=None, repr=False)
 
 
+class ServiceStats:
+    """Counters and distributions of one service's outcomes.
+
+    A subscriber like any other: the service keeps one for its lifetime
+    (:meth:`ScanService.stats` and the service's ``served``,
+    ``total_exec_s``, ``latency``... attributes read it), and
+    :func:`~repro.serve.replay.replay` subscribes a fresh one per run.
+    """
+
+    def __init__(self) -> None:
+        self.submitted = 0
+        self.served = 0
+        self.failed = 0
+        self.rejected = 0
+        self.evicted = 0
+        self.batches = 0
+        self.splits = 0
+        self.padded_rows = 0
+        # Exact accounting totals for the no-double-counting invariant.
+        self.total_queue_wait_s = 0.0
+        self.total_exec_wait_s = 0.0
+        self.total_exec_s = 0.0
+        self.total_latency_s = 0.0
+        #: Streaming distributions (mirroring the session's histograms).
+        self.latency = Histogram("serve.latency_s")
+        self.batch_size = Histogram("serve.batch_size")
+
+    def on_submit(self, service, ticket) -> None:
+        self.submitted += 1
+
+    def on_reject(self, service, error) -> None:
+        self.rejected += 1
+
+    def on_split(self, service, key, requests, depth) -> None:
+        self.splits += 1
+
+    def on_batch(self, service, report, tickets) -> None:
+        self.served += report.requests
+        self.batches += 1
+        self.padded_rows += report.g - report.requests
+        self.batch_size.observe(report.requests)
+        self._settled(tickets)
+
+    def on_fail(self, service, pairs, exc) -> None:
+        self.failed += len(pairs)
+        self._settled([t for t, _data in pairs])
+
+    def on_evict(self, service, pairs) -> None:
+        self.evicted += len(pairs)
+
+    def _settled(self, tickets) -> None:
+        """Book one settled batch's latencies and exact totals.
+
+        Every ticket of a batch shares its executor wait and its
+        execution (or attempted) time, so the totals grow by the batch,
+        not by the ticket.
+        """
+        queue_wait = 0.0
+        for t in tickets:
+            self.latency.observe(t.latency_s)
+            queue_wait += t.queue_wait_s
+        exec_wait = tickets[0].exec_wait_s * len(tickets)
+        exec_s = tickets[0].batch_time_s
+        self.total_queue_wait_s += queue_wait
+        self.total_exec_wait_s += exec_wait
+        self.total_exec_s += exec_s
+        self.total_latency_s += queue_wait + exec_wait + exec_s
+
+    def summary(self, service) -> dict:
+        """This record's counters and distributions, plus ``service``'s
+        live state (queue depth, SLO, controller, session counters)."""
+        return {
+            "submitted": self.submitted,
+            "served": self.served,
+            "failed": self.failed,
+            "rejected": self.rejected,
+            "evicted": self.evicted,
+            "queued": service.depth,
+            "batches": self.batches,
+            "splits": self.splits,
+            "padded_rows": self.padded_rows,
+            "mean_batch_size": (self.served / self.batches
+                                if self.batches else 0.0),
+            "total_queue_wait_s": self.total_queue_wait_s,
+            "total_exec_wait_s": self.total_exec_wait_s,
+            "total_exec_s": self.total_exec_s,
+            "total_latency_s": self.total_latency_s,
+            "latency": self.latency.summary(),
+            "batch_size": self.batch_size.summary(),
+            "slo": service.slo.snapshot() if service.slo is not None else None,
+            "control": (service.controller.snapshot()
+                        if service.controller is not None else None),
+            "session": {
+                "calls": service.session.calls,
+                "hits": service.session.hits,
+                "misses": service.session.misses,
+            },
+        }
+
+
+class _Mirror:
+    """Mirrors each outcome into the obs registry and the flight recorder.
+
+    Subscribed after the SLO monitor, so a backpressure postmortem holds
+    the rejection in both its registry and its SLO snapshot. With
+    observability off and the recorder disarmed every hook is a flag
+    check.
+    """
+
+    def on_submit(self, service, ticket) -> None:
+        if obs.is_enabled():
+            obs.counter("serve.submitted").inc()
+            obs.gauge("serve.queue_depth").set(service.depth)
+
+    def on_reject(self, service, error) -> None:
+        if obs.is_enabled():
+            obs.counter("serve.rejected").inc()
+        if flight.is_armed():
+            flight.note("backpressure", at_s=service.clock.now,
+                        depth=service.depth, max_queue=service.max_queue)
+            # The last batch's trace rides along, if a batch ran yet.
+            flight.dump_postmortem(
+                error,
+                trace=(service.batches[-1].result.trace
+                       if service.batches else None),
+                registry=obs.registry(),
+                health=service.session.health.snapshot(),
+                slo=service.slo.snapshot() if service.slo is not None else None,
+            )
+
+    def on_flush(self, service, key, requests, reason, depth) -> None:
+        # Only the queue's own flush counts as one; a split's halves
+        # re-dispatch inside it.
+        if depth == 0 and obs.is_enabled():
+            obs.counter("serve.flushes", reason=reason).inc()
+            obs.gauge("serve.queue_depth").set(service.depth)
+        if flight.is_armed():
+            flight.note("dispatch", at_s=service.clock.now, key=str(key),
+                        requests=requests, reason=reason, depth=depth)
+
+    def on_split(self, service, key, requests, depth) -> None:
+        if obs.is_enabled():
+            obs.counter("serve.batch_splits").inc()
+
+    def on_batch(self, service, report, tickets) -> None:
+        if obs.is_enabled():
+            self._settled(tickets)
+            obs.histogram("serve.batch_size").observe(report.requests)
+            obs.counter("serve.served").inc(report.requests)
+            obs.counter("serve.padded_rows").inc(report.g - report.requests)
+
+    def on_fail(self, service, pairs, exc) -> None:
+        if obs.is_enabled():
+            self._settled([t for t, _data in pairs])
+            obs.counter("serve.request_failures").inc(len(pairs))
+        if flight.is_armed():
+            flight.note("requests_failed", at_s=service.clock.now,
+                        requests=len(pairs), depth=pairs[0][0].splits,
+                        error=str(exc))
+
+    def on_evict(self, service, pairs) -> None:
+        if obs.is_enabled():
+            obs.counter("serve.evicted").inc(len(pairs))
+            obs.gauge("serve.queue_depth").set(service.depth)
+
+    @staticmethod
+    def _settled(tickets) -> None:
+        for t in tickets:
+            obs.histogram("serve.latency_s").observe(t.latency_s)
+            obs.histogram("serve.queue_wait_s").observe(t.queue_wait_s)
+
+
+_MIRROR = _Mirror()
+
+
 class ScanService:
     """A request-coalescing front-end over one :class:`ScanSession`.
 
@@ -228,11 +419,12 @@ class ScanService:
         Placement knobs applied to every dispatched batch (``"auto"``
         re-runs Premise 4 per batch shape).
     slo:
-        Optional :class:`~repro.obs.slo.SLOMonitor`. Completed requests
-        feed it latency outcomes at their simulated completion time;
-        failed and backpressure-rejected requests feed availability
-        outcomes — so burn-rate alerts fire deterministically inside
-        replays, at simulated timestamps.
+        Optional :class:`~repro.obs.slo.SLOMonitor`, subscribed to the
+        outcome stream. Completed requests feed it latency outcomes at
+        their simulated completion time; failed and
+        backpressure-rejected requests feed availability outcomes — so
+        burn-rate alerts fire deterministically inside replays, at
+        simulated timestamps.
     snapshot:
         Optional :class:`~repro.core.store.SessionSnapshot` (or a path
         to one) applied to the serving session before the first request
@@ -249,27 +441,26 @@ class ScanService:
         batches freely, which keeps historical accounting bit-identical
         — but the cluster layer turns it on so tail latency actually
         responds to per-replica load.
-    on_scatter, on_fail:
-        Optional replica hooks for a fronting router.
-        ``on_scatter(service, report, tickets)`` fires after a batch
-        scatters; ``on_fail(service, pairs, exc)`` fires after tickets
-        are marked failed, with ``pairs`` the ``(ticket, data)`` rows so
-        the router can re-route them elsewhere.
     controller:
         Optional :class:`~repro.control.Controller` (usually the
         :func:`~repro.control.adaptive_controller` stack) closing the
         loop from the service's own metrics back to its policy knobs.
-        The controller is ticked at deterministic points only — after
-        each admitted request, each scattered batch and each terminal
-        batch failure, all on the simulated clock — so an adaptive
-        replay is exactly as reproducible as a static one; its decision
-        log rides along in :meth:`stats` and in flight-recorder notes.
-        Controllers adjust batching and latency, never payloads: results
-        stay bit-identical to a static service's.
+        It subscribes to the outcome stream, so it is ticked at
+        deterministic points only — after each admitted request, each
+        scattered batch and each terminal batch failure, all on the
+        simulated clock — and an adaptive replay is exactly as
+        reproducible as a static one; its decision log rides along in
+        :meth:`stats` and in flight-recorder notes. Controllers adjust
+        batching and latency, never payloads: results stay bit-identical
+        to a static service's.
 
-    The clock only moves when the caller moves it — via timestamped
-    ``submit(..., at=...)``, :meth:`advance`, or :meth:`advance_to` —
-    so identical request schedules replay into identical batches.
+    Every outcome goes to the subscribers in this order: the lifetime
+    stats record, ``slo``, the obs/flight mirror, ``controller``, then
+    anything added with :meth:`subscribe` (a fronting router, a
+    replay's per-run record). The clock only moves when the caller
+    moves it — via timestamped ``submit(..., at=...)``, :meth:`advance`,
+    or :meth:`advance_to` — so identical request schedules replay into
+    identical batches.
     """
 
     def __init__(
@@ -288,8 +479,6 @@ class ScanService:
         slo=None,
         snapshot=None,
         serialize_exec: bool = False,
-        on_scatter=None,
-        on_fail=None,
         controller=None,
     ):
         from repro.core.session import ScanSession, default_session
@@ -318,34 +507,62 @@ class ScanService:
         self.K = K
         self.slo = slo
         self.serialize_exec = bool(serialize_exec)
-        self.on_scatter = on_scatter
-        self.on_fail = on_fail
         self.controller = controller
         self.clock = SimClock()
         self._queues: dict[QueueKey, list[_Pending]] = {}
         self.batches: list[BatchReport] = []
-        # Serving counters (always on; cheap ints).
-        self.submitted = 0
-        self.served = 0
-        self.failed = 0
-        self.rejected = 0
-        self.evicted = 0
-        self.padded_rows = 0
-        self.splits = 0
-        # Monotone terminal-order stamp (see SubmitResult.seq).
-        self._seq = 0
         # When the last batch frees the serial executor (serialize_exec).
         self.busy_until_s = 0.0
-        # Exact accounting totals for the no-double-counting invariant.
-        self.total_queue_wait_s = 0.0
-        self.total_exec_wait_s = 0.0
-        self.total_exec_s = 0.0
-        self.total_latency_s = 0.0
-        #: Streaming distributions (mirroring the session's histograms).
-        self.latency = Histogram("serve.latency_s")
-        self.batch_size = Histogram("serve.batch_size")
+        #: The lifetime stats record: the first subscriber.
+        self.record = ServiceStats()
+        self._subscribers = [s for s in (self.record, slo, _MIRROR, controller)
+                             if s is not None]
+        self._wire()
         if controller is not None:
             controller.bind(self)
+
+    # --------------------------------------------------------- outcomes
+
+    def subscribe(self, subscriber) -> None:
+        """Append ``subscriber`` to this service's outcome stream.
+
+        A subscriber defines any of these hooks; each outcome calls them
+        once, service first, in subscription order:
+
+        - ``on_submit(service, ticket)``: a request was admitted (before
+          its queue's ``max_batch`` check);
+        - ``on_reject(service, error)``: admission shed a request with
+          ``error`` (a :class:`~repro.errors.BackpressureError`);
+        - ``on_flush(service, key, requests, reason, depth)``: a batch is
+          about to dispatch (``depth > 0`` for the halves of a split);
+        - ``on_split(service, key, requests, depth)``: a batch that
+          exhausted failover is bisected;
+        - ``on_batch(service, report, tickets)``: a batch scattered;
+        - ``on_fail(service, pairs, exc)``: ``(ticket, data)`` rows failed
+          terminally with ``exc``;
+        - ``on_evict(service, pairs)``: queued ``(ticket, data)`` rows were
+          evicted.
+        """
+        self._subscribers.append(subscriber)
+        self._wire()
+
+    def unsubscribe(self, subscriber) -> None:
+        """Remove ``subscriber`` from the outcome stream."""
+        self._subscribers.remove(subscriber)
+        self._wire()
+
+    def _wire(self) -> None:
+        # Each event's hooks are looked up here, once, not per outcome.
+        self._hooks = {
+            event: [getattr(s, event) for s in self._subscribers
+                    if hasattr(s, event)]
+            for event in _EVENTS
+        }
+
+    def _report(self, event: str, *args) -> None:
+        """Hand one outcome to every subscriber hook, in order."""
+        for hook in self._hooks[event]:
+            hook(self, *args)
 
     # ------------------------------------------------------------- admission
 
@@ -383,30 +600,11 @@ class ScanService:
         if at is not None:
             self.advance_to(at)
         if self.depth >= self.max_queue:
-            self.rejected += 1
-            if obs.is_enabled():
-                obs.counter("serve.rejected").inc()
-            if self.slo is not None:
-                self.slo.observe(self.clock.now, ok=False)
             error = BackpressureError(
                 f"admission queue full ({self.depth}/{self.max_queue} queued); "
                 "request rejected"
             )
-            if flight.is_armed():
-                flight.note("backpressure", at_s=self.clock.now,
-                            depth=self.depth, max_queue=self.max_queue)
-                last_trace = next(
-                    (b.result.trace for b in reversed(self.batches)
-                     if b.result is not None),
-                    None,
-                )
-                flight.dump_postmortem(
-                    error,
-                    trace=last_trace,
-                    registry=obs.registry(),
-                    health=self.session.health.snapshot(),
-                    slo=self.slo.snapshot() if self.slo is not None else None,
-                )
+            self._report("on_reject", error)
             raise error
         key = QueueKey(
             n=next_power_of_two(arr.size),
@@ -414,18 +612,13 @@ class ScanService:
             operator=op.name,
             inclusive=bool(inclusive),
         )
-        ticket = SubmitResult(self.submitted, key, self.clock.now, arr.size)
-        self.submitted += 1
+        ticket = SubmitResult(self.record.submitted, key, self.clock.now, arr.size)
         queue = self._queues.setdefault(key, [])
         queue.append(_Pending(ticket, arr))
-        if obs.is_enabled():
-            obs.counter("serve.submitted").inc()
-            obs.gauge("serve.queue_depth").set(self.depth)
-        # The controller ticks before the max_batch check so a knob it
-        # just moved governs this very admission (deterministically: the
-        # tick is a pure function of the clock and the counters).
-        if self.controller is not None:
-            self.controller.on_submit(self)
+        # Subscribers (the controller among them) see the admission
+        # before the max_batch check, so a knob moved here governs this
+        # very admission.
+        self._report("on_submit", ticket)
         if len(queue) >= self.max_batch:
             self._flush_key(key, reason="max_batch")
         return ticket
@@ -490,13 +683,18 @@ class ScanService:
         if not queue:
             return
         pending, self._queues[key] = queue[: self.max_batch], queue[self.max_batch:]
-        enabled = obs.is_enabled()
         with obs.span("serve.coalesce", key=str(key), requests=len(pending),
                       reason=reason):
-            if enabled:
-                obs.counter("serve.flushes", reason=reason).inc()
-                obs.gauge("serve.queue_depth").set(self.depth)
-            self._dispatch(key, pending, reason, depth=0)
+            try:
+                self._dispatch(key, pending, reason, depth=0)
+            except BaseException as exc:
+                # Whatever escaped (failover exhaustion never does), every
+                # popped request is settled exactly once before it
+                # propagates: none is left queued outside its queue.
+                stranded = [p for p in pending if p.ticket.status == "queued"]
+                if stranded:
+                    self._fail(stranded, exc)
+                raise
         # A flush can leave a (rare) over-full remainder behind when
         # submits outpaced max_batch; keep flushing until legal. The
         # re-flush fires because the remainder is over max_batch, not
@@ -519,9 +717,7 @@ class ScanService:
         """
         flush_s = self.clock.now
         requests = len(pending)
-        if flight.is_armed():
-            flight.note("dispatch", at_s=flush_s, key=str(key),
-                        requests=requests, reason=reason, depth=depth)
+        self._report("on_flush", key, requests, reason, depth)
         rows = [p.data for p in pending]
         batch = pad_rows_to_batch(rows, key.n, key.operator,
                                   dtype=np.dtype(key.dtype))
@@ -542,11 +738,9 @@ class ScanService:
         except FailoverExhaustedError as exc:
             policy = self.session.health.policy
             if requests == 1 or depth >= policy.max_batch_splits:
-                self._fail(pending, exc, depth)
+                self._fail(pending, exc)
                 return
-            self.splits += 1
-            if obs.is_enabled():
-                obs.counter("serve.batch_splits").inc()
+            self._report("on_split", key, requests, depth)
             mid = requests // 2
             for p in pending:
                 p.ticket.splits += 1
@@ -555,16 +749,16 @@ class ScanService:
             return
         self._scatter(key, pending, result, reason, flush_s)
 
-    def _settle(self, pending: list[_Pending], status: str, ok: bool,
+    def _settle(self, pending: list[_Pending], status: str,
                 flush_s: float, exec_s: float) -> tuple[float, float]:
-        """Stamp each ticket's outcome and latency accounting; book totals.
+        """Stamp each ticket's outcome and latency accounting.
 
         The one accounting path for served and failed requests alike:
         ``exec_s`` is the batch's execution time (for a failed batch, the
         time its attempts burned). Latency is queue wait plus executor
-        wait plus the request's share of ``exec_s``; the SLO outcome is
-        stamped at the simulated completion. Returns the batch's executor
-        wait and its summed queue wait.
+        wait plus the request's share of ``exec_s``, and the request
+        completes at execution start plus ``exec_s``. Returns the batch's
+        executor wait and its summed queue wait.
         """
         requests = len(pending)
         # With a serial executor, a batch flushed while an earlier batch
@@ -581,12 +775,9 @@ class ScanService:
         # leak float drift into the accounting invariant).
         share = exec_s / requests
         queue_wait_total = 0.0
-        enabled = obs.is_enabled()
         for i, p in enumerate(pending):
             t = p.ticket
             t.status = status
-            t.seq = self._seq
-            self._seq += 1
             t.queue_wait_s = flush_s - t.arrival_s
             t.exec_wait_s = exec_wait
             t.exec_share_s = (share if i < requests - 1
@@ -595,16 +786,6 @@ class ScanService:
             t.latency_s = t.queue_wait_s + t.exec_wait_s + t.exec_share_s
             t.completion_s = start_s + exec_s
             queue_wait_total += t.queue_wait_s
-            self.latency.observe(t.latency_s)
-            if self.slo is not None:
-                self.slo.observe(t.completion_s, latency_s=t.latency_s, ok=ok)
-            if enabled:
-                obs.histogram("serve.latency_s").observe(t.latency_s)
-                obs.histogram("serve.queue_wait_s").observe(t.queue_wait_s)
-        self.total_queue_wait_s += queue_wait_total
-        self.total_exec_wait_s += exec_wait * requests
-        self.total_exec_s += exec_s
-        self.total_latency_s += queue_wait_total + exec_wait * requests + exec_s
         return exec_wait, queue_wait_total
 
     def _scatter(self, key: QueueKey, pending: list[_Pending],
@@ -612,24 +793,17 @@ class ScanService:
         """Hand each request its output row and its latency accounting."""
         requests = len(pending)
         batch_time = result.total_time_s
-        exec_wait, queue_wait_total = self._settle(pending, "done", True,
+        exec_wait, queue_wait_total = self._settle(pending, "done",
                                                    flush_s, batch_time)
         batch_index = len(self.batches)
         failover = result.config.get("failover")
-        for i, p in enumerate(pending):
-            t = p.ticket
+        tickets = [p.ticket for p in pending]
+        for i, t in enumerate(tickets):
             t.output = result.output[i, : t.size].copy()
             t.batch_index = batch_index
             t.batch_requests = requests
             t.batch_g = result.problem.G
             t.failover = failover
-        self.served += requests
-        self.padded_rows += result.problem.G - requests
-        self.batch_size.observe(requests)
-        if obs.is_enabled():
-            obs.histogram("serve.batch_size").observe(requests)
-            obs.counter("serve.served").inc(requests)
-            obs.counter("serve.padded_rows").inc(result.problem.G - requests)
         report = BatchReport(
             index=batch_index,
             key=key,
@@ -644,41 +818,26 @@ class ScanService:
             result=result,
         )
         self.batches.append(report)
-        if self.controller is not None:
-            self.controller.on_batch(self, report)
-        if self.on_scatter is not None:
-            self.on_scatter(self, report, [p.ticket for p in pending])
+        self._report("on_batch", report, tickets)
 
-    def _fail(self, pending: list[_Pending], exc: BaseException,
-              depth: int) -> None:
+    def _fail(self, pending: list[_Pending], exc: BaseException) -> None:
         """Mark ``pending`` failed, charging the time the attempts burned.
 
         Failed-request accounting: latency is queue wait plus the
         request's share of the *attempted* execution time — the retry
         backoff the exhausted failover actually simulated, carried by
         ``FailoverExhaustedError.attempts`` — shared across the batch
-        exactly like a successful batch's execution time. The SLO
-        availability outcome is stamped at the simulated completion
-        (flush + attempted time), not at flush time.
+        exactly like a successful batch's execution time. The request
+        completes (and the SLO monitor sees its failure) at flush plus
+        the attempted time, not at flush time.
         """
-        requests = len(pending)
         attempted_s = 0.0
         if isinstance(exc, FailoverExhaustedError):
             attempted_s = float(sum(a.backoff_s for a in exc.attempts))
-        self._settle(pending, "failed", False, self.clock.now, attempted_s)
+        self._settle(pending, "failed", self.clock.now, attempted_s)
         for p in pending:
             p.ticket.error = exc
-            p.ticket.splits = depth
-        self.failed += requests
-        if obs.is_enabled():
-            obs.counter("serve.request_failures").inc(requests)
-        if flight.is_armed():
-            flight.note("requests_failed", at_s=self.clock.now,
-                        requests=requests, depth=depth, error=str(exc))
-        if self.controller is not None:
-            self.controller.on_fail(self, exc)
-        if self.on_fail is not None:
-            self.on_fail(self, [(p.ticket, p.data) for p in pending], exc)
+        self._report("on_fail", pending, exc)
 
     # -------------------------------------------------------------- eviction
 
@@ -692,49 +851,27 @@ class ScanService:
         *not* counted as served or failed — they are accounted by
         whichever replica finally serves them.
         """
-        pairs: list[tuple[SubmitResult, np.ndarray]] = []
+        pairs: list[_Pending] = []
         for key in self._ordered_keys():
             for p in self._queues.pop(key, []):
-                t = p.ticket
-                t.status = "evicted"
-                t.seq = self._seq
-                self._seq += 1
-                pairs.append((t, p.data))
-        self.evicted += len(pairs)
-        if pairs and obs.is_enabled():
-            obs.counter("serve.evicted").inc(len(pairs))
-            obs.gauge("serve.queue_depth").set(self.depth)
+                p.ticket.status = "evicted"
+                pairs.append(p)
+        if pairs:
+            self._report("on_evict", pairs)
         return pairs
 
     # -------------------------------------------------------- introspection
 
     def stats(self) -> dict:
         """Counter snapshot plus latency/batch-size distributions."""
-        served_batches = len(self.batches)
-        return {
-            "submitted": self.submitted,
-            "served": self.served,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "evicted": self.evicted,
-            "queued": self.depth,
-            "batches": served_batches,
-            "splits": self.splits,
-            "padded_rows": self.padded_rows,
-            "mean_batch_size": (self.served / served_batches
-                                if served_batches else 0.0),
-            "total_queue_wait_s": self.total_queue_wait_s,
-            "total_exec_wait_s": self.total_exec_wait_s,
-            "total_exec_s": self.total_exec_s,
-            "total_latency_s": self.total_latency_s,
-            "latency": self.latency.summary(),
-            "batch_size": self.batch_size.summary(),
-            "slo": self.slo.snapshot() if self.slo is not None else None,
-            "control": (self.controller.snapshot()
-                        if self.controller is not None else None),
-            "session": {
-                "calls": self.session.calls,
-                "hits": self.session.hits,
-                "misses": self.session.misses,
-            },
-        }
+        return self.record.summary(self)
+
+
+# Counter reads (``service.served``, ``.total_exec_s``, ``.latency``...)
+# are views of the lifetime stats record.
+for _field in ("submitted", "served", "failed", "rejected", "evicted",
+               "splits", "padded_rows", "total_queue_wait_s",
+               "total_exec_wait_s", "total_exec_s", "total_latency_s",
+               "latency", "batch_size"):
+    setattr(ScanService, _field, property(attrgetter(f"record.{_field}")))
+del _field

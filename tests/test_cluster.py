@@ -306,3 +306,34 @@ class TestRouterValidation:
         assert stats["latency"]["count"] == 4
         assert len(stats["per_replica"]) == 2
         assert "acme" in stats["tenants"]
+
+    def test_rejected_input_is_not_counted_as_submitted(self, rng):
+        """A request a replica refuses at validation was never admitted: it
+        takes no ticket index and no ``submitted`` count, in ``stats()``
+        or in the obs mirror."""
+        router = small_router(replicas=2)
+        with pytest.raises(ConfigurationError):
+            router.submit(np.array(["not", "numbers"]))
+        with pytest.raises(ConfigurationError):
+            router.submit(rows(rng, 1)[0], inclusive="no")
+        ticket = router.submit(rows(rng, 1)[0])
+        assert router.stats()["submitted"] == 1
+        assert ticket.index == 0
+
+    def test_rejected_input_leaves_obs_mirror_equal(self, rng):
+        from repro import obs
+
+        was_enabled = obs.is_enabled()
+        obs.enable()
+        obs.reset()
+        try:
+            router = small_router(replicas=2)
+            with pytest.raises(ConfigurationError):
+                router.submit(np.array(["not", "numbers"]))
+            router.submit(rows(rng, 1)[0])
+            counted = obs.registry().snapshot()["cluster.submitted"]
+            assert router.stats()["submitted"] == sum(counted.values()) == 1
+        finally:
+            obs.reset()
+            if not was_enabled:
+                obs.disable()

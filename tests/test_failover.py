@@ -224,6 +224,45 @@ class TestRetryExhaustion:
             session.scan(data, proposal="sp")
         assert len(excinfo.value.attempts) >= 1
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("at_call", [1, 2, 3, 4, 5])
+    def test_fault_while_auto_decides_fails_over(self, at_call, warm):
+        """Arming a schedule moves the cost fingerprint, so ``auto``
+        re-tunes its sp/sp-dlb variant, and the tuner's estimates tick
+        the schedule. A device loss that fires there fails over like one
+        in execute instead of escaping raw."""
+        machine = tsubame_kfc(1)
+        session = ScanSession(machine)
+        data = np.ones((4, 1 << 14), np.float32)
+        if warm:
+            session.scan(data)
+        machine.install_faults(FaultSchedule(
+            [DeviceDown(at_call=at_call, gpu_id=0)]
+        ))
+        result = session.scan(data)
+        assert result.config["failover"]["attempts"] == 2
+        assert result.config["failover"]["errors"][0].startswith(
+            "DeviceLostError")
+        np.testing.assert_array_equal(result.output,
+                                      np.cumsum(data, axis=1, dtype=np.float32))
+        assert 0 not in machine.healthy_gpus()
+
+    def test_fault_while_auto_decides_serves_every_request(self):
+        """The same fault behind a service: the max_batch flush that
+        re-tunes fails over, and all four requests are served."""
+        machine = tsubame_kfc(1)
+        service = ScanSession(machine).service(max_batch=4)
+        machine.install_faults(FaultSchedule([DeviceDown(at_call=1, gpu_id=0)]))
+        rows = [np.full(1 << 12, i + 1, np.float32) for i in range(4)]
+        tickets = [service.submit(row) for row in rows]
+        assert [t.status for t in tickets] == ["done"] * 4
+        assert tickets[0].failover["attempts"] == 2
+        stats = service.stats()
+        assert (stats["submitted"], stats["served"], stats["failed"],
+                stats["queued"]) == (4, 4, 0, 0)
+        for row, ticket in zip(rows, tickets):
+            np.testing.assert_array_equal(ticket.result(), np.cumsum(row))
+
     def test_backoff_grows_exponentially(self):
         policy = RetryPolicy(backoff_base_s=1e-3, backoff_factor=2.0)
         assert policy.backoff_s(1) == pytest.approx(1e-3)
