@@ -56,7 +56,7 @@ from repro.errors import (
 from repro.interconnect.topology import tsubame_kfc
 from repro.obs.registry import Histogram
 from repro.serve.clock import SimClock
-from repro.serve.service import ScanService
+from repro.serve.service import ScanService, ServiceStats
 from repro.cluster.policies import resolve_policy
 from repro.cluster.tenants import DEFAULT_TENANT, TenantSpec
 
@@ -141,13 +141,18 @@ class Replica:
 
     The replica subscribes to its service's outcome stream and hands
     each outcome the router acts on to the router, with itself attached.
+    Its ``stats`` record is subscribed to every service the replica runs,
+    a re-admitted replica's replacement included, so it counts the
+    replica's outcomes across respawns.
     """
 
-    __slots__ = ("id", "router", "service", "state", "strikes", "down_since_s")
+    __slots__ = ("id", "router", "stats", "service", "state", "strikes",
+                 "down_since_s")
 
     def __init__(self, rid: int, router: "ClusterRouter"):
         self.id = rid
         self.router = router
+        self.stats = ServiceStats()
         self.service = router._build_service(self, snapshot=None)
         #: "active" | "down"
         self.state = "active"
@@ -280,7 +285,8 @@ class ClusterRouter:
     # ------------------------------------------------------------- replicas
 
     def _build_service(self, replica: Replica, snapshot) -> ScanService:
-        """A fresh service for ``replica``, with the replica subscribed."""
+        """A fresh service for ``replica``, with the replica and its stats
+        record subscribed."""
         from repro.core.store import spawn_replica_session
 
         rid = replica.id
@@ -298,6 +304,7 @@ class ClusterRouter:
             **extra,
             **self.service_kwargs,
         )
+        service.subscribe(replica.stats)
         service.subscribe(replica)
         return service
 
@@ -640,8 +647,8 @@ class ClusterRouter:
             "parked": self.parked,
             "drains": self.drains,
             "readmits": self.readmits,
-            "served": sum(r.service.served for r in self._replicas),
-            "failed": sum(r.service.failed for r in self._replicas),
+            "served": sum(r.stats.served for r in self._replicas),
+            "failed": sum(r.stats.failed for r in self._replicas),
             "batches": len(self.batch_log),
             "latency": self.latency.summary(),
             "per_replica": [
@@ -649,8 +656,8 @@ class ClusterRouter:
                     "id": r.id,
                     "state": r.state,
                     "strikes": r.strikes,
-                    "served": r.service.served,
-                    "failed": r.service.failed,
+                    "served": r.stats.served,
+                    "failed": r.stats.failed,
                     "depth": r.service.depth,
                     "burn_bucket": self._burn_bucket(r.id),
                     "decisions": (len(r.service.controller.decisions)

@@ -398,10 +398,20 @@ class TuneController(Controller):
             self._hot.pop(next(iter(self._hot)))
 
     def _retune(self, service, at_s: float) -> None:
-        """Re-resolve the hot shapes under the current fingerprint."""
+        """Re-resolve the hot shapes under the current fingerprint.
+
+        The tuner's estimates tick the fault schedule like any launch, so
+        a fault can fire here, after the batch that triggered the re-tune
+        has settled. A failed re-tune stops warming and never propagates:
+        it is logged as a ``retune_failed`` decision, and a retryable
+        fault is quarantined by the session's health tracker (its epoch
+        bump re-tunes at the next batch boundary).
+        """
         import numpy as np
 
+        from repro.core.health import HealthTracker
         from repro.core.params import ProblemConfig
+        from repro.errors import ReproError
 
         session = service.session
         misses_before = session.tuner.cache.misses
@@ -411,14 +421,26 @@ class TuneController(Controller):
                 N=key.n, G=g, dtype=np.dtype(key.dtype),
                 operator=key.operator, inclusive=key.inclusive,
             )
-            # The service default (W=1, proposal auto) routes through the
-            # memoised single-GPU variant choice; warming it re-runs the
-            # sp vs sp-dlb crossover against the degraded machine.
-            if service.W == 1 and service.proposal in ("auto", "sp", "sp-dlb"):
-                session.tuner.best_single_gpu_variant(problem)
-            if service.K == "tune" and service.proposal in ("sp", "mps",
-                                                            "mn-mps", "mppc"):
-                session.tuner.best_k(problem, proposal=service.proposal)
+            try:
+                # The service default (W=1, proposal auto) routes through
+                # the memoised single-GPU variant choice; warming it
+                # re-runs the sp vs sp-dlb crossover against the degraded
+                # machine.
+                if service.W == 1 and service.proposal in ("auto", "sp", "sp-dlb"):
+                    session.tuner.best_single_gpu_variant(problem)
+                if service.K == "tune" and service.proposal in (
+                        "sp", "mps", "mn-mps", "mppc"):
+                    session.tuner.best_k(problem, proposal=service.proposal)
+            except ReproError as exc:
+                if isinstance(exc, HealthTracker.RETRYABLE):
+                    session.health.record_failure(exc)
+                self.record(
+                    at_s, "retune_failed",
+                    f"{type(exc).__name__} while warming {key}: {exc}",
+                    {"epoch": self._epoch, "fingerprint": self._fingerprint},
+                    {"epoch": session.health.epoch, "warmed": warmed},
+                )
+                return
             warmed.append(str(key))
         self.record(
             at_s, "retune",

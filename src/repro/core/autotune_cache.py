@@ -106,6 +106,20 @@ class CacheEntry:
     #: Winning algorithm for variant-selection entries (empty for K sweeps).
     variant: str = ""
 
+    @classmethod
+    def from_dict(cls, record) -> "CacheEntry":
+        """An entry from its persisted dict (a cache file or a snapshot).
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a
+        malformed record; callers skip it.
+        """
+        return cls(
+            best_k=int(record["best_k"]),
+            best_time_s=float(record["best_time_s"]),
+            candidates=int(record["candidates"]),
+            variant=str(record.get("variant", "")),
+        )
+
 
 class AutotuneCache:
     """Store-backed memo of tuning outcomes.
@@ -142,12 +156,7 @@ class AutotuneCache:
     def _load(self) -> None:
         for key, entry in self.store.section(self.SECTION).items():
             try:
-                self._entries[key] = CacheEntry(
-                    best_k=int(entry["best_k"]),
-                    best_time_s=float(entry["best_time_s"]),
-                    candidates=int(entry["candidates"]),
-                    variant=str(entry.get("variant", "")),
-                )
+                self._entries[key] = CacheEntry.from_dict(entry)
             except (KeyError, TypeError, ValueError):
                 # One mangled record is stale tuning state, not a reason
                 # to drop the rest of the wisdom.

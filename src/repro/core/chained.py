@@ -31,16 +31,12 @@ LOOKBACK_READS_PER_BLOCK = 6
 DESCRIPTOR_WRITES_PER_BLOCK = 2
 
 
-def chained_scan_stats(
-    plan: ExecutionPlan, warp_size: int, blocks: int | None = None, costs=None
-) -> LaunchStats:
+def chained_scan_stats(plan: ExecutionPlan, warp_size: int) -> LaunchStats:
     """Closed-form counters of the single-pass kernel (exact, like Stage 1/3)."""
     kp = plan.stage1.params
     itemsize = plan.problem.itemsize
-    nb = plan.stage1.blocks if blocks is None else blocks
-    stats = block_flow_stats(
-        kp, warp_size, itemsize, nb, kp.K, addressing=6, costs=costs
-    )
+    nb = plan.stage1.blocks
+    stats = block_flow_stats(kp, warp_size, itemsize, nb, kp.K, addressing=6)
     stats.read_global(
         nb * kp.chunk_size * itemsize + nb * LOOKBACK_READS_PER_BLOCK * itemsize
     )
@@ -53,16 +49,13 @@ def chained_scan_stats(
 
 def _chained_spec(plan: ExecutionPlan, arch: GPUArchitecture, _) -> LaunchSpec:
     """The single pass's launch spec under idealised pricing."""
-    kp, warp_size = plan.stage1.params, arch.warp_size
+    kp = plan.stage1.params
     return LaunchSpec(
         arch,
         _launch_config(kp, plan.stage1.bx, plan.stage1.by, plan.problem.itemsize),
-        chained_scan_stats(plan, warp_size),
+        chained_scan_stats(plan, arch.warp_size),
         flow=(kp, plan.problem.operator, plan.problem.dtype),
         name="chained_scan",
-        call_stats=lambda plan, bx, costs: chained_scan_stats(
-            plan, warp_size, len(bx), costs
-        ),
     )
 
 

@@ -9,8 +9,7 @@ dispatch path that every entry point funnels through. This module is that
 path:
 
 - :class:`ScanRequest` — one value object describing a scan invocation:
-  the problem, the (optional) host batch, the placement knobs and the
-  analytic/functional switch.
+  the problem, the (optional) host batch and the placement knobs.
 - :class:`PlanResolver` — the single keyed plan cache. A plan is a pure
   function of ``(arch, problem, parts, g_local, K, template, K-space)``;
   resolving one does the premise template derivation, the template shrink
@@ -24,7 +23,7 @@ path:
   a subclass supplies only its buffer placement, its device flow and its
   config summary. ``run()`` and ``estimate()`` are thin wrappers that
   build the request — the analytic estimate is the *same* pipeline with
-  virtual arrays and ``functional=False``, so the two paths cannot drift.
+  virtual arrays, so the two paths cannot drift.
 - the **proposal registry** — the single source of truth mapping proposal
   names to executors, replacing the session's constructor if-chain; the
   session, the CLI and the docs all read it.
@@ -162,11 +161,11 @@ def shrink_template_to_fit(
 class ScanRequest:
     """One scan invocation, fully described.
 
-    ``batch is None`` means the analytic path: no host data, virtual
-    device buffers, closed-form kernel stats (``functional`` is then
-    False). ``node``, ``proposal`` and ``K`` are the placement knobs the
-    session keys its executor cache on; executors built directly carry
-    those choices in their constructors and ignore the fields.
+    ``batch is None`` means the analytic path: no host data and virtual
+    device buffers, so no kernel body runs and no data moves. ``node``,
+    ``proposal`` and ``K`` are the placement knobs the session keys its
+    executor cache on; executors built directly carry those choices in
+    their constructors and ignore the fields.
     """
 
     problem: ProblemConfig
@@ -175,7 +174,11 @@ class ScanRequest:
     proposal: str = "auto"
     K: int | str | None = None
     collect: bool = True
-    functional: bool = True
+
+    @property
+    def functional(self) -> bool:
+        """Whether the request carries data (``False``: an estimate)."""
+        return self.batch is not None
 
     @classmethod
     def from_host(
@@ -193,7 +196,7 @@ class ScanRequest:
         problem = ProblemConfig.for_batch(batch, operator, inclusive)
         return cls(
             problem=problem, batch=batch, node=node, proposal=proposal,
-            K=K, collect=collect, functional=True,
+            K=K, collect=collect,
         )
 
     @classmethod
@@ -207,7 +210,7 @@ class ScanRequest:
         """An estimate request: same pipeline, virtual arrays, no data."""
         return cls(
             problem=problem, batch=None, node=node, proposal=proposal,
-            K=K, collect=False, functional=False,
+            K=K, collect=False,
         )
 
     @property
@@ -415,8 +418,10 @@ class ScanExecutor(ABC):
     ``execute(request)`` owns the shared skeleton — resolve the plan,
     place buffers (real uploads or virtual reservations), run the device
     flow, collect the output, assemble the :class:`ScanResult`. The
-    functional and analytic paths differ *only* in the ``functional``
-    flag threaded through, so their traces are identical by construction.
+    functional and analytic paths differ *only* in their buffers: every
+    launch and transfer is priced from the same closed forms, and virtual
+    buffers run no body and move no data, so their traces are identical
+    by construction.
 
     Subclasses provide:
 
@@ -492,7 +497,7 @@ class ScanExecutor(ABC):
                     buffers = self._place_buffers(scope, plan, request)
             else:
                 buffers = self._place_buffers(scope, plan, request)
-            trace = self._device_flow(buffers, plan, functional=request.functional)
+            trace = self._device_flow(buffers, plan)
             output = None
             if request.functional and request.collect:
                 with obs.span("collect"):
@@ -557,9 +562,8 @@ class ScanExecutor(ABC):
         """Upload the batch (or reserve virtual buffers) onto the placement."""
 
     @abstractmethod
-    def _device_flow(self, buffers, plan: ExecutionPlan,
-                     functional: bool = True) -> Trace:
-        """The timed region over resident buffers."""
+    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
+        """The timed region over resident (or virtual) buffers."""
 
     @abstractmethod
     def _collect_output(self, buffers) -> np.ndarray:

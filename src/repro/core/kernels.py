@@ -24,21 +24,23 @@ bodies compute the same result with one operator pass per chunk (a
 reduce in Stage 1, an accumulate with the offset folded in elsewhere).
 For exact dtypes the flow above still runs under
 :func:`repro.util.hotpath.fast_paths` ``(False)``, which the fidelity
-tests use. Either way the launch counters are those of the flow above
-(:func:`block_flow_stats`), so traces and simulated time do not depend
-on which body ran.
+tests use.
 
 The bodies are vectorised over the blocks they are asked to process, which
 is legitimate because blocks are independent; the ``blockwise`` execution
 mode of :class:`~repro.gpusim.kernel.ExecutionEngine` re-runs them one
 block at a time in random order to prove that independence in tests.
 
-Everything a launch derives from its plan alone — the launch
-configuration, the closed-form counters of a whole-grid call, the
-block-flow and lookback geometry — is a :class:`LaunchSpec`, built on the
-kernel's first launch and kept with the plan (:func:`launch_spec`). Warm
-launches reuse it, and :meth:`repro.gpusim.device.GPU.launch` reuses the
-priced record, so a warm launch costs its body and a trace append.
+Bodies only move data. Everything a launch derives from its plan alone —
+the launch configuration, its closed-form counters (those of the flow
+above, :func:`block_flow_stats`), the block-flow and lookback geometry —
+is a :class:`LaunchSpec`, built on the kernel's first launch and kept with
+the plan (:func:`launch_spec`). Every launch is priced from the spec's
+counters, whichever body ran, so traces and simulated time do not depend
+on the body. A launch whose destination is a virtual buffer (the analytic
+estimate) runs no body at all. Warm launches reuse the spec, and
+:meth:`repro.gpusim.device.GPU.launch` reuses the priced record, so a warm
+launch costs its body and a trace append.
 """
 
 from __future__ import annotations
@@ -57,14 +59,13 @@ from repro.gpusim.lookback import (
     STATE_INVALID,
     STATE_PREFIX,
     LookbackParams,
-    lookback_reads_per_block,
     lookback_stall_s,
     resident_capacity,
     total_lookback_reads,
 )
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.kernel import LaunchStats
-from repro.gpusim.warp import WarpScanCost, warp_exclusive_scan, warp_scan_cost
+from repro.gpusim.warp import warp_exclusive_scan, warp_scan_cost
 from repro.core.params import ExecutionPlan, KernelParams
 from repro.primitives.operators import Operator
 from repro.util.hotpath import fast_enabled
@@ -148,9 +149,7 @@ class _BlockScanCore:
         - ``thread_offsets``: exclusive intra-warp prefix of thread totals,
         - ``warp_offsets``: exclusive prefix of warp totals (via smem),
         - ``iteration_totals``: the block-wide total of each cascade
-          iteration, shape (nb, K),
-        - ``costs``: the (intra-warp, cross-warp or ``None``) scan costs
-          the shuffles incurred, for :func:`block_flow_stats`.
+          iteration, shape (nb, K).
         """
         op = self.op
         nb, K, _, P = chunks.shape
@@ -163,7 +162,7 @@ class _BlockScanCore:
         thread_totals = local[..., -1]  # (nb, K, nw, width)
 
         # (2) intra-warp exclusive shuffle scan of the thread totals.
-        thread_offsets, warp_cost = warp_exclusive_scan(
+        thread_offsets, _ = warp_exclusive_scan(
             thread_totals, op, width=width, pattern="lf"
         )
         warp_totals = op.combine(thread_offsets[..., -1], thread_totals[..., -1])
@@ -171,21 +170,19 @@ class _BlockScanCore:
         # (3) cross-warp exchange through shared memory: one warp scans the
         # nw partial sums (nw <= 32 = S's bound).
         if nw > 1:
-            warp_offsets, cross_cost = warp_exclusive_scan(
+            warp_offsets, _ = warp_exclusive_scan(
                 warp_totals, op, width=nw, pattern="lf"
             )
             iteration_totals = op.combine(warp_offsets[..., -1], warp_totals[..., -1])
         else:
             warp_offsets = _identity_like(op, warp_totals.shape, self.dtype)
             iteration_totals = warp_totals[..., -1]
-            cross_cost = None
 
         return {
             "local": local,
             "thread_offsets": thread_offsets,
             "warp_offsets": warp_offsets,
             "iteration_totals": iteration_totals,
-            "costs": (warp_cost, cross_cost),
         }
 
     def cascade_carries(self, iteration_totals: np.ndarray) -> np.ndarray:
@@ -289,7 +286,6 @@ def block_flow_stats(
     iterations: int,
     addressing: int,
     offsets: bool = True,
-    costs: tuple[WarpScanCost, WarpScanCost | None] | None = None,
 ) -> LaunchStats:
     """Counters of ``blocks`` blocks running the register/warp/smem flow.
 
@@ -301,17 +297,14 @@ def block_flow_stats(
     each element's offset. ``addressing`` is the address instructions per
     thread and round. Global traffic is left to the caller.
 
-    ``costs`` are the (intra-warp, cross-warp) scan costs the warp flow
-    actually incurred; ``None`` takes the closed form
-    (:func:`~repro.gpusim.warp.warp_scan_cost`), which equals them.
-    Every count is data-independent, so the analytic estimate path, the
-    warp flow and the exact bodies all report the same numbers.
+    The warp scans are priced by their closed form
+    (:func:`~repro.gpusim.warp.warp_scan_cost`). Every count is
+    data-independent, so these are the counters of every launch of the
+    flow: the warp flow, the exact bodies and the analytic estimate.
     """
     width, nw = _warp_geometry(kp, warp_size)
-    if costs is None:
-        cross = warp_scan_cost(nw, "lf", exclusive=True) if nw > 1 else None
-        costs = (warp_scan_cost(width, "lf", exclusive=True), cross)
-    warp, cross = costs
+    warp = warp_scan_cost(width, "lf", exclusive=True)
+    cross = warp_scan_cost(nw, "lf", exclusive=True) if nw > 1 else None
     cross_shuffles, cross_ops = (
         (cross.shuffles, cross.operator_applications) if cross else (0, 0)
     )
@@ -333,21 +326,20 @@ def block_flow_stats(
 
 
 def chunk_reduce_stats(
-    plan: ExecutionPlan, warp_size: int, blocks: int | None = None, costs=None
+    plan: ExecutionPlan, warp_size: int, blocks: int | None = None
 ) -> LaunchStats:
-    """Closed-form Stage-1 launch counters (identical to a functional run).
+    """Closed-form Stage-1 launch counters.
 
-    Every counter in the kernel bodies is data-independent (a function of
-    the plan geometry only), so the analytic estimate path can reproduce
-    the functional trace exactly — the tests assert byte-for-byte equality.
-    ``blocks`` counts one call's blocks (default: the whole grid); for
-    ``costs`` see :func:`block_flow_stats`.
+    Every counter is data-independent (a function of the plan geometry
+    only), so the functional run and the analytic estimate price the same
+    launch — the tests assert byte-for-byte equal traces. ``blocks`` is
+    the launch's block count (default: the plan's grid).
     """
     kp = plan.stage1.params
     itemsize = plan.problem.itemsize
     nb = plan.stage1.blocks if blocks is None else blocks
     stats = block_flow_stats(
-        kp, warp_size, itemsize, nb, kp.K, addressing=4, offsets=False, costs=costs
+        kp, warp_size, itemsize, nb, kp.K, addressing=4, offsets=False
     )
     stats.read_global(nb * kp.chunk_size * itemsize)
     stats.write_global(nb * itemsize)
@@ -365,10 +357,8 @@ def _stage2_row_params(kp2: KernelParams) -> KernelParams:
     return KernelParams(s=s, p=kp2.p, l=kp2.lx, lx=kp2.lx, ly=0, K=1)
 
 
-def intermediate_scan_stats(
-    plan: ExecutionPlan, warp_size: int, problems: int | None = None, costs=None
-) -> LaunchStats:
-    """Closed-form Stage-2 launch counters (identical to a functional run).
+def intermediate_scan_stats(plan: ExecutionPlan, warp_size: int) -> LaunchStats:
+    """Closed-form Stage-2 launch counters.
 
     Each of the block's ``Ly^2`` problem rows runs the same
     register/warp/smem flow as Stage 1 over ``rounds`` serial iterations
@@ -376,32 +366,28 @@ def intermediate_scan_stats(
     are the Stage-1 formulas with (rounds, Lx^2, P^2) geometry plus the
     exclusive-output assembly. Reads/writes count only the real ``cx``
     elements; instruction counts use the padded round geometry (idle lanes
-    still execute). ``problems`` counts one call's rows (default: all).
+    still execute).
     """
     kp2 = plan.stage2.params
     itemsize = plan.problem.itemsize
     cx = plan.chunks_total
-    npb = plan.stage2.by * kp2.Ly if problems is None else problems
+    npb = plan.stage2.by * kp2.Ly
     rounds = ceil_div(cx, kp2.P * kp2.Lx)
     # A row runs the flow with Stage 2's Lx and P (see _stage2_row_params).
-    stats = block_flow_stats(
-        kp2, warp_size, itemsize, npb, rounds, addressing=4, costs=costs
-    )
+    stats = block_flow_stats(kp2, warp_size, itemsize, npb, rounds, addressing=4)
     stats.read_global(npb * cx * itemsize)
     stats.write_global(npb * cx * itemsize)
     return stats
 
 
 def scan_add_stats(
-    plan: ExecutionPlan, warp_size: int, blocks: int | None = None, costs=None
+    plan: ExecutionPlan, warp_size: int, blocks: int | None = None
 ) -> LaunchStats:
     """Closed-form Stage-3 launch counters (arguments as Stage 1's)."""
     kp = plan.stage3.params
     itemsize = plan.problem.itemsize
     nb = plan.stage3.blocks if blocks is None else blocks
-    stats = block_flow_stats(
-        kp, warp_size, itemsize, nb, kp.K, addressing=6, costs=costs
-    )
+    stats = block_flow_stats(kp, warp_size, itemsize, nb, kp.K, addressing=6)
     stats.read_global(nb * kp.chunk_size * itemsize + nb * itemsize)
     stats.write_global(nb * kp.chunk_size * itemsize)
     return stats
@@ -412,51 +398,47 @@ class LaunchSpec:
 
     Everything here is a pure function of the plan, the data's geometry
     and the architecture: the launch configuration, the closed-form
-    counters of a call that covers the whole grid, the block flow and,
-    for the single pass, how the launch is named and priced.
+    counters every launch is priced from, the block flow and, for the
+    single pass, how the launch is named and priced.
     :func:`launch_spec` builds a spec on its kernel's first launch and
     keeps it in :attr:`~repro.core.params.ExecutionPlan.launch_specs`.
     The one value derived from the cost params, the lookback stall, is
     kept with the params object it was priced under (:meth:`stall_s`).
     """
 
-    __slots__ = ("arch", "config", "grid_stats", "flow", "name", "call_stats",
-                 "capacity", "lookback", "_core", "_stall")
+    __slots__ = ("arch", "config", "stats", "flow", "name", "capacity",
+                 "lookback", "_core", "_stall")
 
     def __init__(
         self,
         arch: GPUArchitecture,
         config: LaunchConfig,
-        grid_stats: LaunchStats,
+        stats: LaunchStats,
         flow: tuple[KernelParams, Operator, np.dtype] | None = None,
         name: str = "",
-        call_stats: Callable[..., LaunchStats] | None = None,
         capacity: int = 0,
         lookback: LookbackParams | None = None,
     ):
         self.arch = arch
         self.config = config
-        #: Counters of one call covering the grid; never mutated.
-        self.grid_stats = grid_stats
+        #: The launch's counters; never mutated.
+        self.stats = stats
         #: ``(params, operator, dtype)`` of the block flow, or ``None``.
         self.flow = flow
-        #: Single pass only: the record name, ``call_stats(plan, bx, costs)``
-        #: (the counters of one call's blocks, ``bx`` their grid columns;
-        #: ``plan`` is passed, not captured, as the plan holds the spec),
-        #: the resident-block capacity, which is the lookback horizon, and
-        #: the protocol params (``None``: the protocol is free, no stall).
+        #: Single pass only: the record name, the resident-block capacity,
+        #: which is the lookback horizon, and the protocol params
+        #: (``None``: the protocol is free, no stall).
         self.name = name
-        self.call_stats = call_stats
         self.capacity = capacity
         self.lookback = lookback
         self._core: _BlockScanCore | None = None
         self._stall: tuple[CostModelParams | None, float] = (None, 0.0)
 
     def block_core(self) -> _BlockScanCore:
-        """The block flow, built and validated on the first functional launch.
+        """The block flow, built and validated on the first body.
 
-        A geometry the flow cannot run raises here, on every functional
-        launch, as before; analytic launches never ask.
+        A geometry the flow cannot run raises here, on every launch that
+        runs a body; a launch into virtual buffers never asks.
         """
         if self._core is None:
             params, op, dtype = self.flow
@@ -530,7 +512,6 @@ def launch_chunk_reduce(
     plan: ExecutionPlan,
     chunk_column_offset: int = 0,
     phase: str = "stage1",
-    functional: bool = True,
     vector_loads: bool = True,
 ) -> KernelRecord:
     """Stage 1 (Chunk Reduce): one reduction value per chunk into ``aux``.
@@ -539,9 +520,7 @@ def launch_chunk_reduce(
     is the auxiliary array it writes, shape ``(g_local, chunks_total)``
     resident on the *same* GPU (multi-GPU proposals transfer it afterwards
     or pre-offset ``chunk_column_offset`` when writing a shared array).
-
-    ``functional=False`` skips the data computation and prices the launch
-    from the closed-form counters (exact — they are data-independent).
+    A virtual ``aux`` runs no body; the launch is priced all the same.
     """
     data.require_on(gpu)
     aux.require_on(gpu)
@@ -551,38 +530,32 @@ def launch_chunk_reduce(
             f"data has {n_local} elements per problem, plan expects {plan.n_local}"
         )
     spec = launch_spec(plan, gpu.arch, _chunk_reduce_spec, g_local)
-    if not functional:
-        return gpu.launch(
-            trace, "chunk_reduce", phase, spec.config, None,
-            coalesced=vector_loads, precomputed_stats=spec.grid_stats,
-        )
-    core = spec.block_core()
-    kp = plan.stage1.params
-    op = plan.problem.operator
-    bx_total = plan.stage1.bx
-    arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
-    aux_cols = aux.data[:, chunk_column_offset:chunk_column_offset + bx_total]
-    exact = _exact(plan.problem.dtype)
+    body = None
+    if not aux.virtual:
+        core = spec.block_core()
+        kp = plan.stage1.params
+        op = plan.problem.operator
+        bx_total = plan.stage1.bx
+        arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
+        aux_cols = aux.data[:, chunk_column_offset:chunk_column_offset + bx_total]
+        exact = _exact(plan.problem.dtype)
 
-    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-        if exact and ctx.covers_grid(block_ids):
-            aux_cols[...] = op.reduce(arr, axis=-1)
-            ctx.stats.merge(spec.grid_stats)
-            return
-        bx, g = ctx.block_xy(block_ids)
-        nb = len(block_ids)
-        costs = None
-        if exact:
-            aux_cols[g, bx] = op.reduce(arr[g, bx], axis=-1)
-        else:
-            chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)  # gather-copy
-            partials = core.run(chunks)
-            aux_cols[g, bx] = core.chunk_totals(partials["iteration_totals"])
-            costs = partials["costs"]
-        ctx.stats.merge(chunk_reduce_stats(plan, ctx.warp_size, nb, costs))
+        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+            if exact and ctx.covers_grid(block_ids):
+                aux_cols[...] = op.reduce(arr, axis=-1)
+                return
+            bx, g = ctx.block_xy(block_ids)
+            nb = len(block_ids)
+            if exact:
+                aux_cols[g, bx] = op.reduce(arr[g, bx], axis=-1)
+            else:
+                chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)  # gather-copy
+                partials = core.run(chunks)
+                aux_cols[g, bx] = core.chunk_totals(partials["iteration_totals"])
 
     return gpu.launch(
-        trace, "chunk_reduce", phase, spec.config, body, coalesced=vector_loads
+        trace, "chunk_reduce", phase, spec.config, body, spec.stats,
+        coalesced=vector_loads,
     )
 
 
@@ -592,14 +565,14 @@ def launch_intermediate_scan(
     aux: DeviceArray,
     plan: ExecutionPlan,
     phase: str = "stage2",
-    functional: bool = True,
 ) -> KernelRecord:
     """Stage 2 (Intermediate Scan): exclusive scan of each problem's chunk sums.
 
     In-place over ``aux`` (shape ``(g_local, chunks_total)``). A block packs
     ``Ly^2`` problems; when ``chunks_total`` exceeds one block round
     (``P^2 * Lx^2`` elements) the block iterates serially with a running
-    carry, which the instruction accounting reflects.
+    carry, which the instruction accounting reflects. A virtual ``aux``
+    runs no body.
     """
     aux.require_on(gpu)
     _, cx = aux.shape
@@ -608,52 +581,45 @@ def launch_intermediate_scan(
             f"aux has {cx} chunk columns, plan expects {plan.chunks_total}"
         )
     spec = launch_spec(plan, gpu.arch, _intermediate_scan_spec)
-    if not functional:
-        return gpu.launch(
-            trace, "intermediate_scan", phase, spec.config, None,
-            precomputed_stats=spec.grid_stats,
-        )
-    core = spec.block_core()
-    kp2 = plan.stage2.params
-    op = plan.problem.operator
-    arr = aux.data
-    identity = op.identity(plan.problem.dtype)
-    exact = _exact(plan.problem.dtype)
+    body = None
+    if not aux.virtual:
+        core = spec.block_core()
+        kp2 = plan.stage2.params
+        op = plan.problem.operator
+        arr = aux.data
+        identity = op.identity(plan.problem.dtype)
+        exact = _exact(plan.problem.dtype)
 
-    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-        if exact and ctx.covers_grid(block_ids):
-            _scan_exact(op, arr, None, False, identity)
-            ctx.stats.merge(spec.grid_stats)
-            return
-        _, by = ctx.block_xy(block_ids)
-        problems = (by[:, None] * kp2.Ly + np.arange(kp2.Ly)).reshape(-1)
-        npb = len(problems)
-        costs = None
-        if exact:
+        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+            if exact and ctx.covers_grid(block_ids):
+                _scan_exact(op, arr, None, False, identity)
+                return
+            _, by = ctx.block_xy(block_ids)
+            problems = (by[:, None] * kp2.Ly + np.arange(kp2.Ly)).reshape(-1)
+            npb = len(problems)
             rows = arr[problems]  # (npb, cx) gather-copy
-            _scan_exact(op, rows, None, False, identity)
-            arr[problems] = rows
-        else:
-            rows = arr[problems]
-            # Identity-pad up to whole rounds; idle lanes execute but cannot
-            # perturb any real element's prefix. The staging buffer is
-            # reused scratch (fully re-filled each call).
-            rounds = ceil_div(cx, kp2.P * kp2.Lx)
-            padded = rounds * kp2.P * kp2.Lx
-            staged = _scratch((npb, padded), rows.dtype, fill=identity)
-            staged[:, :cx] = rows
-            view = staged.reshape(npb, rounds, kp2.Lx, kp2.P)
+            if exact:
+                _scan_exact(op, rows, None, False, identity)
+                arr[problems] = rows
+            else:
+                # Identity-pad up to whole rounds; idle lanes execute but
+                # cannot perturb any real element's prefix. The staging
+                # buffer is reused scratch (fully re-filled each call).
+                rounds = ceil_div(cx, kp2.P * kp2.Lx)
+                padded = rounds * kp2.P * kp2.Lx
+                staged = _scratch((npb, padded), rows.dtype, fill=identity)
+                staged[:, :cx] = rows
+                view = staged.reshape(npb, rounds, kp2.Lx, kp2.P)
 
-            partials = core.run(view)
-            carries = core.cascade_carries(partials["iteration_totals"])
-            result = _apply_offsets(
-                op, partials, carries, base=None, inclusive=False, identity=identity
-            )
-            arr[problems] = result.reshape(npb, padded)[:, :cx]
-            costs = partials["costs"]
-        ctx.stats.merge(intermediate_scan_stats(plan, ctx.warp_size, npb, costs))
+                partials = core.run(view)
+                carries = core.cascade_carries(partials["iteration_totals"])
+                result = _apply_offsets(
+                    op, partials, carries, base=None, inclusive=False,
+                    identity=identity,
+                )
+                arr[problems] = result.reshape(npb, padded)[:, :cx]
 
-    return gpu.launch(trace, "intermediate_scan", phase, spec.config, body)
+    return gpu.launch(trace, "intermediate_scan", phase, spec.config, body, spec.stats)
 
 
 def launch_scan_add(
@@ -664,7 +630,6 @@ def launch_scan_add(
     plan: ExecutionPlan,
     chunk_column_offset: int = 0,
     phase: str = "stage3",
-    functional: bool = True,
     vector_loads: bool = True,
 ) -> KernelRecord:
     """Stage 3 (Scan+Addition): local scan of every chunk plus its aux offset.
@@ -672,51 +637,48 @@ def launch_scan_add(
     ``aux_scanned`` holds the *exclusive* per-chunk offsets produced by
     Stage 2 (``(g_local, chunks_total)`` columns; this GPU reads columns
     ``chunk_column_offset + [0, Bx)``). Writes the final scan in place over
-    ``data``. Inclusive vs exclusive output follows the problem config.
+    ``data``; a virtual ``data`` runs no body. Inclusive vs exclusive
+    output follows the problem config.
     """
     data.require_on(gpu)
     aux_scanned.require_on(gpu)
     g_local = data.shape[0]
     spec = launch_spec(plan, gpu.arch, _scan_add_spec, g_local)
-    if not functional:
-        return gpu.launch(
-            trace, "scan_add", phase, spec.config, None,
-            coalesced=vector_loads, precomputed_stats=spec.grid_stats,
-        )
-    core = spec.block_core()
-    kp = plan.stage3.params
-    op = plan.problem.operator
-    bx_total = plan.stage3.bx
-    inclusive_out = plan.problem.inclusive
-    arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
-    aux_cols = aux_scanned.data[:, chunk_column_offset:chunk_column_offset + bx_total]
-    identity = op.identity(plan.problem.dtype)
-    exact = _exact(plan.problem.dtype)
+    body = None
+    if not data.virtual:
+        core = spec.block_core()
+        kp = plan.stage3.params
+        op = plan.problem.operator
+        bx_total = plan.stage3.bx
+        inclusive_out = plan.problem.inclusive
+        arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
+        aux_cols = aux_scanned.data[:, chunk_column_offset:chunk_column_offset + bx_total]
+        identity = op.identity(plan.problem.dtype)
+        exact = _exact(plan.problem.dtype)
 
-    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-        if exact and ctx.covers_grid(block_ids):
-            _scan_exact(op, arr, aux_cols, inclusive_out, identity)
-            ctx.stats.merge(spec.grid_stats)
-            return
-        bx, g = ctx.block_xy(block_ids)
-        nb = len(block_ids)
-        costs = None
-        if exact:
-            chunks = arr[g, bx]  # (nb, chunk) gather-copy
-            _scan_exact(op, chunks, aux_cols[g, bx], inclusive_out, identity)
-            arr[g, bx] = chunks
-        else:
-            chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)
-            partials = core.run(chunks)
-            carries = core.cascade_carries(partials["iteration_totals"])  # (nb, K)
-            base = aux_cols[g, bx]  # (nb,) exclusive offsets
-            result = _apply_offsets(op, partials, carries, base, inclusive_out, identity)
-            arr[g, bx] = result.reshape(nb, kp.chunk_size)
-            costs = partials["costs"]
-        ctx.stats.merge(scan_add_stats(plan, ctx.warp_size, nb, costs))
+        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+            if exact and ctx.covers_grid(block_ids):
+                _scan_exact(op, arr, aux_cols, inclusive_out, identity)
+                return
+            bx, g = ctx.block_xy(block_ids)
+            nb = len(block_ids)
+            if exact:
+                chunks = arr[g, bx]  # (nb, chunk) gather-copy
+                _scan_exact(op, chunks, aux_cols[g, bx], inclusive_out, identity)
+                arr[g, bx] = chunks
+            else:
+                chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)
+                partials = core.run(chunks)
+                carries = core.cascade_carries(partials["iteration_totals"])  # (nb, K)
+                base = aux_cols[g, bx]  # (nb,) exclusive offsets
+                result = _apply_offsets(
+                    op, partials, carries, base, inclusive_out, identity
+                )
+                arr[g, bx] = result.reshape(nb, kp.chunk_size)
 
     return gpu.launch(
-        trace, "scan_add", phase, spec.config, body, coalesced=vector_loads
+        trace, "scan_add", phase, spec.config, body, spec.stats,
+        coalesced=vector_loads,
     )
 
 
@@ -777,7 +739,6 @@ def launch_descriptor_reset(
     status: DeviceArray,
     plan: ExecutionPlan,
     phase: str = "sp-dlb",
-    functional: bool = True,
 ) -> KernelRecord:
     """Reset every lookback status word to ``X`` (invalid) before the pass.
 
@@ -787,37 +748,30 @@ def launch_descriptor_reset(
     (:attr:`~repro.gpusim.costmodel.CostModelParams.lookback_setup_s`):
     the memset/fence round trip plus priming the polling path. This fixed
     cost — not bandwidth — is what the three-kernel pipeline undercuts at
-    small N, giving the tuner a genuine crossover to find.
+    small N, giving the tuner a genuine crossover to find. A virtual
+    ``status`` runs no body.
     """
     status.require_on(gpu)
     g_local, bx_total = status.shape
     n_desc = g_local * bx_total
     spec = launch_spec(plan, gpu.arch, _descriptor_reset_spec, status.shape)
-    setup_s = gpu.cost_model.params.lookback_setup_s
-    if not functional:
-        return gpu.launch(
-            trace, "descriptor_reset", phase, spec.config, None,
-            precomputed_stats=spec.grid_stats, extra_latency_s=setup_s,
-        )
-    words = status.data
-    lb = LookbackParams()
-    lanes = np.arange(_RESET_BLOCK_THREADS)
+    body = None
+    if not status.virtual:
+        words = status.data
+        lanes = np.arange(_RESET_BLOCK_THREADS)
 
-    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-        if ctx.covers_grid(block_ids):
-            words[...] = STATE_INVALID
-            ctx.stats.merge(spec.grid_stats)
-            return
-        bx, _ = ctx.block_xy(block_ids)
-        flat = (bx[:, None] * _RESET_BLOCK_THREADS + lanes).reshape(-1)
-        flat = flat[flat < n_desc]
-        words[flat // bx_total, flat % bx_total] = STATE_INVALID
-        ctx.stats.write_global(flat.size * lb.status_bytes)
-        ctx.stats.address_math(flat.size)
+        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+            if ctx.covers_grid(block_ids):
+                words[...] = STATE_INVALID
+                return
+            bx, _ = ctx.block_xy(block_ids)
+            flat = (bx[:, None] * _RESET_BLOCK_THREADS + lanes).reshape(-1)
+            flat = flat[flat < n_desc]
+            words[flat // bx_total, flat % bx_total] = STATE_INVALID
 
     return gpu.launch(
-        trace, "descriptor_reset", phase, spec.config, body,
-        extra_latency_s=setup_s,
+        trace, "descriptor_reset", phase, spec.config, body, spec.stats,
+        extra_latency_s=gpu.cost_model.params.lookback_setup_s,
     )
 
 
@@ -826,26 +780,22 @@ def single_pass_scan_stats(
     arch: GPUArchitecture,
     blocks: int,
     reads: int,
-    costs=None,
 ) -> LaunchStats:
     """Closed-form counters of the decoupled-lookback pass (exact).
 
     The streaming traffic is one pass's ~2N bytes; on top of it the
     protocol moves descriptors at warp granularity:
     :func:`~repro.gpusim.lookback.total_lookback_reads` aggregate/prefix
-    reads (a pure function of grid column and resident capacity, so the
-    functional bodies reproduce the same totals block by block) and two
-    publishes per block (``A`` then ``P``), each
+    reads (a pure function of grid column and resident capacity, not of
+    how the body resolves the prefixes) and two publishes per block
+    (``A`` then ``P``), each
     :attr:`~repro.gpusim.lookback.LookbackParams.descriptor_words` words.
-    ``blocks`` are a call's blocks and ``reads`` their descriptor reads
-    (the whole grid's in the launch spec); for ``costs`` see
-    :func:`block_flow_stats`.
+    ``blocks`` are the launch's blocks and ``reads`` their descriptor
+    reads.
     """
     kp = plan.stage1.params
     itemsize = plan.problem.itemsize
-    stats = block_flow_stats(
-        kp, arch.warp_size, itemsize, blocks, kp.K, addressing=6, costs=costs
-    )
+    stats = block_flow_stats(kp, arch.warp_size, itemsize, blocks, kp.K, addressing=6)
     words = LookbackParams().descriptor_words * itemsize
     stats.read_global(blocks * kp.chunk_size * itemsize + reads * words)
     stats.write_global(blocks * kp.chunk_size * itemsize + blocks * 2 * words)
@@ -857,17 +807,11 @@ def single_pass_scan_stats(
 def _single_pass_spec(plan: ExecutionPlan, arch: GPUArchitecture, _) -> LaunchSpec:
     config, capacity, lookback = _lookback_geometry(plan, arch)
     reads = total_lookback_reads(plan.stage1.bx, plan.stage1.by, capacity)
-
-    def call_stats(plan: ExecutionPlan, bx: np.ndarray, costs) -> LaunchStats:
-        reads = int(lookback_reads_per_block(bx, capacity).sum())
-        return single_pass_scan_stats(plan, arch, len(bx), reads, costs)
-
     return LaunchSpec(
         arch, config,
         single_pass_scan_stats(plan, arch, config.blocks, reads),
         flow=(plan.stage1.params, plan.problem.operator, plan.problem.dtype),
-        name="single_pass_scan", call_stats=call_stats,
-        capacity=capacity, lookback=lookback,
+        name="single_pass_scan", capacity=capacity, lookback=lookback,
     )
 
 
@@ -936,7 +880,6 @@ def launch_single_pass_scan(
     descriptors: DeviceArray,
     plan: ExecutionPlan,
     phase: str = "sp-dlb",
-    functional: bool = True,
     build: Callable[..., LaunchSpec] = _single_pass_spec,
 ) -> KernelRecord:
     """The decoupled-lookback pass: local scan + descriptor protocol, once.
@@ -960,11 +903,12 @@ def launch_single_pass_scan(
     chunk totals resolves every block of the call with the same bits
     (:func:`_resolve_lookback`). Float results are therefore
     bit-identical across the vectorized and blockwise execution modes.
+    A virtual ``data`` runs no body.
 
     ``build`` makes the :class:`LaunchSpec` that names and prices the
     launch; :mod:`repro.core.chained` passes one with free descriptors.
     The default, sp-dlb's, lets the residency window shape the descriptor
-    reads (:func:`~repro.gpusim.lookback.lookback_reads_per_block`) and
+    reads (:func:`~repro.gpusim.lookback.total_lookback_reads`) and
     the polling stall. The stall is round-trip-bound, invisible to the
     byte-counting roofline, so it rides on the launch as
     ``extra_latency_s`` — computed closed-form from the grid geometry
@@ -974,11 +918,8 @@ def launch_single_pass_scan(
     data.require_on(gpu)
     status.require_on(gpu)
     descriptors.require_on(gpu)
-    kp = plan.stage1.params
-    op = plan.problem.operator
     g_local, n_local = data.shape
     bx_total = plan.stage1.bx
-    inclusive_out = plan.problem.inclusive
     planes = (status.shape, descriptors.shape)
     if planes != ((g_local, bx_total), (g_local, bx_total, 2)):
         raise ConfigurationError(
@@ -986,57 +927,45 @@ def launch_single_pass_scan(
             f"{(g_local, bx_total, 2)}, got {planes[0]} and {planes[1]}"
         )
     spec = launch_spec(plan, gpu.arch, build)
-    stall_s = spec.stall_s(gpu.cost_model.params)
-    if not functional:
-        return gpu.launch(
-            trace, spec.name, phase, spec.config, None, ordered=True,
-            precomputed_stats=spec.grid_stats, extra_latency_s=stall_s,
-        )
+    body = None
+    if not data.virtual:
+        core = spec.block_core()
+        kp = plan.stage1.params
+        op = plan.problem.operator
+        inclusive_out = plan.problem.inclusive
+        arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
+        words = status.data
+        desc = descriptors.data
+        identity = op.identity(plan.problem.dtype)
+        exact = _exact(plan.problem.dtype)
 
-    core = spec.block_core()
-    arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
-    words = status.data
-    desc = descriptors.data
-    identity = op.identity(plan.problem.dtype)
-    exact = _exact(plan.problem.dtype)
-
-    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-        bx, g = ctx.block_xy(block_ids)
-        nb = len(block_ids)
-        covering = ctx.covers_grid(block_ids)
-        costs = None
-        if exact:
-            chunks = arr if covering else arr[g, bx]
-            totals = op.reduce(chunks, axis=-1)
-            prefixes = _resolve_lookback(
-                op, words, desc, block_ids, bx, g, totals.reshape(-1)
-            )
-            _scan_exact(
-                op, chunks, prefixes.reshape(totals.shape), inclusive_out, identity
-            )
-            if not covering:
-                arr[g, bx] = chunks
-        else:
-            partials = core.run(arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P))
-            carries = core.cascade_carries(partials["iteration_totals"])
-            totals = core.chunk_totals(partials["iteration_totals"])  # (nb,)
-            prefixes = _resolve_lookback(op, words, desc, block_ids, bx, g, totals)
-            result = _apply_offsets(
-                op, partials, carries, prefixes, inclusive_out, identity
-            )
-            arr[g, bx] = result.reshape(nb, kp.chunk_size)
-            costs = partials["costs"]
-
-        # Counters use the protocol *model* (a pure function of grid
-        # column and capacity), not how the simulator resolved the
-        # prefixes — vectorized, blockwise and closed-form accounting
-        # therefore agree exactly.
-        if covering and costs is None:
-            ctx.stats.merge(spec.grid_stats)
-            return
-        ctx.stats.merge(spec.call_stats(plan, bx, costs))
+        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+            bx, g = ctx.block_xy(block_ids)
+            nb = len(block_ids)
+            if exact:
+                covering = ctx.covers_grid(block_ids)
+                chunks = arr if covering else arr[g, bx]
+                totals = op.reduce(chunks, axis=-1)
+                prefixes = _resolve_lookback(
+                    op, words, desc, block_ids, bx, g, totals.reshape(-1)
+                )
+                _scan_exact(
+                    op, chunks, prefixes.reshape(totals.shape), inclusive_out,
+                    identity,
+                )
+                if not covering:
+                    arr[g, bx] = chunks
+            else:
+                partials = core.run(arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P))
+                carries = core.cascade_carries(partials["iteration_totals"])
+                totals = core.chunk_totals(partials["iteration_totals"])  # (nb,)
+                prefixes = _resolve_lookback(op, words, desc, block_ids, bx, g, totals)
+                result = _apply_offsets(
+                    op, partials, carries, prefixes, inclusive_out, identity
+                )
+                arr[g, bx] = result.reshape(nb, kp.chunk_size)
 
     return gpu.launch(
-        trace, spec.name, phase, spec.config, body, ordered=True,
-        extra_latency_s=stall_s,
+        trace, spec.name, phase, spec.config, body, spec.stats, ordered=True,
+        extra_latency_s=spec.stall_s(gpu.cost_model.params),
     )

@@ -92,7 +92,6 @@ def problem_scattering_flow(
     gpus: list[GPU],
     portions: list[DeviceArray],
     plan: ExecutionPlan,
-    functional: bool = True,
     dispatch_counter: dict | None = None,
     overlap: bool = False,
 ) -> None:
@@ -112,6 +111,9 @@ def problem_scattering_flow(
     out while blocks compute) and the scatter shares Stage 3's (each GPU
     starts as its slice lands). Off by default to keep the Figure-14
     phase accounting comparable to the paper's.
+
+    Virtual ``portions`` (an estimate) get virtual auxiliary arrays, so
+    the flow records the same launches and copies and moves no data.
     """
     if len(gpus) != len(portions):
         raise ConfigurationError(
@@ -137,7 +139,7 @@ def problem_scattering_flow(
         counter[key] = counter.get(key, 0) + 1
         engine.record_dispatch(trace, phase, gpu, ordinal=counter[key])
     scope = AllocationScope()
-    virtual = not functional
+    virtual = portions[0].virtual
     aux_global = scope.alloc(
         root, (g_local, plan.chunks_total), plan.problem.dtype, virtual=virtual
     )
@@ -152,13 +154,13 @@ def problem_scattering_flow(
         with obs.span("stage1"):
             launch_chunk_reduce(
                 trace, root, portions[0], aux_global, plan,
-                chunk_column_offset=0, phase="stage1", functional=functional,
+                chunk_column_offset=0, phase="stage1",
             )
             dispatch("stage1", root)
             for i in range(1, w):
                 launch_chunk_reduce(
                     trace, gpus[i], portions[i], aux_locals[i], plan,
-                    chunk_column_offset=0, phase="stage1", functional=functional,
+                    chunk_column_offset=0, phase="stage1",
                 )
                 dispatch("stage1", gpus[i])
 
@@ -171,15 +173,11 @@ def problem_scattering_flow(
                 src = aux_locals[i]
                 dst = aux_global.view(slice(None), slice(i * bx, (i + 1) * bx))
                 messages = 1 if topology.p2p_usable(gpus[i], root) else g_local
-                engine.copy(trace, gather_phase, src, dst, messages=messages,
-                            functional=functional)
+                engine.copy(trace, gather_phase, src, dst, messages=messages)
 
         # Stage 2 on the master alone.
         with obs.span("stage2"):
-            launch_intermediate_scan(
-                trace, root, aux_global, plan, phase="stage2",
-                functional=functional,
-            )
+            launch_intermediate_scan(trace, root, aux_global, plan, phase="stage2")
             dispatch("stage2", root)
 
         # Return each GPU's slice of the scanned offsets.
@@ -188,20 +186,19 @@ def problem_scattering_flow(
                 src = aux_global.view(slice(None), slice(i * bx, (i + 1) * bx))
                 dst = aux_locals[i]
                 messages = 1 if topology.p2p_usable(root, gpus[i]) else g_local
-                engine.copy(trace, scatter_phase, src, dst, messages=messages,
-                            functional=functional)
+                engine.copy(trace, scatter_phase, src, dst, messages=messages)
 
         # Stage 3 everywhere.
         with obs.span("stage3"):
             launch_scan_add(
                 trace, root, portions[0], aux_global, plan,
-                chunk_column_offset=0, phase="stage3", functional=functional,
+                chunk_column_offset=0, phase="stage3",
             )
             dispatch("stage3", root)
             for i in range(1, w):
                 launch_scan_add(
                     trace, gpus[i], portions[i], aux_locals[i], plan,
-                    chunk_column_offset=0, phase="stage3", functional=functional,
+                    chunk_column_offset=0, phase="stage3",
                 )
                 dispatch("stage3", gpus[i])
     finally:
@@ -260,10 +257,8 @@ class ScanMPS(ScanExecutor):
             ]
         return upload_portions(self.gpus, request.batch, self.node.W, scope)
 
-    def _device_flow(
-        self, buffers, plan: ExecutionPlan, functional: bool = True
-    ) -> Trace:
-        return self.run_on_device(buffers, plan, functional=functional)
+    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
+        return self.run_on_device(buffers, plan)
 
     def _collect_output(self, buffers) -> np.ndarray:
         return collect_portions(buffers)
@@ -281,10 +276,7 @@ class ScanMPS(ScanExecutor):
     # ------------------------------------------------------------ device flow
 
     def run_on_device(
-        self,
-        portions: list[DeviceArray],
-        plan: ExecutionPlan,
-        functional: bool = True,
+        self, portions: list[DeviceArray], plan: ExecutionPlan
     ) -> Trace:
         """The timed region over resident per-GPU portions."""
         if len(portions) != self.node.W:
@@ -295,7 +287,7 @@ class ScanMPS(ScanExecutor):
         with self.topology.activate(self.gpus):
             problem_scattering_flow(
                 trace, self.engine, self.topology, self.gpus, portions, plan,
-                functional=functional, overlap=self.overlap,
+                overlap=self.overlap,
             )
         return trace
 
@@ -382,19 +374,13 @@ class ScanProblemParallel(ScanExecutor):
             buffers.append((gpu, data, aux))
         return buffers
 
-    def _device_flow(
-        self, buffers, plan: ExecutionPlan, functional: bool = True
-    ) -> Trace:
+    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
         trace = Trace()
         active = [gpu for gpu, _, _ in buffers]
         with self.topology.activate(active):
             for gpu, data, aux in buffers:
                 with obs.span("pp.worker", gpu=gpu.id):
-                    trace.merge(
-                        self._worker(gpu).run_on_device(
-                            data, aux, plan, functional=functional
-                        )
-                    )
+                    trace.merge(self._worker(gpu).run_on_device(data, aux, plan))
         return trace
 
     def _collect_output(self, buffers) -> np.ndarray:

@@ -106,10 +106,8 @@ class ScanMultiNodeMPS(ScanExecutor):
             ]
         return upload_portions(self.gpus, request.batch, self.total_gpus, scope)
 
-    def _device_flow(
-        self, buffers, plan: ExecutionPlan, functional: bool = True
-    ) -> Trace:
-        return self.run_on_device(buffers, plan, functional=functional)
+    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
+        return self.run_on_device(buffers, plan)
 
     def _collect_output(self, buffers) -> np.ndarray:
         return collect_portions(buffers)
@@ -126,10 +124,13 @@ class ScanMultiNodeMPS(ScanExecutor):
 
     # ------------------------------------------------------------ device flow
 
-    def run_on_device(
-        self, portions: list[DeviceArray], plan: ExecutionPlan, functional: bool = True
-    ) -> Trace:
-        """The timed region (Figure 14's phases, in order)."""
+    def run_on_device(self, portions: list[DeviceArray], plan: ExecutionPlan) -> Trace:
+        """The timed region (Figure 14's phases, in order).
+
+        Virtual ``portions`` (an estimate) get virtual auxiliary buffers,
+        so the flow records the same launches and messages and moves no
+        data.
+        """
         parts = self.total_gpus
         if len(portions) != parts:
             raise ConfigurationError(f"expected {parts} portions, got {len(portions)}")
@@ -139,7 +140,7 @@ class ScanMultiNodeMPS(ScanExecutor):
         dtype = plan.problem.dtype
         trace = Trace()
         scope = AllocationScope()
-        virtual = not functional
+        virtual = portions[0].virtual
         aux_locals = [
             scope.alloc(gpu, (g_local, bx), dtype, virtual=virtual)
             for gpu in self.gpus
@@ -163,7 +164,6 @@ class ScanMultiNodeMPS(ScanExecutor):
                         launch_chunk_reduce(
                             trace, gpu, portion, aux, plan,
                             chunk_column_offset=0, phase="stage1",
-                            functional=functional,
                         )
                         dispatch("stage1", gpu)
 
@@ -175,11 +175,10 @@ class ScanMultiNodeMPS(ScanExecutor):
                 with obs.span("mpi_gather"):
                     self.comm.gather(
                         trace, "mpi_gather", aux_locals, staging, root=0,
-                        functional=functional,
                     )
                     # Rank-major -> problem-major relayout on the master (cheap
                     # device-side shuffle; not separately timed).
-                    if functional:
+                    if not virtual:
                         aux_master.data[...] = (
                             staging.data.reshape(parts, g_local, bx)
                             .transpose(1, 0, 2)
@@ -190,13 +189,12 @@ class ScanMultiNodeMPS(ScanExecutor):
                 with obs.span("stage2"):
                     launch_intermediate_scan(
                         trace, master, aux_master, plan, phase="stage2",
-                        functional=functional,
                     )
                     dispatch("stage2", master)
 
                 # MPI_Scatter of each rank's slice of the scanned offsets.
                 with obs.span("mpi_scatter"):
-                    if functional:
+                    if not virtual:
                         staging.data[...] = (
                             aux_master.data.reshape(g_local, parts, bx)
                             .transpose(1, 0, 2)
@@ -204,7 +202,6 @@ class ScanMultiNodeMPS(ScanExecutor):
                         )
                     self.comm.scatter(
                         trace, "mpi_scatter", staging, aux_locals, root=0,
-                        functional=functional,
                     )
 
                 # Stage 3 on every GPU.
@@ -213,7 +210,6 @@ class ScanMultiNodeMPS(ScanExecutor):
                         launch_scan_add(
                             trace, gpu, portion, aux, plan,
                             chunk_column_offset=0, phase="stage3",
-                            functional=functional,
                         )
                         dispatch("stage3", gpu)
         finally:

@@ -114,9 +114,7 @@ class ScanMPPC(ScanExecutor):
                 )
         return group_portions
 
-    def _device_flow(
-        self, buffers, plan: ExecutionPlan, functional: bool = True
-    ) -> Trace:
+    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
         groups_used = len(buffers)
         trace = Trace()
         active = [g for j in range(groups_used) for g in self.groups[j]]
@@ -127,7 +125,6 @@ class ScanMPPC(ScanExecutor):
                     problem_scattering_flow(
                         trace, self.engine, self.topology,
                         self.groups[j], buffers[j], plan,
-                        functional=functional,
                         dispatch_counter=dispatch_counter,
                         overlap=self.overlap,
                     )

@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.gpusim.device import GPU
 from repro.gpusim.events import KernelRecord, Trace
-from repro.gpusim.kernel import KernelContext, LaunchConfig
+from repro.gpusim.kernel import KernelContext, LaunchConfig, LaunchStats
 from repro.gpusim.memory import AllocationScope, DeviceArray
 from repro.core.params import ProblemConfig
 from repro.core.results import ScanResult
@@ -45,7 +45,8 @@ def launch_segment_fixup(
 
     ``heads`` holds each position's segment-head index (>= 0 everywhere
     once position 0 is an implicit head). One streaming pass: read the
-    scan, gather the head prefix, write the difference.
+    scan, gather the head prefix, write the difference. A virtual ``out``
+    runs no body.
     """
     g_count, n = scanned.shape
     if heads.shape != scanned.shape or out.shape != scanned.shape:
@@ -57,28 +58,30 @@ def launch_segment_fixup(
         grid_x=blocks_x, grid_y=g_count, block_x=threads, block_y=1,
         regs_per_thread=32, smem_per_block=0,
     )
-    data = scanned.data
-    head_idx = heads.data
-    out_arr = out.data
-    itemsize = scanned.dtype.itemsize
+    # Per block: scan read + head read + gathered prefix read + result write.
+    elems = config.blocks * min(elems_per_block, n)
+    stats = LaunchStats()
+    stats.read_global(elems * scanned.dtype.itemsize * 3)
+    stats.write_global(elems * scanned.dtype.itemsize)
+    stats.apply_operator(elems)
+    stats.address_math(elems * 2)
+    body = None
+    if not out.virtual:
+        data = scanned.data
+        head_idx = heads.data
+        out_arr = out.data
 
-    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-        bx, g = ctx.block_xy(block_ids)
-        for b, gg in zip(bx.tolist(), g.tolist()):
-            lo = b * elems_per_block
-            hi = min(n, lo + elems_per_block)
-            idx = head_idx[gg, lo:hi]
-            prior = np.where(idx > 0, data[gg, np.maximum(idx - 1, 0)], 0)
-            out_arr[gg, lo:hi] = data[gg, lo:hi] - prior
-        nb = len(block_ids)
-        span = min(elems_per_block, n)
-        # scan read + head read + gathered prefix read + result write.
-        ctx.stats.read_global(nb * span * itemsize * 3)
-        ctx.stats.write_global(nb * span * itemsize)
-        ctx.stats.apply_operator(nb * span)
-        ctx.stats.address_math(nb * span * 2)
+        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+            bx, g = ctx.block_xy(block_ids)
+            for b, gg in zip(bx.tolist(), g.tolist()):
+                lo = b * elems_per_block
+                hi = min(n, lo + elems_per_block)
+                idx = head_idx[gg, lo:hi]
+                prior = np.where(idx > 0, data[gg, np.maximum(idx - 1, 0)], 0)
+                out_arr[gg, lo:hi] = data[gg, lo:hi] - prior
 
-    return gpu.launch(trace, "segment_fixup", phase, config, body, coalesced=False)
+    return gpu.launch(trace, "segment_fixup", phase, config, body, stats,
+                      coalesced=False)
 
 
 def scan_segmented_device(

@@ -300,16 +300,10 @@ class ScanSession:
             fingerprint,
         )
 
-        tuner_entries = 0
         restored: dict[str, CacheEntry] = {}
         for key, entry in snapshot.autotune.items():
             try:
-                restored[key] = CacheEntry(
-                    best_k=int(entry["best_k"]),
-                    best_time_s=float(entry["best_time_s"]),
-                    candidates=int(entry["candidates"]),
-                    variant=str(entry.get("variant", "")),
-                )
+                restored[key] = CacheEntry.from_dict(entry)
             except (KeyError, TypeError, ValueError):
                 continue
         tuner_entries = self.tuner.cache.merge(restored)
@@ -486,30 +480,42 @@ class ScanSession:
         The epoch and cost fingerprint are read before anything is
         decided, so a change mid-decision can only invalidate the binding.
         """
-        from repro.core.api import recommend_proposal
-
         epoch = self.health.epoch
         fingerprint = cost_fingerprint(self.topology)
-        if V is None:
-            V = min(W, self.topology.gpus_per_network)
-        node = NodeConfig.from_counts(W=W, V=V, M=M)
         batch = coerce_batch(data)
         problem = ProblemConfig.for_batch(batch, operator, inclusive)
-        if proposal == "auto":
-            proposal = recommend_proposal(self.topology, node, problem)
-            # Single-GPU problems additionally pick the winning
-            # algorithm (three-kernel vs decoupled lookback) from
-            # the memoised crossover — transparently, so callers
-            # and the service get sp-dlb at large N for free.
-            if proposal == "sp":
-                proposal = self.tuner.best_single_gpu_variant(problem)
-        _check_k(K)
+        node, proposal = self._resolve(problem, proposal, W, V, M, K)
         request = ScanRequest(
             problem=problem, batch=batch, node=node,
             proposal=proposal, K=K, collect=collect,
         )
         entry = self._entry_for(request, plan_span)
         return request, _Binding(request, entry, epoch, fingerprint)
+
+    def _resolve(
+        self, problem: ProblemConfig, proposal: str, W: int, V: int | None,
+        M: int, K,
+    ) -> tuple[NodeConfig, str]:
+        """The node and concrete proposal of one call; checks ``K``.
+
+        ``auto`` resolves through Premise 4, and single-GPU problems then
+        pick the winning algorithm (three-kernel vs decoupled lookback)
+        from the memoised crossover — transparently, so callers and the
+        service get sp-dlb at large N for free. With no healthy GPU left
+        there is nothing to estimate the crossover on: ``auto`` stays
+        ``sp``, whose placement then fails over like an explicit one.
+        """
+        from repro.core.api import recommend_proposal
+
+        if V is None:
+            V = min(W, self.topology.gpus_per_network)
+        node = NodeConfig.from_counts(W=W, V=V, M=M)
+        if proposal == "auto":
+            proposal = recommend_proposal(self.topology, node, problem)
+            if proposal == "sp" and self.topology.healthy_gpus():
+                proposal = self.tuner.best_single_gpu_variant(problem)
+        _check_k(K)
+        return node, proposal
 
     def _stands(self, binding: _Binding) -> bool:
         """Whether a bound decision still holds (see :class:`_Binding`)."""
@@ -536,21 +542,10 @@ class ScanSession:
         and timing match a functional run exactly (at any scale, including
         the paper's 2^28-element problems).
         """
-        from repro.core.api import recommend_proposal
-
         require_scannable(problem.dtype, problem.operator)
         with obs.span("estimate") as root:
             with obs.span("plan") as plan_span:
-                if V is None:
-                    V = min(W, self.topology.gpus_per_network)
-                node = NodeConfig.from_counts(W=W, V=V, M=M)
-                if proposal == "auto":
-                    proposal = recommend_proposal(self.topology, node, problem)
-                    # Same variant refinement as scan(): auto at W=1
-                    # resolves through the memoised sp vs sp-dlb crossover.
-                    if proposal == "sp":
-                        proposal = self.tuner.best_single_gpu_variant(problem)
-                _check_k(K)
+                node, proposal = self._resolve(problem, proposal, W, V, M, K)
                 request = ScanRequest.analytic(
                     problem, node=node, proposal=proposal, K=K
                 )

@@ -113,11 +113,9 @@ class ScanSP(ScanExecutor):
             aux = scope.alloc(self.gpu, (problem.G, plan.chunks_total), problem.dtype)
         return (device_data, aux)
 
-    def _device_flow(
-        self, buffers, plan: ExecutionPlan, functional: bool = True
-    ) -> Trace:
+    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
         device_data, aux = buffers
-        return self.run_on_device(device_data, aux, plan, functional=functional)
+        return self.run_on_device(device_data, aux, plan)
 
     def _collect_output(self, buffers) -> np.ndarray:
         return buffers[0].to_host()
@@ -133,23 +131,20 @@ class ScanSP(ScanExecutor):
         device_data: DeviceArray,
         aux: DeviceArray,
         plan: ExecutionPlan,
-        functional: bool = True,
     ) -> Trace:
         """The timed region: three kernel launches on resident data."""
         trace = Trace()
         with obs.span("stage1"):
             launch_chunk_reduce(
                 trace, self.gpu, device_data, aux, plan, phase="stage1",
-                functional=functional, vector_loads=self.vector_loads,
+                vector_loads=self.vector_loads,
             )
         with obs.span("stage2"):
-            launch_intermediate_scan(
-                trace, self.gpu, aux, plan, phase="stage2", functional=functional
-            )
+            launch_intermediate_scan(trace, self.gpu, aux, plan, phase="stage2")
         with obs.span("stage3"):
             launch_scan_add(
                 trace, self.gpu, device_data, aux, plan, phase="stage3",
-                functional=functional, vector_loads=self.vector_loads,
+                vector_loads=self.vector_loads,
             )
         return trace
 

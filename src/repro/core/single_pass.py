@@ -111,19 +111,15 @@ class ScanSinglePassDLB(ScanExecutor):
         )
         return (device_data, status, descriptors)
 
-    def _device_flow(self, buffers, plan: ExecutionPlan,
-                     functional: bool = True) -> Trace:
+    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
         device_data, status, descriptors = buffers
         trace = Trace()
         with obs.span(self.proposal):
             if self.reset_launch:
-                launch_descriptor_reset(
-                    trace, self.gpu, status, plan, functional=functional,
-                )
+                launch_descriptor_reset(trace, self.gpu, status, plan)
             launch_single_pass_scan(
                 trace, self.gpu, device_data, status, descriptors, plan,
-                phase=self.proposal, functional=functional,
-                build=self.build_spec,
+                phase=self.proposal, build=self.build_spec,
             )
         return trace
 

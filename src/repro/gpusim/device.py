@@ -177,22 +177,22 @@ class GPU:
         phase: str,
         config: LaunchConfig,
         body: Callable[[KernelContext, np.ndarray], None] | None,
+        stats: LaunchStats | None = None,
         coalesced: bool = True,
-        precomputed_stats: LaunchStats | None = None,
         ordered: bool = False,
         extra_latency_s: float = 0.0,
     ) -> KernelRecord:
         """Run one kernel: execute the body, price it, record it.
 
+        ``stats`` are the launch's counters, derived in closed form from
+        its geometry; the launch is priced from them alone, and a launch
+        without them raises :class:`~repro.errors.LaunchError`.
         ``body(ctx, block_ids)`` must process exactly the blocks named in
-        ``block_ids`` and account its traffic into ``ctx.stats``. The
+        ``block_ids``; it only moves data, and ``body=None`` (a launch
+        into virtual buffers, the analytic estimate) runs nothing. The
         launch validates residency (occupancy must be >= 1 block) before
         executing, like a real CUDA launch would fail on an over-sized
         configuration.
-
-        When ``precomputed_stats`` is given (the analytic estimate path),
-        the body is skipped and the stats are taken as-is; the pricing and
-        the emitted record are otherwise identical to a functional run.
 
         ``extra_latency_s`` adds schedule-independent exposed latency that
         the roofline cannot see — e.g. the decoupled-lookback polling
@@ -200,8 +200,8 @@ class GPU:
 
         The record is priced once per pricing key: the kernel name, phase,
         launch configuration, ``coalesced``, ``extra_latency_s``, the
-        device's ``bandwidth_scale`` and the stats the launch reported,
-        under the same architecture, cost model and cost params. A launch
+        device's ``bandwidth_scale`` and the launch's ``stats``, under the
+        same architecture, cost model and cost params. A launch
         that matches an earlier key reuses its record; the fault tick, the
         body, the trace append, the fault clock and the telemetry run on
         every launch either way.
@@ -227,14 +227,10 @@ class GPU:
             if len(self._occupancy) >= _LAUNCH_MEMO_CAP:
                 self._occupancy.clear()
             self._occupancy[config] = occ
-        if precomputed_stats is not None:
-            stats = precomputed_stats
-        else:
-            if body is None:
-                raise LaunchError("launch needs a body unless stats are precomputed")
-            stats = LaunchStats()
-            ctx = KernelContext(config=config, stats=stats, warp_size=self.arch.warp_size)
-            self.engine.run(ctx, body, ordered=ordered)
+        if stats is None:
+            raise LaunchError("a launch needs its counters")
+        if body is not None:
+            self.engine.run(KernelContext(config), body, ordered=ordered)
         key = (
             self.id, name, phase, config, coalesced, extra_latency_s,
             self.bandwidth_scale,

@@ -102,16 +102,18 @@ class FaultyTransferEngine(TransferEngine):
         src: DeviceArray,
         dst: DeviceArray,
         messages: int = 1,
-        functional: bool = True,
     ) -> TransferRecord:
         self.plan.copies_seen += 1
         n = self.plan.copies_seen
-        if functional and n == self.plan.drop_nth_copy:
-            # Price the transfer but never move the data.
+        if not dst.virtual and n == self.plan.drop_nth_copy:
+            # Price the transfer but never move the data: copy into a
+            # virtual stand-in for ``dst``.
             self.plan.faults_fired += 1
-            return super().copy(trace, phase, src, dst, messages, functional=False)
-        record = super().copy(trace, phase, src, dst, messages, functional)
-        if functional and n == self.plan.corrupt_nth_copy:
+            standin = np.broadcast_to(np.zeros((), dst.dtype), dst.shape)
+            dst = DeviceArray(dst.device, standin, virtual=True)
+            return super().copy(trace, phase, src, dst, messages)
+        record = super().copy(trace, phase, src, dst, messages)
+        if not dst.virtual and n == self.plan.corrupt_nth_copy:
             # Index-based write: the destination may be a strided view, so
             # a reshape(-1) would silently mutate a copy instead.
             offset = self.plan.corrupt_offset % dst.size

@@ -11,8 +11,10 @@ body one block at a time in a random order, which is how the test suite
 proves that independence (illegal inter-block communication would make the
 result order-dependent).
 
-Kernel bodies account their own traffic into :class:`LaunchStats`; the cost
-model converts those counters plus the occupancy result into a time.
+Kernel bodies only move data. A launch is priced from its closed-form
+:class:`LaunchStats`, which the caller derives from the launch geometry;
+the cost model converts those counters plus the occupancy result into a
+time.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class LaunchConfig:
 
 @dataclass
 class LaunchStats:
-    """Traffic/instruction counters a kernel body fills in while executing."""
+    """Traffic/instruction counters of one launch, derived in closed form."""
 
     global_bytes_read: int = 0
     global_bytes_written: int = 0
@@ -91,29 +93,11 @@ class LaunchStats:
     def write_global(self, nbytes: int) -> None:
         self.global_bytes_written += int(nbytes)
 
-    def read_smem(self, nbytes: int) -> None:
-        self.smem_bytes_read += int(nbytes)
-
-    def write_smem(self, nbytes: int) -> None:
-        self.smem_bytes_written += int(nbytes)
-
-    def shuffles(self, count: int) -> None:
-        self.shuffle_instructions += int(count)
-
     def apply_operator(self, count: int) -> None:
         self.operator_applications += int(count)
 
     def address_math(self, count: int) -> None:
         self.addressing_instructions += int(count)
-
-    def merge(self, other: "LaunchStats") -> None:
-        self.global_bytes_read += other.global_bytes_read
-        self.global_bytes_written += other.global_bytes_written
-        self.smem_bytes_read += other.smem_bytes_read
-        self.smem_bytes_written += other.smem_bytes_written
-        self.shuffle_instructions += other.shuffle_instructions
-        self.operator_applications += other.operator_applications
-        self.addressing_instructions += other.addressing_instructions
 
 
 #: Read-only ``arange(total)`` block-id arrays, one per grid size; the cap
@@ -141,11 +125,9 @@ def grid_ids(total: int) -> np.ndarray:
 
 @dataclass
 class KernelContext:
-    """What a kernel body sees: its launch geometry and its stats sink."""
+    """What a kernel body sees: its launch geometry."""
 
     config: LaunchConfig
-    stats: LaunchStats
-    warp_size: int
 
     def covers_grid(self, block_ids: np.ndarray) -> bool:
         """Whether one call received every block of the grid, in launch order.

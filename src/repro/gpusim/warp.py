@@ -131,9 +131,8 @@ def warp_scan_cost(
     """Closed-form instruction cost of one warp scan (no data needed).
 
     Exactly matches what :func:`warp_inclusive_scan` /
-    :func:`warp_exclusive_scan` report, which lets the analytic (dry-run)
-    kernel launches produce byte- and instruction-identical traces to the
-    functional path (asserted in the tests).
+    :func:`warp_exclusive_scan` report (asserted in the tests); kernel
+    launches are priced from it, whether or not their body runs.
     """
     schedule = _scan_schedule(width, pattern)
     shuffles = schedule_work(schedule)

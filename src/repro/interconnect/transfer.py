@@ -292,7 +292,6 @@ class TransferEngine:
         src: DeviceArray,
         dst: DeviceArray,
         messages: int = 1,
-        functional: bool = True,
     ) -> TransferRecord:
         """Copy ``src``'s contents into ``dst`` and record the cost.
 
@@ -302,7 +301,8 @@ class TransferEngine:
         host-staged traffic needs one explicit ``cudaMemcpy`` per contiguous
         region — the proposals pass the counts accordingly, which is what
         reproduces the Figure 9 W=8 behaviour ("each auxiliary array is
-        written by 8 GPUs through host memory").
+        written by 8 GPUs through host memory"). A virtual ``dst`` (the
+        analytic estimate) records the same copy and receives no data.
         """
         if src.shape != dst.shape:
             raise TransferError(
@@ -320,7 +320,7 @@ class TransferEngine:
             ("copy", phase, src_gpu.id, dst_gpu.id, nbytes, messages),
             lambda: self._price_copy(phase, src_gpu, dst_gpu, nbytes, messages),
         )
-        if functional:
+        if not dst.virtual:
             dst.data[...] = src.data
         trace.add(record)
         self._schedule_advance(record.time_s)

@@ -3,7 +3,8 @@
 A :class:`Communicator` binds one rank to one GPU (the paper runs one MPI
 process per GPU). Collectives are executed functionally in-process — the
 orchestrator owns every rank's buffers — and each wire transfer is priced
-and recorded into the trace:
+and recorded into the trace. A virtual receive buffer (the analytic
+estimate) records the same transfers and receives no data.
 
 - inter-node pairs ride InfiniBand (lane ``"ib"``): RDMA GPU-Direct style,
   near-constant latency plus a bandwidth term. The serialisation of
@@ -211,7 +212,6 @@ class Communicator:
         sendbufs: Sequence[DeviceArray],
         recvbuf: DeviceArray,
         root: int = 0,
-        functional: bool = True,
     ) -> None:
         """MPI_Gather of equal-sized device buffers into ``recvbuf`` on root.
 
@@ -239,7 +239,7 @@ class Communicator:
                 f"{send_size * self.size}"
             )
 
-        if functional:
+        if not recvbuf.virtual:
             flat = recvbuf.data.reshape(self.size, send_size)
             for rank, buf in enumerate(sendbufs):
                 flat[rank, :] = buf.data.reshape(-1)
@@ -254,7 +254,6 @@ class Communicator:
         sendbuf: DeviceArray,
         recvbufs: Sequence[DeviceArray],
         root: int = 0,
-        functional: bool = True,
     ) -> None:
         """MPI_Scatter of ``sendbuf`` (on root) into per-rank device buffers."""
         self._check_ranks_healthy()
@@ -278,9 +277,9 @@ class Communicator:
                 f"{recv_size * self.size}"
             )
 
-        if functional:
-            flat = sendbuf.data.reshape(self.size, recv_size)
-            for rank, buf in enumerate(recvbufs):
+        flat = sendbuf.data.reshape(self.size, recv_size)
+        for rank, buf in enumerate(recvbufs):
+            if not buf.virtual:
                 buf.data.reshape(-1)[...] = flat[rank]
         self._record(trace, phase, "scatter", "mpi", self.params.collective_overhead_s, 0)
         for time, lane, nbytes in self._hierarchical_legs(root_gpu, recvbufs[0].nbytes):
@@ -308,7 +307,8 @@ class Communicator:
             if buf.shape != sendbuf.shape or buf.dtype != sendbuf.dtype:
                 raise MPIError(f"bcast buffer mismatch at rank {rank}")
             if gpu.id != root_gpu.id:
-                buf.data[...] = sendbuf.data
+                if not buf.virtual:
+                    buf.data[...] = sendbuf.data
                 time, lane = self._pair_time_and_lane(root_gpu, gpu, sendbuf.nbytes)
                 self._record(trace, phase, "bcast", lane, time, sendbuf.nbytes)
 
@@ -340,7 +340,6 @@ class Communicator:
         recvbuf: DeviceArray,
         src: int,
         dst: int,
-        functional: bool = True,
     ) -> None:
         """A matched MPI_Send/MPI_Recv pair between two ranks."""
         self._check_ranks_healthy()
@@ -351,7 +350,7 @@ class Communicator:
         recvbuf.require_on(dst_gpu)
         if sendbuf.shape != recvbuf.shape or sendbuf.dtype != recvbuf.dtype:
             raise MPIError("send/recv buffer shape or dtype mismatch")
-        if functional:
+        if not recvbuf.virtual:
             recvbuf.data[...] = sendbuf.data
         time, lane = self._pair_time_and_lane(src_gpu, dst_gpu, sendbuf.nbytes)
         if time > 0.0:
@@ -367,7 +366,6 @@ class Communicator:
         recvbuf: DeviceArray,
         op="add",
         root: int = 0,
-        functional: bool = True,
     ) -> None:
         """MPI_Reduce of equal-shaped device buffers onto the root.
 
@@ -393,7 +391,7 @@ class Communicator:
             raise MPIError(
                 f"reduce recv buffer shape {recvbuf.shape} != send shape {shape}"
             )
-        if functional:
+        if not recvbuf.virtual:
             acc = sendbufs[0].data.copy()
             for buf in sendbufs[1:]:
                 acc = operator.combine(acc, buf.data)
@@ -409,14 +407,12 @@ class Communicator:
         sendbufs: Sequence[DeviceArray],
         recvbufs: Sequence[DeviceArray],
         op="add",
-        functional: bool = True,
     ) -> None:
         """MPI_Allreduce: reduce to rank 0, then broadcast (the simple
         CUDA-aware implementation of the era)."""
         if len(sendbufs) != self.size or len(recvbufs) != self.size:
             raise MPIError("allreduce needs one send and one recv buffer per rank")
-        self.reduce(trace, phase, sendbufs, recvbufs[0], op=op, root=0,
-                    functional=functional)
+        self.reduce(trace, phase, sendbufs, recvbufs[0], op=op, root=0)
         self.bcast(trace, phase, recvbufs[0], recvbufs, root=0)
 
     # -------------------------------------------------------------- alltoall
@@ -427,7 +423,6 @@ class Communicator:
         phase: str,
         sendbufs: Sequence[DeviceArray],
         recvbufs: Sequence[DeviceArray],
-        functional: bool = True,
     ) -> None:
         """MPI_Alltoall: rank i's j-th slice lands as rank j's i-th slice.
 
@@ -452,7 +447,7 @@ class Communicator:
         block_bytes = sendbufs[0].nbytes // self.size
         for i, src_gpu in enumerate(self.gpus):
             for j, dst_gpu in enumerate(self.gpus):
-                if functional:
+                if not recvbufs[j].virtual:
                     recvbufs[j].data[i] = sendbufs[i].data[j]
                 if i != j:
                     time, lane = self._pair_time_and_lane(src_gpu, dst_gpu, block_bytes)

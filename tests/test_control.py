@@ -18,6 +18,7 @@ Three layers:
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,6 +255,49 @@ class TestTuneController:
         service = _service(controller=ctrl)
         _feed(service, 16, rate=0)
         assert ctrl.decisions == []
+
+    @staticmethod
+    def _retune_under(faults):
+        """Warm a 2^12 float32 shape, arm ``faults`` (GPU 0 lost at the
+        next batch, so the batch boundary re-tunes), then submit a 2^13
+        batch; returns the service, its last ticket and the controller."""
+        session = ScanSession(tsubame_kfc(1))
+        ctrl = TuneController()
+        service = session.service(max_batch=4, controller=ctrl)
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            service.submit(rng.random(1 << 12).astype(np.float32))
+        session.topology.install_faults(
+            FaultSchedule([DeviceDown(at_call=1, gpu_id=0)] + faults))
+        tickets = [service.submit(rng.random(1 << 13).astype(np.float32))
+                   for _ in range(4)]
+        return service, tickets[-1], ctrl
+
+    def test_device_loss_inside_the_retune_is_logged_and_quarantined(self):
+        """The re-tune's estimates tick the schedule: a device lost there
+        is a decision, not an error escaping ``submit``."""
+        service, ticket, ctrl = self._retune_under(
+            [DeviceDown(at_call=10, gpu_id=1)])
+        assert ticket.status == "done"
+        stats = service.stats()
+        assert (stats["submitted"], stats["served"]) == (8, 8)
+        failed = [d for d in ctrl.decisions if d.action == "retune_failed"]
+        assert len(failed) == 1
+        assert failed[0].reason.startswith("DeviceLostError")
+        health = service.session.health
+        assert health.device_losses == 2  # the batch's failover + the retune
+        assert {0, 1} <= set(health.snapshot()["offline"])
+
+    def test_losing_every_gpu_inside_the_retune_is_logged(self):
+        service, ticket, ctrl = self._retune_under(
+            [DeviceDown(at_call=2, gpu_id=g) for g in range(1, 8)])
+        assert ticket.status == "failed"
+        stats = service.stats()
+        assert (stats["submitted"], stats["served"], stats["failed"]) == \
+            (8, 4, 4)
+        failed = [d for d in ctrl.decisions if d.action == "retune_failed"]
+        assert len(failed) == 1
+        assert failed[0].reason.startswith("TopologyError")
 
 
 def _reprice(topology, factor=8.0):

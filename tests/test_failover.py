@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.core.executor import build_executor
 from repro.core.health import HealthTracker, RetryPolicy, degraded_candidates
-from repro.core.params import NodeConfig
+from repro.core.params import NodeConfig, ProblemConfig
 from repro.core.session import ScanSession
 from repro.errors import (
     DeviceLostError,
@@ -223,6 +223,24 @@ class TestRetryExhaustion:
         with pytest.raises(FailoverExhaustedError) as excinfo:
             session.scan(data, proposal="sp")
         assert len(excinfo.value.attempts) >= 1
+
+    def test_auto_with_no_gpu_left_raises_like_an_explicit_proposal(self, rng):
+        """With every GPU lost there is no crossover to estimate: ``auto``
+        fails over like ``sp`` instead of escaping the tuner raw."""
+        machine = tsubame_kfc(1)
+        session = ScanSession(machine)
+        data = batch(rng, dtype=np.float32)
+        machine.install_faults(FaultSchedule(
+            [DeviceDown(at_call=1, gpu_id=g) for g in range(8)]
+        ))
+        with pytest.raises(FailoverExhaustedError):
+            session.scan(data, proposal="sp")
+        assert machine.healthy_gpus() == []
+        with pytest.raises(FailoverExhaustedError, match="no degraded placement"):
+            session.scan(data)
+        problem = ProblemConfig.from_sizes(N=1 << 12, G=4, dtype=np.float32)
+        with pytest.raises(FailoverExhaustedError, match="no degraded placement"):
+            session.estimate(problem)
 
     @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
     @pytest.mark.parametrize("at_call", [1, 2, 3, 4, 5])

@@ -101,15 +101,20 @@ class TestLaunch:
             regs_per_thread=32, smem_per_block=512,
         )
 
+    def _stats(self, nbytes=0):
+        stats = LaunchStats()
+        stats.read_global(nbytes)
+        return stats
+
     def test_body_sees_all_blocks(self, gpu):
         seen = []
 
         def body(ctx, block_ids):
             seen.extend(block_ids.tolist())
-            ctx.stats.read_global(len(block_ids) * 4)
 
         trace = Trace()
-        record = gpu.launch(trace, "k", "phase", self._config(), body)
+        record = gpu.launch(trace, "k", "phase", self._config(), body,
+                            self._stats(8 * 4))
         assert sorted(seen) == list(range(8))
         assert record.global_bytes_read == 8 * 4
         assert record.time_s > 0
@@ -119,9 +124,7 @@ class TestLaunch:
         stats = LaunchStats()
         stats.read_global(1024)
         trace = Trace()
-        record = gpu.launch(
-            trace, "k", "phase", self._config(), None, precomputed_stats=stats
-        )
+        record = gpu.launch(trace, "k", "phase", self._config(), None, stats)
         assert record.global_bytes_read == 1024
 
     def test_no_body_no_stats_rejected(self, gpu):
@@ -134,7 +137,8 @@ class TestLaunch:
             regs_per_thread=32, smem_per_block=60000,
         )
         with pytest.raises(LaunchError):
-            gpu.launch(Trace(), "k", "p", config, lambda ctx, ids: None)
+            gpu.launch(Trace(), "k", "p", config, lambda ctx, ids: None,
+                       self._stats())
 
     def test_launch_config_validation(self):
         with pytest.raises(LaunchError):
@@ -152,16 +156,15 @@ class TestLaunch:
             bx, by = ctx.block_xy(block_ids)
             pairs.extend(zip(bx.tolist(), by.tolist()))
 
-        gpu.launch(Trace(), "k", "p", self._config(), body)
+        gpu.launch(Trace(), "k", "p", self._config(), body, self._stats())
         assert (3, 0) in pairs and (0, 1) in pairs and (3, 1) in pairs
         assert len(set(pairs)) == 8
 
     def test_bandwidth_scale_slows_kernel(self, gpu):
-        def body(ctx, block_ids):
-            ctx.stats.read_global(10 * 1024 * 1024)
+        stats = self._stats(10 * 1024 * 1024)
 
-        t1 = gpu.launch(Trace(), "k", "p", self._config(), body).time_s
+        t1 = gpu.launch(Trace(), "k", "p", self._config(), None, stats).time_s
         gpu.bandwidth_scale = 0.5
-        t2 = gpu.launch(Trace(), "k", "p", self._config(), body).time_s
+        t2 = gpu.launch(Trace(), "k", "p", self._config(), None, stats).time_s
         gpu.bandwidth_scale = 1.0
         assert t2 > t1

@@ -195,6 +195,29 @@ class TestOneRecordTwoReaders:
                 sum(s[field] for s in replica_stats), metric
 
 
+    def test_router_stats_count_a_replaced_replicas_outcomes(self):
+        """A drained replica's first service still counts after re-admit:
+        each replica keeps one stats record across its services."""
+        built: list = []
+        router = chaos_router(built)
+        summary = cluster_replay(
+            router, CHAOS_WORKLOAD, fail_replica_at=CHAOS_WORKLOAD[20].at_s,
+            fail_replica_id=0,
+        )
+        stats = router.stats()
+        assert stats["readmits"] == 1 and len(built) == 4
+        served = [service.stats()["served"] for service in built]
+        failed = [service.stats()["failed"] for service in built]
+        assert stats["served"] == sum(served) == summary["served"]
+        assert stats["failed"] == sum(failed)
+        rows = stats["per_replica"]
+        # built: replicas 0, 1, 2, then replica 0's replacement.
+        assert [row["served"] for row in rows] == \
+            [served[0] + served[3], served[1], served[2]]
+        assert [row["failed"] for row in rows] == \
+            [failed[0] + failed[3], failed[1], failed[2]]
+
+
 class _Terminal:
     """Counts each ticket's terminal outcomes, and its admissions."""
 
