@@ -55,7 +55,7 @@ from repro.errors import (
 )
 from repro.interconnect.topology import tsubame_kfc
 from repro.obs.registry import Histogram
-from repro.serve.clock import SimClock
+from repro.serve.clock import SimClock, finite_seconds
 from repro.serve.service import ScanService, ServiceStats
 from repro.cluster.policies import resolve_policy
 from repro.cluster.tenants import DEFAULT_TENANT, TenantSpec
@@ -245,6 +245,7 @@ class ClusterRouter:
             raise ConfigurationError(f"need at least one replica, got {replicas}")
         if drain_after < 1:
             raise ConfigurationError(f"drain_after must be >= 1, got {drain_after}")
+        finite_seconds(recovery_s, "recovery_s")
         if recovery_s <= 0:
             raise ConfigurationError(f"recovery_s must be > 0, got {recovery_s}")
         self.topology_factory = (topology_factory if topology_factory is not None
@@ -504,7 +505,7 @@ class ClusterRouter:
     # ----------------------------------------------------------------- time
 
     def advance(self, dt_s: float) -> float:
-        return self.advance_to(self.clock.now + dt_s)
+        return self.advance_to(self.clock.now + finite_seconds(dt_s, "a clock step"))
 
     def advance_to(self, t_s: float) -> float:
         """Advance the cluster (and every replica, lockstepped) to ``t_s``.
@@ -513,6 +514,7 @@ class ClusterRouter:
         the way, so recovery interleaves deterministically with the
         replicas' ``max_wait`` flush deadlines.
         """
+        finite_seconds(t_s, "a cluster time")
         if t_s < self.clock.now:
             raise ConfigurationError(
                 f"cluster clock cannot run backwards: now={self.clock.now}, "

@@ -24,6 +24,10 @@ path:
   config summary. ``run()`` and ``estimate()`` are thin wrappers that
   build the request — the analytic estimate is the *same* pipeline with
   virtual arrays, so the two paths cannot drift.
+- :class:`LaunchProgram` — a single-GPU device flow held per plan: its
+  buffer slots, its launch steps and the kernel bodies bound to the pool
+  blocks it was handed, so a warm call derives nothing
+  (:class:`SingleGPUExecutor`, and ``pp`` through its workers).
 - the **proposal registry** — the single source of truth mapping proposal
   names to executors, replacing the session's constructor if-chain; the
   session, the CLI and the docs all read it.
@@ -55,7 +59,9 @@ from repro.core.params import (
 from repro.core.plan import build_execution_plan
 from repro.core.premises import derive_stage_kernel_params, k_search_space
 from repro.core.results import ScanResult
-from repro.util.ints import is_power_of_two
+from repro.primitives.operators import resolve_operator
+from repro.util.hotpath import fast_enabled
+from repro.util.ints import is_power_of_two, next_power_of_two
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpusim.device import GPU
@@ -110,9 +116,6 @@ def pad_rows_to_batch(
     philosophy as :func:`shrink_template_to_fit`: shape the work to what
     the machine accepts rather than reject it.
     """
-    from repro.primitives.operators import resolve_operator
-    from repro.util.ints import next_power_of_two
-
     if not rows:
         raise ConfigurationError("pad_rows_to_batch needs at least one row")
     if not is_power_of_two(n):
@@ -120,7 +123,8 @@ def pad_rows_to_batch(
     op = resolve_operator(operator)
     dtype = np.dtype(dtype if dtype is not None else rows[0].dtype)
     g = next_power_of_two(len(rows))
-    batch = np.full((g, n), op.identity(dtype), dtype=dtype)
+    batch = np.empty((g, n), dtype=dtype)
+    batch.fill(op.identity(dtype))
     for i, row in enumerate(rows):
         row = np.asarray(row)
         if row.ndim != 1:
@@ -432,6 +436,9 @@ class ScanExecutor(ABC):
     - :meth:`_device_flow` — the timed region: kernels + communication;
     - :meth:`_collect_output` — reassemble the host batch;
     - :meth:`_describe` — the proposal's result config dict.
+
+    A :class:`SingleGPUExecutor` holds its placement and launches as a
+    :class:`LaunchProgram` per plan instead of deriving them per call.
     """
 
     #: Registry name ("sp", "mps", ...); set by subclasses.
@@ -572,6 +579,164 @@ class ScanExecutor(ABC):
     @abstractmethod
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         """The proposal's result config (K, placement counts, gpu ids)."""
+
+
+# ------------------------------------------------------------------ programs
+
+
+class LaunchProgram:
+    """One GPU's device flow for one plan, held between calls.
+
+    A single-GPU flow is a fixed list of launches over a fixed set of
+    buffers, so everything but the data is derived once, here:
+
+    - ``slots`` are the buffers a call places, as ``(shape, dtype, fill)``.
+      Slot 0 receives the host batch; the others are allocated (``fill``
+      initialises one, ``None`` leaves recycled contents).
+    - ``stages`` are ``(span, launches)`` pairs, each launch a
+      ``(slots, step)`` pair: the :class:`~repro.core.kernels.LaunchStep`
+      and the slots whose storage its body binds. A stage's launches run
+      inside one obs span.
+
+    Buffers still come from the device allocator and go back to it on
+    every call (:meth:`place` runs inside the caller's
+    :class:`AllocationScope`), so pool counters, poisoning and capacity
+    checks are per call. The bodies are not: they are bound to the
+    storage of the buffers the program was handed and kept while a call
+    is handed the same pool blocks under the same ``fast_paths`` state.
+    Any other call rebinds each step right before it launches, as a
+    per-call flow would. Unpooled storage is fresh on every call, so
+    its bodies are bound per call and never held. A call on virtual
+    buffers (an estimate) runs the same launches with no body.
+    """
+
+    __slots__ = ("gpu", "arch", "plan", "slots", "stages",
+                 "_fast", "_blocks", "_bodies")
+
+    def __init__(self, gpu: "GPU", plan: ExecutionPlan, slots, stages):
+        self.gpu = gpu
+        #: The architecture the steps' specs were built for.
+        self.arch = gpu.arch
+        self.plan = plan
+        self.slots = tuple(slots)
+        self.stages = tuple(stages)
+        self._fast: bool | None = None
+        self._blocks: tuple | None = None
+        self._bodies: tuple | None = None
+
+    def place(self, scope: AllocationScope, batch: np.ndarray | None) -> list:
+        """The call's buffers: ``batch`` uploaded into slot 0 and the other
+        slots allocated, or every slot virtual when ``batch is None``."""
+        gpu = self.gpu
+        if batch is None:
+            return [scope.alloc(gpu, shape, dtype, virtual=True)
+                    for shape, dtype, _ in self.slots]
+        buffers = [scope.upload(gpu, batch)]
+        for shape, dtype, fill in self.slots[1:]:
+            buffers.append(scope.alloc(gpu, shape, dtype, fill=fill))
+        return buffers
+
+    def launch(self, trace: Trace, buffers) -> None:
+        """Run every step over ``buffers`` (all real or all virtual)."""
+        gpu = self.gpu
+        real = not buffers[0].virtual
+        held = real and self._holds(buffers)
+        bodies = self._bodies if held else []
+        i = 0
+        for span, launches in self.stages:
+            with obs.span(span):
+                for slots, step in launches:
+                    if held:
+                        body = bodies[i]
+                    elif real:
+                        body = step.bind(*[buffers[s].data for s in slots])
+                        bodies.append(body)
+                    else:
+                        body = None
+                    step.run(trace, gpu, body)
+                    i += 1
+        if real and not held:
+            self._hold(buffers, tuple(bodies))
+
+    def _holds(self, buffers) -> bool:
+        """Whether the held bodies work on ``buffers``' storage."""
+        blocks = self._blocks
+        if blocks is None or self._fast is not fast_enabled():
+            return False
+        for buffer, block in zip(buffers, blocks):
+            if buffer.pool_block is not block:
+                return False
+        return True
+
+    def _hold(self, buffers, bodies: tuple) -> None:
+        blocks = tuple(buffer.pool_block for buffer in buffers)
+        if any(block is None for block in blocks):
+            self._fast = self._blocks = self._bodies = None
+            return
+        self._fast, self._blocks, self._bodies = fast_enabled(), blocks, bodies
+
+
+class SingleGPUExecutor(ScanExecutor):
+    """A one-GPU executor whose device flow is a held :class:`LaunchProgram`.
+
+    Subclasses supply :meth:`_slots` and :meth:`_stages`. :meth:`program`
+    builds a plan's program on its first call and keeps it while the plan
+    and the architecture are the objects it was built for; programs are
+    keyed by the plan object, so a fan-out executor (``pp``) can hand its
+    workers a plan it resolved itself.
+    """
+
+    #: ``id(plan) -> program``, created on first use (see :meth:`program`).
+    _programs: dict | None = None
+
+    def __init__(
+        self,
+        gpu: "GPU",
+        K: int | None = None,
+        stage1_template: KernelParams | None = None,
+    ):
+        self.gpu = gpu
+        self.placement = Placement.single(gpu)
+        self.K = K
+        self.stage1_template = stage1_template
+
+    def _arch(self) -> GPUArchitecture:
+        return self.gpu.arch
+
+    def program(self, plan: ExecutionPlan) -> LaunchProgram:
+        """The held program of ``plan`` on this executor's GPU."""
+        programs = self._programs
+        if programs is None:
+            programs = self._programs = {}
+        program = programs.get(id(plan))
+        if (program is None or program.plan is not plan
+                or program.arch is not self.gpu.arch):
+            program = LaunchProgram(self.gpu, plan, self._slots(plan),
+                                    self._stages(plan))
+            if len(programs) >= _HELD_PLANS_CAP:
+                programs.clear()
+            programs[id(plan)] = program
+        return program
+
+    @abstractmethod
+    def _slots(self, plan: ExecutionPlan):
+        """The program's buffer slots (slot 0: the batch)."""
+
+    @abstractmethod
+    def _stages(self, plan: ExecutionPlan):
+        """The program's ``(span, ((slots, step), ...))`` stages."""
+
+    def _place_buffers(self, scope: AllocationScope, plan: ExecutionPlan,
+                       request: ScanRequest):
+        return self.program(plan).place(scope, request.batch)
+
+    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
+        trace = Trace()
+        self.program(plan).launch(trace, buffers)
+        return trace
+
+    def _collect_output(self, buffers) -> np.ndarray:
+        return buffers[0].to_host()
 
 
 # ------------------------------------------------------------------- registry

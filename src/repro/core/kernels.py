@@ -41,11 +41,20 @@ on the body. A launch whose destination is a virtual buffer (the analytic
 estimate) runs no body at all. Warm launches reuse the spec, and
 :meth:`repro.gpusim.device.GPU.launch` reuses the priced record, so a warm
 launch costs its body and a trace append.
+
+Each kernel is a spec builder, a body binder (``bind_*``: the body over
+given storage) and a ``*_step`` factory that packages spec, binder and
+pricing as a :class:`LaunchStep`, the one place its launch arguments are
+stated. ``launch_*`` checks its buffers, builds the step, binds the body
+and runs it, per call, as the multi-GPU flows do; the single-GPU
+executors hold their steps and bodies in a
+:class:`~repro.core.executor.LaunchProgram` so a warm call binds nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -477,6 +486,38 @@ def launch_spec(
     return spec
 
 
+class LaunchStep(NamedTuple):
+    """One kernel launch: everything but the storage its body works on.
+
+    ``spec`` holds the launch's geometry and counters; the step adds the
+    record name and phase, the body binder and the exposed latency the
+    roofline cannot see (``latency(spec, cost_params)``; ``None``:
+    none). ``bind(*arrays)`` returns the body over the given storage.
+    Every launch of a kernel is its step's :meth:`run`: a ``launch_*``
+    function builds the step and binds the body per call, a held
+    :class:`~repro.core.executor.LaunchProgram` keeps both.
+    """
+
+    name: str
+    phase: str
+    spec: LaunchSpec
+    bind: Callable[..., Callable[[KernelContext, np.ndarray], None]]
+    coalesced: bool = True
+    ordered: bool = False
+    latency: Callable[[LaunchSpec, CostModelParams], float] | None = None
+
+    def run(self, trace: Trace, gpu: GPU, body) -> KernelRecord:
+        """Launch on ``gpu`` with ``body`` (``None``: virtual buffers)."""
+        spec = self.spec
+        latency = self.latency
+        return gpu.launch(
+            trace, self.name, self.phase, spec.config, body, spec.stats,
+            coalesced=self.coalesced, ordered=self.ordered,
+            extra_latency_s=(0.0 if latency is None
+                             else latency(spec, gpu.cost_model.params)),
+        )
+
+
 def _chunk_reduce_spec(plan: ExecutionPlan, arch: GPUArchitecture, rows: int) -> LaunchSpec:
     kp = plan.stage1.params
     config = _launch_config(kp, plan.stage1.bx, rows, plan.problem.itemsize)
@@ -504,6 +545,42 @@ def _scan_add_spec(plan: ExecutionPlan, arch: GPUArchitecture, rows: int) -> Lau
     )
 
 
+def bind_chunk_reduce(
+    spec: LaunchSpec,
+    plan: ExecutionPlan,
+    data: np.ndarray,
+    aux: np.ndarray,
+    chunk_column_offset: int = 0,
+) -> Callable[[KernelContext, np.ndarray], None]:
+    """Stage 1's body over the storage of ``data`` and ``aux``.
+
+    Whether it takes the one-pass body is decided here (:func:`_exact`),
+    so a body is bound under one ``fast_paths`` state.
+    """
+    core = spec.block_core()
+    kp = plan.stage1.params
+    op = plan.problem.operator
+    bx_total = plan.stage1.bx
+    arr = data.reshape(data.shape[0], bx_total, kp.chunk_size)
+    aux_cols = aux[:, chunk_column_offset:chunk_column_offset + bx_total]
+    exact = _exact(plan.problem.dtype)
+
+    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+        if exact and ctx.covers_grid(block_ids):
+            aux_cols[...] = op.reduce(arr, axis=-1)
+            return
+        bx, g = ctx.block_xy(block_ids)
+        nb = len(block_ids)
+        if exact:
+            aux_cols[g, bx] = op.reduce(arr[g, bx], axis=-1)
+        else:
+            chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)  # gather-copy
+            partials = core.run(chunks)
+            aux_cols[g, bx] = core.chunk_totals(partials["iteration_totals"])
+
+    return body
+
+
 def launch_chunk_reduce(
     trace: Trace,
     gpu: GPU,
@@ -529,34 +606,65 @@ def launch_chunk_reduce(
         raise ConfigurationError(
             f"data has {n_local} elements per problem, plan expects {plan.n_local}"
         )
-    spec = launch_spec(plan, gpu.arch, _chunk_reduce_spec, g_local)
-    body = None
-    if not aux.virtual:
-        core = spec.block_core()
-        kp = plan.stage1.params
-        op = plan.problem.operator
-        bx_total = plan.stage1.bx
-        arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
-        aux_cols = aux.data[:, chunk_column_offset:chunk_column_offset + bx_total]
-        exact = _exact(plan.problem.dtype)
+    step = chunk_reduce_step(plan, gpu.arch, g_local, phase, vector_loads)
+    body = (None if aux.virtual
+            else step.bind(data.data, aux.data, chunk_column_offset))
+    return step.run(trace, gpu, body)
 
-        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-            if exact and ctx.covers_grid(block_ids):
-                aux_cols[...] = op.reduce(arr, axis=-1)
-                return
-            bx, g = ctx.block_xy(block_ids)
-            nb = len(block_ids)
-            if exact:
-                aux_cols[g, bx] = op.reduce(arr[g, bx], axis=-1)
-            else:
-                chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)  # gather-copy
-                partials = core.run(chunks)
-                aux_cols[g, bx] = core.chunk_totals(partials["iteration_totals"])
 
-    return gpu.launch(
-        trace, "chunk_reduce", phase, spec.config, body, spec.stats,
-        coalesced=vector_loads,
-    )
+def chunk_reduce_step(
+    plan: ExecutionPlan, arch: GPUArchitecture, rows: int,
+    phase: str = "stage1", vector_loads: bool = True,
+) -> LaunchStep:
+    """Stage 1 over ``rows`` problems; its body binds ``(data, aux[,
+    chunk_column_offset])``."""
+    spec = launch_spec(plan, arch, _chunk_reduce_spec, rows)
+    return LaunchStep("chunk_reduce", phase, spec,
+                      partial(bind_chunk_reduce, spec, plan),
+                      coalesced=vector_loads)
+
+
+def bind_intermediate_scan(
+    spec: LaunchSpec, plan: ExecutionPlan, aux: np.ndarray
+) -> Callable[[KernelContext, np.ndarray], None]:
+    """Stage 2's body over the storage of ``aux`` (see :func:`bind_chunk_reduce`)."""
+    core = spec.block_core()
+    kp2 = plan.stage2.params
+    op = plan.problem.operator
+    cx = plan.chunks_total
+    identity = op.identity(plan.problem.dtype)
+    exact = _exact(plan.problem.dtype)
+
+    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+        if exact and ctx.covers_grid(block_ids):
+            _scan_exact(op, aux, None, False, identity)
+            return
+        _, by = ctx.block_xy(block_ids)
+        problems = (by[:, None] * kp2.Ly + np.arange(kp2.Ly)).reshape(-1)
+        npb = len(problems)
+        rows = aux[problems]  # (npb, cx) gather-copy
+        if exact:
+            _scan_exact(op, rows, None, False, identity)
+            aux[problems] = rows
+        else:
+            # Identity-pad up to whole rounds; idle lanes execute but
+            # cannot perturb any real element's prefix. The staging
+            # buffer is reused scratch (fully re-filled each call).
+            rounds = ceil_div(cx, kp2.P * kp2.Lx)
+            padded = rounds * kp2.P * kp2.Lx
+            staged = _scratch((npb, padded), rows.dtype, fill=identity)
+            staged[:, :cx] = rows
+            view = staged.reshape(npb, rounds, kp2.Lx, kp2.P)
+
+            partials = core.run(view)
+            carries = core.cascade_carries(partials["iteration_totals"])
+            result = _apply_offsets(
+                op, partials, carries, base=None, inclusive=False,
+                identity=identity,
+            )
+            aux[problems] = result.reshape(npb, padded)[:, :cx]
+
+    return body
 
 
 def launch_intermediate_scan(
@@ -580,46 +688,59 @@ def launch_intermediate_scan(
         raise ConfigurationError(
             f"aux has {cx} chunk columns, plan expects {plan.chunks_total}"
         )
-    spec = launch_spec(plan, gpu.arch, _intermediate_scan_spec)
-    body = None
-    if not aux.virtual:
-        core = spec.block_core()
-        kp2 = plan.stage2.params
-        op = plan.problem.operator
-        arr = aux.data
-        identity = op.identity(plan.problem.dtype)
-        exact = _exact(plan.problem.dtype)
+    step = intermediate_scan_step(plan, gpu.arch, phase)
+    return step.run(trace, gpu, None if aux.virtual else step.bind(aux.data))
 
-        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-            if exact and ctx.covers_grid(block_ids):
-                _scan_exact(op, arr, None, False, identity)
-                return
-            _, by = ctx.block_xy(block_ids)
-            problems = (by[:, None] * kp2.Ly + np.arange(kp2.Ly)).reshape(-1)
-            npb = len(problems)
-            rows = arr[problems]  # (npb, cx) gather-copy
-            if exact:
-                _scan_exact(op, rows, None, False, identity)
-                arr[problems] = rows
-            else:
-                # Identity-pad up to whole rounds; idle lanes execute but
-                # cannot perturb any real element's prefix. The staging
-                # buffer is reused scratch (fully re-filled each call).
-                rounds = ceil_div(cx, kp2.P * kp2.Lx)
-                padded = rounds * kp2.P * kp2.Lx
-                staged = _scratch((npb, padded), rows.dtype, fill=identity)
-                staged[:, :cx] = rows
-                view = staged.reshape(npb, rounds, kp2.Lx, kp2.P)
 
-                partials = core.run(view)
-                carries = core.cascade_carries(partials["iteration_totals"])
-                result = _apply_offsets(
-                    op, partials, carries, base=None, inclusive=False,
-                    identity=identity,
-                )
-                arr[problems] = result.reshape(npb, padded)[:, :cx]
+def intermediate_scan_step(
+    plan: ExecutionPlan, arch: GPUArchitecture, phase: str = "stage2",
+) -> LaunchStep:
+    """Stage 2; its body binds ``(aux,)``."""
+    spec = launch_spec(plan, arch, _intermediate_scan_spec)
+    return LaunchStep("intermediate_scan", phase, spec,
+                      partial(bind_intermediate_scan, spec, plan))
 
-    return gpu.launch(trace, "intermediate_scan", phase, spec.config, body, spec.stats)
+
+def bind_scan_add(
+    spec: LaunchSpec,
+    plan: ExecutionPlan,
+    data: np.ndarray,
+    aux_scanned: np.ndarray,
+    chunk_column_offset: int = 0,
+) -> Callable[[KernelContext, np.ndarray], None]:
+    """Stage 3's body over the storage of ``data`` and ``aux_scanned``
+    (see :func:`bind_chunk_reduce`)."""
+    core = spec.block_core()
+    kp = plan.stage3.params
+    op = plan.problem.operator
+    bx_total = plan.stage3.bx
+    inclusive_out = plan.problem.inclusive
+    arr = data.reshape(data.shape[0], bx_total, kp.chunk_size)
+    aux_cols = aux_scanned[:, chunk_column_offset:chunk_column_offset + bx_total]
+    identity = op.identity(plan.problem.dtype)
+    exact = _exact(plan.problem.dtype)
+
+    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+        if exact and ctx.covers_grid(block_ids):
+            _scan_exact(op, arr, aux_cols, inclusive_out, identity)
+            return
+        bx, g = ctx.block_xy(block_ids)
+        nb = len(block_ids)
+        if exact:
+            chunks = arr[g, bx]  # (nb, chunk) gather-copy
+            _scan_exact(op, chunks, aux_cols[g, bx], inclusive_out, identity)
+            arr[g, bx] = chunks
+        else:
+            chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)
+            partials = core.run(chunks)
+            carries = core.cascade_carries(partials["iteration_totals"])  # (nb, K)
+            base = aux_cols[g, bx]  # (nb,) exclusive offsets
+            result = _apply_offsets(
+                op, partials, carries, base, inclusive_out, identity
+            )
+            arr[g, bx] = result.reshape(nb, kp.chunk_size)
+
+    return body
 
 
 def launch_scan_add(
@@ -642,44 +763,22 @@ def launch_scan_add(
     """
     data.require_on(gpu)
     aux_scanned.require_on(gpu)
-    g_local = data.shape[0]
-    spec = launch_spec(plan, gpu.arch, _scan_add_spec, g_local)
-    body = None
-    if not data.virtual:
-        core = spec.block_core()
-        kp = plan.stage3.params
-        op = plan.problem.operator
-        bx_total = plan.stage3.bx
-        inclusive_out = plan.problem.inclusive
-        arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
-        aux_cols = aux_scanned.data[:, chunk_column_offset:chunk_column_offset + bx_total]
-        identity = op.identity(plan.problem.dtype)
-        exact = _exact(plan.problem.dtype)
+    step = scan_add_step(plan, gpu.arch, data.shape[0], phase, vector_loads)
+    body = (None if data.virtual
+            else step.bind(data.data, aux_scanned.data, chunk_column_offset))
+    return step.run(trace, gpu, body)
 
-        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-            if exact and ctx.covers_grid(block_ids):
-                _scan_exact(op, arr, aux_cols, inclusive_out, identity)
-                return
-            bx, g = ctx.block_xy(block_ids)
-            nb = len(block_ids)
-            if exact:
-                chunks = arr[g, bx]  # (nb, chunk) gather-copy
-                _scan_exact(op, chunks, aux_cols[g, bx], inclusive_out, identity)
-                arr[g, bx] = chunks
-            else:
-                chunks = arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P)
-                partials = core.run(chunks)
-                carries = core.cascade_carries(partials["iteration_totals"])  # (nb, K)
-                base = aux_cols[g, bx]  # (nb,) exclusive offsets
-                result = _apply_offsets(
-                    op, partials, carries, base, inclusive_out, identity
-                )
-                arr[g, bx] = result.reshape(nb, kp.chunk_size)
 
-    return gpu.launch(
-        trace, "scan_add", phase, spec.config, body, spec.stats,
-        coalesced=vector_loads,
-    )
+def scan_add_step(
+    plan: ExecutionPlan, arch: GPUArchitecture, rows: int,
+    phase: str = "stage3", vector_loads: bool = True,
+) -> LaunchStep:
+    """Stage 3 over ``rows`` problems; its body binds ``(data,
+    aux_scanned[, chunk_column_offset])``."""
+    spec = launch_spec(plan, arch, _scan_add_spec, rows)
+    return LaunchStep("scan_add", phase, spec,
+                      partial(bind_scan_add, spec, plan),
+                      coalesced=vector_loads)
 
 
 # --------------------------------------------------------------------------
@@ -733,6 +832,31 @@ def _descriptor_reset_spec(
     return LaunchSpec(arch, config, descriptor_reset_stats(g_local, bx_total))
 
 
+def bind_descriptor_reset(
+    spec: LaunchSpec, status: np.ndarray
+) -> Callable[[KernelContext, np.ndarray], None]:
+    """The descriptor memset's body over the storage of ``status``."""
+    g_local, bx_total = status.shape
+    n_desc = g_local * bx_total
+    lanes = np.arange(_RESET_BLOCK_THREADS)
+
+    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+        if ctx.covers_grid(block_ids):
+            status[...] = STATE_INVALID
+            return
+        bx, _ = ctx.block_xy(block_ids)
+        flat = (bx[:, None] * _RESET_BLOCK_THREADS + lanes).reshape(-1)
+        flat = flat[flat < n_desc]
+        status[flat // bx_total, flat % bx_total] = STATE_INVALID
+
+    return body
+
+
+def setup_latency_s(spec: LaunchSpec, params: CostModelParams) -> float:
+    """The descriptor reset's protocol-arming latency under ``params``."""
+    return params.lookback_setup_s
+
+
 def launch_descriptor_reset(
     trace: Trace,
     gpu: GPU,
@@ -752,27 +876,21 @@ def launch_descriptor_reset(
     ``status`` runs no body.
     """
     status.require_on(gpu)
-    g_local, bx_total = status.shape
-    n_desc = g_local * bx_total
-    spec = launch_spec(plan, gpu.arch, _descriptor_reset_spec, status.shape)
-    body = None
-    if not status.virtual:
-        words = status.data
-        lanes = np.arange(_RESET_BLOCK_THREADS)
+    step = descriptor_reset_step(plan, gpu.arch, status.shape, phase)
+    return step.run(trace, gpu,
+                    None if status.virtual else step.bind(status.data))
 
-        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-            if ctx.covers_grid(block_ids):
-                words[...] = STATE_INVALID
-                return
-            bx, _ = ctx.block_xy(block_ids)
-            flat = (bx[:, None] * _RESET_BLOCK_THREADS + lanes).reshape(-1)
-            flat = flat[flat < n_desc]
-            words[flat // bx_total, flat % bx_total] = STATE_INVALID
 
-    return gpu.launch(
-        trace, "descriptor_reset", phase, spec.config, body, spec.stats,
-        extra_latency_s=gpu.cost_model.params.lookback_setup_s,
-    )
+def descriptor_reset_step(
+    plan: ExecutionPlan, arch: GPUArchitecture, plane: tuple[int, int],
+    phase: str = "sp-dlb",
+) -> LaunchStep:
+    """The memset of a ``plane``-shaped status plane; its body binds
+    ``(status,)``."""
+    spec = launch_spec(plan, arch, _descriptor_reset_spec, plane)
+    return LaunchStep("descriptor_reset", phase, spec,
+                      partial(bind_descriptor_reset, spec),
+                      latency=setup_latency_s)
 
 
 def single_pass_scan_stats(
@@ -872,6 +990,54 @@ def _resolve_lookback(
     return prefixes
 
 
+def bind_single_pass_scan(
+    spec: LaunchSpec,
+    plan: ExecutionPlan,
+    data: np.ndarray,
+    status: np.ndarray,
+    descriptors: np.ndarray,
+) -> Callable[[KernelContext, np.ndarray], None]:
+    """The single pass's body over the storage of ``data`` and its two
+    descriptor planes (see :func:`bind_chunk_reduce`)."""
+    core = spec.block_core()
+    kp = plan.stage1.params
+    op = plan.problem.operator
+    inclusive_out = plan.problem.inclusive
+    arr = data.reshape(data.shape[0], plan.stage1.bx, kp.chunk_size)
+    identity = op.identity(plan.problem.dtype)
+    exact = _exact(plan.problem.dtype)
+
+    def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
+        bx, g = ctx.block_xy(block_ids)
+        nb = len(block_ids)
+        if exact:
+            covering = ctx.covers_grid(block_ids)
+            chunks = arr if covering else arr[g, bx]
+            totals = op.reduce(chunks, axis=-1)
+            prefixes = _resolve_lookback(
+                op, status, descriptors, block_ids, bx, g, totals.reshape(-1)
+            )
+            _scan_exact(
+                op, chunks, prefixes.reshape(totals.shape), inclusive_out,
+                identity,
+            )
+            if not covering:
+                arr[g, bx] = chunks
+        else:
+            partials = core.run(arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P))
+            carries = core.cascade_carries(partials["iteration_totals"])
+            totals = core.chunk_totals(partials["iteration_totals"])  # (nb,)
+            prefixes = _resolve_lookback(
+                op, status, descriptors, block_ids, bx, g, totals
+            )
+            result = _apply_offsets(
+                op, partials, carries, prefixes, inclusive_out, identity
+            )
+            arr[g, bx] = result.reshape(nb, kp.chunk_size)
+
+    return body
+
+
 def launch_single_pass_scan(
     trace: Trace,
     gpu: GPU,
@@ -918,7 +1084,7 @@ def launch_single_pass_scan(
     data.require_on(gpu)
     status.require_on(gpu)
     descriptors.require_on(gpu)
-    g_local, n_local = data.shape
+    g_local = data.shape[0]
     bx_total = plan.stage1.bx
     planes = (status.shape, descriptors.shape)
     if planes != ((g_local, bx_total), (g_local, bx_total, 2)):
@@ -926,46 +1092,19 @@ def launch_single_pass_scan(
             f"descriptor planes must be {(g_local, bx_total)} and "
             f"{(g_local, bx_total, 2)}, got {planes[0]} and {planes[1]}"
         )
-    spec = launch_spec(plan, gpu.arch, build)
-    body = None
-    if not data.virtual:
-        core = spec.block_core()
-        kp = plan.stage1.params
-        op = plan.problem.operator
-        inclusive_out = plan.problem.inclusive
-        arr = data.data.reshape(g_local, bx_total, kp.chunk_size)
-        words = status.data
-        desc = descriptors.data
-        identity = op.identity(plan.problem.dtype)
-        exact = _exact(plan.problem.dtype)
+    step = single_pass_step(plan, gpu.arch, phase, build)
+    body = (None if data.virtual
+            else step.bind(data.data, status.data, descriptors.data))
+    return step.run(trace, gpu, body)
 
-        def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
-            bx, g = ctx.block_xy(block_ids)
-            nb = len(block_ids)
-            if exact:
-                covering = ctx.covers_grid(block_ids)
-                chunks = arr if covering else arr[g, bx]
-                totals = op.reduce(chunks, axis=-1)
-                prefixes = _resolve_lookback(
-                    op, words, desc, block_ids, bx, g, totals.reshape(-1)
-                )
-                _scan_exact(
-                    op, chunks, prefixes.reshape(totals.shape), inclusive_out,
-                    identity,
-                )
-                if not covering:
-                    arr[g, bx] = chunks
-            else:
-                partials = core.run(arr[g, bx].reshape(nb, kp.K, kp.Lx, kp.P))
-                carries = core.cascade_carries(partials["iteration_totals"])
-                totals = core.chunk_totals(partials["iteration_totals"])  # (nb,)
-                prefixes = _resolve_lookback(op, words, desc, block_ids, bx, g, totals)
-                result = _apply_offsets(
-                    op, partials, carries, prefixes, inclusive_out, identity
-                )
-                arr[g, bx] = result.reshape(nb, kp.chunk_size)
 
-    return gpu.launch(
-        trace, spec.name, phase, spec.config, body, spec.stats, ordered=True,
-        extra_latency_s=spec.stall_s(gpu.cost_model.params),
-    )
+def single_pass_step(
+    plan: ExecutionPlan, arch: GPUArchitecture, phase: str = "sp-dlb",
+    build: Callable[..., LaunchSpec] = _single_pass_spec,
+) -> LaunchStep:
+    """The single pass; its body binds ``(data, status, descriptors)``.
+    ``build`` as for :func:`launch_single_pass_scan`."""
+    spec = launch_spec(plan, arch, build)
+    return LaunchStep(spec.name, phase, spec,
+                      partial(bind_single_pass_scan, spec, plan),
+                      ordered=True, latency=LaunchSpec.stall_s)

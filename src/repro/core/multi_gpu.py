@@ -298,7 +298,8 @@ class ScanProblemParallel(ScanExecutor):
     "Solving the Case 1 is trivial, simply executing the strategy analyzed
     in Section 3 through several GPUs, since there is no communication
     among GPUs." G problems are dealt round-robin-free (contiguous slabs)
-    onto W GPUs; per-GPU batches run concurrently.
+    onto W GPUs; per-GPU batches run concurrently. Each worker runs its
+    held Scan-SP program, so a warm batch binds nothing.
     """
 
     proposal = "pp"
@@ -355,23 +356,15 @@ class ScanProblemParallel(ScanExecutor):
     def _place_buffers(
         self, scope: AllocationScope, plan: ExecutionPlan, request: ScanRequest
     ):
-        problem = request.problem
-        w, g_per_gpu = self._split(problem)
+        # Each worker's (gpu, data, aux): its slab in its program's slots.
+        w, g_per_gpu = self._split(request.problem)
+        batch = request.batch
         buffers = []
-        for i in range(w):
-            gpu = self.gpus[i]
-            if request.batch is None:
-                data = scope.alloc(
-                    gpu, (g_per_gpu, problem.N), problem.dtype, virtual=True
-                )
-                aux = scope.alloc(
-                    gpu, (g_per_gpu, plan.chunks_total), problem.dtype, virtual=True
-                )
-            else:
-                sub = request.batch[i * g_per_gpu : (i + 1) * g_per_gpu]
-                data = scope.upload(gpu, sub)
-                aux = scope.alloc(gpu, (g_per_gpu, plan.chunks_total), problem.dtype)
-            buffers.append((gpu, data, aux))
+        for i, gpu in enumerate(self.gpus[:w]):
+            slab = (None if batch is None
+                    else batch[i * g_per_gpu:(i + 1) * g_per_gpu])
+            program = self._worker(gpu).program(plan)
+            buffers.append((gpu, *program.place(scope, slab)))
         return buffers
 
     def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:

@@ -136,7 +136,7 @@ class _Binding:
     """
 
     __slots__ = ("problem", "node", "proposal", "key", "entry", "epoch",
-                 "fingerprint")
+                 "fingerprint", "gpus")
 
     def __init__(self, request: ScanRequest, entry: _SessionEntry,
                  epoch: int, fingerprint: str):
@@ -147,6 +147,9 @@ class _Binding:
         self.entry = entry
         self.epoch = epoch
         self.fingerprint = fingerprint
+        #: The entry's placement, which :meth:`ScanSession._can_fail_over`
+        #: checks.
+        self.gpus = tuple(entry.executor.gpus)
 
     def request(self, data: np.ndarray, K, collect) -> ScanRequest:
         """The call's request: its input as a native ``(G, N)`` batch."""
@@ -397,16 +400,33 @@ class ScanSession:
         every argument, exact types included) is validated and resolved
         in full; later calls of that signature reuse the decision while
         it stands (see :class:`_Binding`).
+
+        A standing decision on a placement that cannot fail over, with
+        observability off, runs straight through its executor: there is
+        no span to build and no attempt to record.
         """
+        signature = _call_signature(
+            data, operator, inclusive, proposal, W, V, M, K,
+            collect, include_distribution,
+        )
+        binding = self._standing(signature)
         enabled = obs.is_enabled()
+        if (binding is not None and not enabled
+                and not self._can_fail_over(binding)):
+            request = self._reuse(binding, data, K, collect, None)
+            self._count_call(binding.entry)
+            result = binding.entry.executor.execute(request)
+            if include_distribution:
+                self._distribute(result)
+            return result
         t0 = time.perf_counter() if enabled else 0.0
         with obs.span("scan") as root:
             attempts: list[AttemptRecord] = []
             while True:
                 try:
                     request, entry = self._plan(
-                        data, proposal, W, V, M, operator, inclusive, K,
-                        collect, include_distribution,
+                        signature, binding, data, proposal, W, V, M,
+                        operator, inclusive, K, collect,
                     )
                     break
                 except HealthTracker.RETRYABLE as exc:
@@ -417,16 +437,13 @@ class ScanSession:
                     v = V if V is not None else min(
                         W, self.topology.gpus_per_network)
                     self._record_attempt(attempts, exc, proposal, (W, v, M))
+                    binding = None
             proposal = request.proposal
-            entry.calls += 1
-            self.calls += 1
+            self._count_call(entry)
 
             result = self._run_with_failover(entry, request, attempts)
             if include_distribution:
-                from repro.core.api import add_distribution_records
-
-                with obs.span("distribute"):
-                    add_distribution_records(result, self.topology)
+                self._distribute(result)
             root.set("proposal", proposal)
             root.set("N", request.problem.N)
             root.set("G", request.problem.G)
@@ -442,32 +459,20 @@ class ScanSession:
         return result
 
     def _plan(
-        self, data, proposal, W, V, M, operator, inclusive, K, collect,
-        include_distribution,
+        self, signature, binding: _Binding | None, data, proposal, W, V, M,
+        operator, inclusive, K, collect,
     ) -> tuple[ScanRequest, _SessionEntry]:
-        """The request and entry of one call: its signature's bound
-        decision while that stands, else a fresh (then bound) one."""
+        """The request and entry of one call: ``binding`` (the standing
+        decision of ``signature``, if any) or a fresh one, then bound."""
         with obs.span("plan") as plan_span:
-            signature = _call_signature(
-                data, operator, inclusive, proposal, W, V, M, K,
-                collect, include_distribution,
-            )
-            try:
-                binding = self._bindings.get(signature)
-            except TypeError:  # an unhashable argument: decide afresh
-                signature = binding = None
-            if binding is not None and self._stands(binding):
-                self._count_hit(plan_span)
-                request = binding.request(data, K, collect)
+            if binding is not None:
+                request = self._reuse(binding, data, K, collect, plan_span)
             else:
                 request, binding = self._decide(
                     data, proposal, W, V, M, operator, inclusive, K,
                     collect, plan_span,
                 )
-                if signature is not None:
-                    if len(self._bindings) >= _BINDING_CAP:
-                        self._bindings.clear()
-                    self._bindings[signature] = binding
+                self._bind(signature, binding)
             plan_span.set("proposal", request.proposal)
         return request, binding.entry
 
@@ -517,6 +522,43 @@ class ScanSession:
         _check_k(K)
         return node, proposal
 
+    def _reuse(self, binding: _Binding, data, K, collect,
+               plan_span) -> ScanRequest:
+        """The request of a call that reuses ``binding``: a cache hit."""
+        self._count_hit(plan_span)
+        return binding.request(data, K, collect)
+
+    def _count_call(self, entry: _SessionEntry) -> None:
+        entry.calls += 1
+        self.calls += 1
+
+    def _distribute(self, result: ScanResult) -> None:
+        from repro.core.api import add_distribution_records
+
+        with obs.span("distribute"):
+            add_distribution_records(result, self.topology)
+
+    def _standing(self, signature) -> _Binding | None:
+        """The decision bound to ``signature``, if one stands."""
+        try:
+            binding = self._bindings.get(signature)
+        except TypeError:  # an unhashable argument: decide afresh
+            return None
+        if binding is not None and self._stands(binding):
+            return binding
+        return None
+
+    def _bind(self, signature, binding: _Binding) -> None:
+        if signature is None:
+            return
+        try:
+            hash(signature)
+        except TypeError:  # an unhashable argument: never bound
+            return
+        if len(self._bindings) >= _BINDING_CAP:
+            self._bindings.clear()
+        self._bindings[signature] = binding
+
     def _stands(self, binding: _Binding) -> bool:
         """Whether a bound decision still holds (see :class:`_Binding`)."""
         return (
@@ -524,6 +566,18 @@ class ScanSession:
             and self._entries.get(binding.key) is binding.entry
             and binding.fingerprint == cost_fingerprint(self.topology)
         )
+
+    def _can_fail_over(self, binding: _Binding) -> bool:
+        """Whether a call on ``binding``'s placement could fail over: the
+        machine tracks health or has a fault schedule, or one of the
+        placement's GPUs is offline or has one."""
+        topology = self.topology
+        if topology.health is not None or topology.fault_schedule is not None:
+            return True
+        for gpu in binding.gpus:
+            if gpu.offline or gpu.fault_schedule is not None:
+                return True
+        return False
 
     def estimate(
         self,
@@ -551,8 +605,7 @@ class ScanSession:
                 )
                 entry = self._entry_for(request, plan_span)
                 plan_span.set("proposal", proposal)
-            entry.calls += 1
-            self.calls += 1
+            self._count_call(entry)
             with obs.span("execute", proposal=proposal) as exec_span:
                 result = entry.executor.estimate(problem)
                 exec_span.annotate_trace(result.trace)

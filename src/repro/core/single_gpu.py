@@ -8,32 +8,30 @@ paper's core advantage over per-problem library invocations.
 
 The pipeline (coerce → plan → upload → flow → collect) lives in
 :class:`repro.core.executor.ScanExecutor`; this module supplies only the
-three-launch device flow and registers the ``sp`` proposal.
+three-launch program (:class:`~repro.core.executor.LaunchProgram`) and
+registers the ``sp`` proposal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
 from repro.gpusim.arch import GPUArchitecture
 from repro.gpusim.device import GPU
 from repro.gpusim.events import Trace
-from repro.gpusim.memory import AllocationScope, DeviceArray
+from repro.gpusim.memory import DeviceArray
 from repro.core.executor import (
-    Placement,
     PlanSpec,
     ProposalSpec,
-    ScanExecutor,
-    ScanRequest,
+    SingleGPUExecutor,
     coerce_batch,
     register_proposal,
     shrink_template_to_fit,
 )
 from repro.core.kernels import (
-    launch_chunk_reduce,
-    launch_intermediate_scan,
-    launch_scan_add,
+    chunk_reduce_step,
+    intermediate_scan_step,
+    scan_add_step,
 )
 from repro.core.params import ExecutionPlan, KernelParams, ProblemConfig
 from repro.core.premises import k_search_space
@@ -62,7 +60,7 @@ def default_k(
     return space[-1]
 
 
-class ScanSP(ScanExecutor):
+class ScanSP(SingleGPUExecutor):
     """Single-GPU batch scan executor."""
 
     proposal = "sp"
@@ -75,10 +73,7 @@ class ScanSP(ScanExecutor):
         stage1_template: KernelParams | None = None,
         vector_loads: bool = True,
     ):
-        self.gpu = gpu
-        self.placement = Placement.single(gpu)
-        self.K = K
-        self.stage1_template = stage1_template
+        super().__init__(gpu, K=K, stage1_template=stage1_template)
         #: int4 vector loads (Section 3.1: "each thread reads P elements
         #: from global memory using the int4 customized data type,
         #: facilitating coalescence"). False simulates scalar loads, for
@@ -87,9 +82,6 @@ class ScanSP(ScanExecutor):
 
     # ----------------------------------------------------------------- hooks
 
-    def _arch(self) -> GPUArchitecture:
-        return self.gpu.arch
-
     def _plan_spec(self, problem: ProblemConfig) -> PlanSpec:
         # K must keep at least one chunk per problem (clamp_chunks).
         return PlanSpec(
@@ -97,28 +89,22 @@ class ScanSP(ScanExecutor):
             k_space="sp", k_pick="max", clamp_chunks=True,
         )
 
-    def _place_buffers(
-        self, scope: AllocationScope, plan: ExecutionPlan, request: ScanRequest
-    ):
-        problem = request.problem
-        if request.batch is None:
-            device_data = scope.alloc(
-                self.gpu, (problem.G, problem.N), problem.dtype, virtual=True
-            )
-            aux = scope.alloc(
-                self.gpu, (problem.G, plan.chunks_total), problem.dtype, virtual=True
-            )
-        else:
-            device_data = scope.upload(self.gpu, request.batch)
-            aux = scope.alloc(self.gpu, (problem.G, plan.chunks_total), problem.dtype)
-        return (device_data, aux)
+    def _slots(self, plan: ExecutionPlan):
+        problem = plan.problem
+        return (((problem.G, problem.N), problem.dtype, None),
+                ((problem.G, plan.chunks_total), problem.dtype, None))
 
-    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
-        device_data, aux = buffers
-        return self.run_on_device(device_data, aux, plan)
-
-    def _collect_output(self, buffers) -> np.ndarray:
-        return buffers[0].to_host()
+    def _stages(self, plan: ExecutionPlan):
+        # Slot 0 holds the batch, slot 1 the auxiliary array.
+        arch, rows = self.gpu.arch, plan.problem.G
+        vector_loads = self.vector_loads
+        return (
+            ("stage1", (((0, 1), chunk_reduce_step(
+                plan, arch, rows, vector_loads=vector_loads)),)),
+            ("stage2", (((1,), intermediate_scan_step(plan, arch)),)),
+            ("stage3", (((0, 1), scan_add_step(
+                plan, arch, rows, vector_loads=vector_loads)),)),
+        )
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         return {"K": plan.stage1.params.K, "W": 1, "V": 1, "M": 1,
@@ -132,20 +118,14 @@ class ScanSP(ScanExecutor):
         aux: DeviceArray,
         plan: ExecutionPlan,
     ) -> Trace:
-        """The timed region: three kernel launches on resident data."""
+        """The timed region: the plan's three launches on resident data.
+
+        ``device_data`` and ``aux`` are the buffers of the plan's program
+        (:meth:`program`), placed by this executor or by a fan-out over
+        several GPUs (``pp``).
+        """
         trace = Trace()
-        with obs.span("stage1"):
-            launch_chunk_reduce(
-                trace, self.gpu, device_data, aux, plan, phase="stage1",
-                vector_loads=self.vector_loads,
-            )
-        with obs.span("stage2"):
-            launch_intermediate_scan(trace, self.gpu, aux, plan, phase="stage2")
-        with obs.span("stage3"):
-            launch_scan_add(
-                trace, self.gpu, device_data, aux, plan, phase="stage3",
-                vector_loads=self.vector_loads,
-            )
+        self.program(plan).launch(trace, (device_data, aux))
         return trace
 
 

@@ -1,9 +1,9 @@
 """``sp-dlb``: single-pass decoupled-lookback scan as a registry proposal.
 
 This executor runs the repo's one single-pass kernel
-(:func:`repro.core.kernels.launch_single_pass_scan`) and prices its
-descriptor protocol honestly, the way CUB's ``DeviceScan`` and LightScan
-(arXiv:1604.04815) actually pay for it:
+(:func:`repro.core.kernels.single_pass_step`, held in its launch
+program) and prices its descriptor protocol honestly, the way CUB's
+``DeviceScan`` and LightScan (arXiv:1604.04815) actually pay for it:
 
 - a descriptor-reset memset launch plus fixed protocol-arming latency
   before the pass can start;
@@ -31,30 +31,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
-from repro.gpusim.arch import GPUArchitecture
-from repro.gpusim.device import GPU
-from repro.gpusim.events import Trace
 from repro.gpusim.lookback import STATE_INVALID
-from repro.gpusim.memory import AllocationScope
 from repro.core.executor import (
-    Placement,
     PlanSpec,
     ProposalSpec,
-    ScanExecutor,
-    ScanRequest,
+    SingleGPUExecutor,
     register_proposal,
 )
 from repro.core.kernels import (
     _single_pass_spec,
-    launch_descriptor_reset,
-    launch_single_pass_scan,
+    descriptor_reset_step,
     launch_spec,
+    single_pass_step,
 )
-from repro.core.params import ExecutionPlan, KernelParams, ProblemConfig
+from repro.core.params import ExecutionPlan, ProblemConfig
 
 
-class ScanSinglePassDLB(ScanExecutor):
+class ScanSinglePassDLB(SingleGPUExecutor):
     """Single-GPU batched decoupled-lookback scan executor."""
 
     proposal = "sp-dlb"
@@ -66,20 +59,6 @@ class ScanSinglePassDLB(ScanExecutor):
     #: before the pass. Without one the plane is allocated already reset.
     reset_launch = True
 
-    def __init__(
-        self,
-        gpu: GPU,
-        K: int | None = None,
-        stage1_template: KernelParams | None = None,
-    ):
-        self.gpu = gpu
-        self.placement = Placement.single(gpu)
-        self.K = K
-        self.stage1_template = stage1_template
-
-    def _arch(self) -> GPUArchitecture:
-        return self.gpu.arch
-
     def _plan_spec(self, problem: ProblemConfig) -> PlanSpec:
         # Lookback pipelining wants many blocks in flight, so K stays at
         # the bottom of the search space unless explicitly overridden.
@@ -88,43 +67,29 @@ class ScanSinglePassDLB(ScanExecutor):
             k_space="sp", k_pick="min", clamp_chunks=True,
         )
 
-    def _place_buffers(self, scope: AllocationScope, plan: ExecutionPlan,
-                       request: ScanRequest):
-        problem = request.problem
+    def _slots(self, plan: ExecutionPlan):
+        problem = plan.problem
         # Descriptors: an integer status word per block (an int32 plane, so
         # every payload dtype — bool included — keeps X/A/P distinct) and
         # its (aggregate, inclusive prefix) pair in the payload dtype.
-        status_shape = (problem.G, plan.stage1.bx)
-        virtual = request.batch is None
-        if virtual:
-            device_data = scope.alloc(
-                self.gpu, (problem.G, problem.N), problem.dtype, virtual=True
-            )
-        else:
-            device_data = scope.upload(self.gpu, request.batch)
-        status = scope.alloc(
-            self.gpu, status_shape, np.int32, virtual=virtual,
-            fill=None if self.reset_launch else STATE_INVALID,
+        plane = (problem.G, plan.stage1.bx)
+        return (
+            ((problem.G, problem.N), problem.dtype, None),
+            (plane, np.dtype(np.int32),
+             None if self.reset_launch else STATE_INVALID),
+            (plane + (2,), problem.dtype, None),
         )
-        descriptors = scope.alloc(
-            self.gpu, status_shape + (2,), problem.dtype, virtual=virtual
-        )
-        return (device_data, status, descriptors)
 
-    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
-        device_data, status, descriptors = buffers
-        trace = Trace()
-        with obs.span(self.proposal):
-            if self.reset_launch:
-                launch_descriptor_reset(trace, self.gpu, status, plan)
-            launch_single_pass_scan(
-                trace, self.gpu, device_data, status, descriptors, plan,
-                phase=self.proposal, build=self.build_spec,
-            )
-        return trace
-
-    def _collect_output(self, buffers):
-        return buffers[0].to_host()
+    def _stages(self, plan: ExecutionPlan):
+        # Slots: the batch, the status plane, the descriptor pairs.
+        arch, phase = self.gpu.arch, self.proposal
+        launches = (((0, 1, 2), single_pass_step(plan, arch, phase,
+                                                 self.build_spec)),)
+        if self.reset_launch:
+            plane = (plan.problem.G, plan.stage1.bx)
+            launches = (((1,), descriptor_reset_step(plan, arch, plane, phase)),
+                        ) + launches
+        return ((phase, launches),)
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         spec = launch_spec(plan, self.gpu.arch, _single_pass_spec)

@@ -67,10 +67,11 @@ class GPU:
         #: Installed :class:`~repro.gpusim.faults.FaultSchedule`; launches
         #: tick it so count/time-triggered faults can fire mid-run.
         self.fault_schedule = None
-        #: Launch memo (:meth:`launch`): occupancy per launch configuration
-        #: and priced records per pricing key, valid for the pricing state
-        #: they were computed under.
-        self._occupancy: dict[LaunchConfig, OccupancyResult] = {}
+        #: Launch memo (:meth:`launch`): occupancy and the body's context
+        #: per launch configuration and priced records per pricing key,
+        #: valid for the pricing state they were computed under.
+        self._occupancy: dict[LaunchConfig,
+                              tuple[OccupancyResult, KernelContext]] = {}
         self._records: dict[tuple, KernelRecord] = {}
         self._priced_under: tuple = (None, None, None, None)
 
@@ -220,17 +221,18 @@ class GPU:
             self._occupancy.clear()
             self._records.clear()
             self._priced_under = (self.arch, model, model.params, model.arch)
-        occ = self._occupancy.get(config)
-        if occ is None:
+        geometry = self._occupancy.get(config)
+        if geometry is None:
             # Residency is checked before any body runs.
-            occ = config.occupancy_on(self.arch)
+            geometry = (config.occupancy_on(self.arch), KernelContext(config))
             if len(self._occupancy) >= _LAUNCH_MEMO_CAP:
                 self._occupancy.clear()
-            self._occupancy[config] = occ
+            self._occupancy[config] = geometry
+        occ, ctx = geometry
         if stats is None:
             raise LaunchError("a launch needs its counters")
         if body is not None:
-            self.engine.run(KernelContext(config), body, ordered=ordered)
+            self.engine.run(ctx, body, ordered=ordered)
         key = (
             self.id, name, phase, config, coalesced, extra_latency_s,
             self.bandwidth_scale,

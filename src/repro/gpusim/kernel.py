@@ -54,6 +54,21 @@ class LaunchConfig:
             raise LaunchError("regs_per_thread must be >= 1")
         if self.smem_per_block < 0:
             raise LaunchError("smem_per_block must be >= 0")
+        # Every launch looks its config up in two memos, whose keys may
+        # be equal configs built by other plans or executors: the fields
+        # are packed and hashed once, here.
+        key = (self.grid_x, self.grid_y, self.block_x, self.block_y,
+               self.regs_per_thread, self.smem_per_block)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def blocks(self) -> int:

@@ -10,6 +10,7 @@ layer, which is where the communication cost model lives.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -191,6 +192,26 @@ def _size_class(nbytes: int) -> int:
     return 1 << (nbytes - 1).bit_length()
 
 
+#: Bound on the request spellings one pool keeps normalised.
+_SPELLINGS_CAP = 256
+
+
+def _normalise(shape, dtype) -> tuple:
+    """``(shape tuple, np.dtype, nbytes, free-list key)`` of a request.
+
+    Each dimension must be an integer (``operator.index``): a spelling
+    such as ``(4.0, 2)`` raises here, before :class:`BufferPool` keeps
+    it, since it is an equal dictionary key to ``(4, 2)``.
+    """
+    dtype = np.dtype(dtype)
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    shape = tuple([operator.index(dim) for dim in shape])
+    nbytes = dtype.itemsize
+    for dim in shape:
+        nbytes *= dim
+    return shape, dtype, nbytes, (_size_class(nbytes), dtype.str)
+
+
 class BufferPool:
     """Per-GPU free-list of retired allocations, keyed by (size-class, dtype).
 
@@ -213,7 +234,7 @@ class BufferPool:
     """
 
     __slots__ = ("poison", "hits", "misses", "allocs", "releases",
-                 "bytes_reused", "_free")
+                 "bytes_reused", "_free", "_slots")
 
     def __init__(self, poison: bool = False):
         self.poison = poison
@@ -223,6 +244,23 @@ class BufferPool:
         self.releases = 0
         self.bytes_reused = 0
         self._free: dict[tuple[int, str], list[np.ndarray]] = {}
+        #: :func:`_normalise`'d ``(shape, dtype)`` as callers spell them:
+        #: a buffer slot is normalised once, not on every allocation and
+        #: release.
+        self._slots: dict[tuple, tuple] = {}
+
+    def _slot(self, shape, dtype) -> tuple:
+        key = (shape, dtype)
+        slots = self._slots
+        try:
+            slot = slots.get(key)
+        except TypeError:  # an unhashable spelling (e.g. a list shape)
+            return _normalise(shape, dtype)
+        if slot is None:
+            if len(slots) >= _SPELLINGS_CAP:
+                slots.clear()
+            slot = slots[key] = _normalise(shape, dtype)
+        return slot
 
     def take(self, shape, dtype) -> tuple[np.ndarray, np.ndarray]:
         """An array of ``(shape, dtype)`` plus its backing block.
@@ -232,14 +270,9 @@ class BufferPool:
         storage keeps whatever it last held (or the poison sentinel) —
         exactly like device memory from a caching allocator.
         """
-        dtype = np.dtype(dtype)
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        nbytes = dtype.itemsize
-        for dim in shape:
-            nbytes *= int(dim)
-        cls = _size_class(nbytes)
+        shape, dtype, nbytes, free_key = self._slot(shape, dtype)
         self.allocs += 1
-        stack = self._free.get((cls, dtype.str))
+        stack = self._free.get(free_key)
         if stack:
             block = stack.pop()
             self.hits += 1
@@ -250,7 +283,7 @@ class BufferPool:
                 obs.counter("pool.hits").inc()
                 obs.counter("pool.bytes_reused").inc(nbytes)
         else:
-            block = np.empty(cls, dtype=np.uint8)
+            block = np.empty(free_key[0], dtype=np.uint8)
             self.misses += 1
             if obs.is_enabled():
                 obs.counter("pool.misses").inc()
@@ -259,9 +292,9 @@ class BufferPool:
 
     def put(self, block: np.ndarray, dtype) -> None:
         """Return a backing block to the free-list for its (class, dtype)."""
-        dtype = np.dtype(dtype)
         self.releases += 1
-        self._free.setdefault((block.nbytes, dtype.str), []).append(block)
+        _, _, _, (_, dtype_str) = self._slot((), dtype)
+        self._free.setdefault((block.nbytes, dtype_str), []).append(block)
 
     @property
     def pooled_buffers(self) -> int:

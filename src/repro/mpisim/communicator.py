@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 
 from repro import obs
 from repro.errors import MPIError
@@ -243,6 +244,9 @@ class Communicator:
             flat = recvbuf.data.reshape(self.size, send_size)
             for rank, buf in enumerate(sendbufs):
                 flat[rank, :] = buf.data.reshape(-1)
+            if not np.may_share_memory(flat, recvbuf.data):
+                # A strided view reshapes into a copy: write it back.
+                recvbuf.data[...] = flat.reshape(recvbuf.shape)
         self._record(trace, phase, "gather", "mpi", self.params.collective_overhead_s, 0)
         for time, lane, nbytes in self._hierarchical_legs(root_gpu, sendbufs[0].nbytes):
             self._record(trace, phase, "gather", lane, time, nbytes)
@@ -280,7 +284,9 @@ class Communicator:
         flat = sendbuf.data.reshape(self.size, recv_size)
         for rank, buf in enumerate(recvbufs):
             if not buf.virtual:
-                buf.data.reshape(-1)[...] = flat[rank]
+                # Assigned in the buffer's own shape: reshaping a strided
+                # view would copy, and the slice would land in the copy.
+                buf.data[...] = flat[rank].reshape(buf.shape)
         self._record(trace, phase, "scatter", "mpi", self.params.collective_overhead_s, 0)
         for time, lane, nbytes in self._hierarchical_legs(root_gpu, recvbufs[0].nbytes):
             self._record(trace, phase, "scatter", lane, time, nbytes)

@@ -20,6 +20,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.util.hotpath import fast_enabled
 
+#: Bound on the dtype spellings one operator keeps identities for.
+_IDENTITIES_CAP = 64
+
 
 @dataclass(frozen=True)
 class Operator:
@@ -48,10 +51,25 @@ class Operator:
     identity_for: Callable[[np.dtype], object]
     ufunc: np.ufunc = field(repr=False)
     commutative: bool = True
+    #: ``dtype -> identity`` as callers spell the dtype; derived state,
+    #: not part of the operator's value.
+    _identities: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def identity(self, dtype: np.dtype) -> object:
-        """Identity element of the operator for ``dtype``."""
-        return self.identity_for(np.dtype(dtype))
+        """Identity element of the operator for ``dtype``, derived once
+        per dtype (a max/min identity asks ``np.iinfo``)."""
+        identities = self._identities
+        try:
+            return identities[dtype]
+        except KeyError:
+            value = self.identity_for(np.dtype(dtype))
+            if len(identities) >= _IDENTITIES_CAP:
+                identities.clear()
+            identities[dtype] = value
+            return value
+        except TypeError:  # an unhashable dtype spelling
+            return self.identity_for(np.dtype(dtype))
 
     def accumulate(
         self, array: np.ndarray, axis: int = -1, out: np.ndarray | None = None

@@ -10,7 +10,28 @@ same batches, waits and latencies.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
+
+
+def finite_seconds(value, what: str = "time") -> float:
+    """``value`` if it is a finite number of seconds.
+
+    Anything else (NaN, an infinity, a string) raises
+    :class:`~repro.errors.ConfigurationError`: NaN compares false with
+    every deadline and an infinity pins the timeline, so either would
+    corrupt the clock silently.
+    """
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ConfigurationError(
+            f"{what} must be a finite number of seconds, got {value!r}"
+        )
+    return value
 
 
 class SimClock:
@@ -23,6 +44,7 @@ class SimClock:
 
     def advance(self, dt_s: float) -> float:
         """Move forward by ``dt_s`` seconds; returns the new time."""
+        finite_seconds(dt_s, "a clock step")
         if dt_s < 0:
             raise ConfigurationError(f"cannot advance the clock by {dt_s} s")
         self.now += dt_s
@@ -33,7 +55,9 @@ class SimClock:
 
         Monotonicity is enforced: the serving timeline never runs
         backwards, so an arrival stamped before ``now`` is a caller bug.
+        Non-finite times are rejected (:func:`finite_seconds`).
         """
+        finite_seconds(t_s, "a clock time")
         if t_s < self.now:
             raise ConfigurationError(
                 f"clock cannot run backwards: now={self.now}, requested {t_s}"

@@ -65,7 +65,9 @@ latency distribution nor reported before they simulated-happened.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -84,7 +86,7 @@ from repro.core.executor import pad_rows_to_batch
 from repro.core.params import require_scannable
 from repro.core.results import ScanResult
 from repro.primitives.operators import resolve_operator
-from repro.serve.clock import SimClock
+from repro.serve.clock import SimClock, finite_seconds
 from repro.util.ints import next_power_of_two
 
 __all__ = ["QueueKey", "SubmitResult", "BatchReport", "ServiceStats",
@@ -398,6 +400,17 @@ class _Mirror:
 
 _MIRROR = _Mirror()
 
+#: ``ScanService._head_s`` after a flush or eviction moved a queue head.
+_STALE = object()
+#: Bound on the request spellings one service keeps validated.
+_KEYS_CAP = 256
+
+
+def _require_count(name: str, value) -> None:
+    """``value`` must be an int >= 1 (a bool is not a count)."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+        raise ConfigurationError(f"{name} must be an int >= 1, got {value!r}")
+
 
 class ScanService:
     """A request-coalescing front-end over one :class:`ScanSession`.
@@ -490,12 +503,13 @@ class ScanService:
                 session = default_session(M)
         elif snapshot is not None:
             session.apply_snapshot(snapshot)
-        if max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_s < 0:
-            raise ConfigurationError(f"max_wait_s must be >= 0, got {max_wait_s}")
-        if max_queue < 1:
-            raise ConfigurationError(f"max_queue must be >= 1, got {max_queue}")
+        _require_count("max_batch", max_batch)
+        _require_count("max_queue", max_queue)
+        if (not isinstance(max_wait_s, Real) or isinstance(max_wait_s, bool)
+                or math.isnan(max_wait_s) or max_wait_s < 0):
+            raise ConfigurationError(
+                f"max_wait_s must be a number of seconds >= 0, got {max_wait_s!r}"
+            )
         self.session = session
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
@@ -510,6 +524,17 @@ class ScanService:
         self.controller = controller
         self.clock = SimClock()
         self._queues: dict[QueueKey, list[_Pending]] = {}
+        #: Requests queued across every key (:attr:`depth`), kept where
+        #: requests enter and leave the queues.
+        self._depth = 0
+        #: The earliest arrival among the queue heads (``None``: every
+        #: queue is empty), or ``_STALE`` after a flush or eviction moved
+        #: a head. Deadlines are never cached: controllers move
+        #: ``max_wait_s`` mid-stream.
+        self._head_s = None
+        #: ``(padded n, dtype, operator, inclusive) -> QueueKey`` of every
+        #: request spelling validated so far (see :meth:`submit`).
+        self._keys: dict[tuple, QueueKey] = {}
         self.batches: list[BatchReport] = []
         # When the last batch frees the serial executor (serialize_exec).
         self.busy_until_s = 0.0
@@ -569,7 +594,7 @@ class ScanService:
     @property
     def depth(self) -> int:
         """Requests currently queued across every key."""
-        return sum(len(q) for q in self._queues.values())
+        return self._depth
 
     def submit(
         self,
@@ -591,30 +616,43 @@ class ScanService:
             raise ConfigurationError(
                 f"service requests are single problems (1-D), got shape {arr.shape}"
             )
-        if arr.size == 0:
+        size = arr.size
+        if size == 0:
             raise ConfigurationError("service requests must be non-empty")
-        op = resolve_operator(operator)
-        require_scannable(arr.dtype, op)
-        if not isinstance(inclusive, (bool, np.bool_)):
-            raise ConfigurationError(f"inclusive must be a bool, got {inclusive!r}")
+        n = next_power_of_two(size)
+        # A spelling validated before maps straight to its key; the exact
+        # types keep e.g. ``inclusive=1`` from riding on ``True``'s entry.
+        spelling = (n, arr.dtype, type(operator), operator,
+                    type(inclusive), inclusive)
+        try:
+            key = self._keys.get(spelling)
+        except TypeError:  # an unhashable operator: validate every time
+            spelling = key = None
+        if key is None:
+            key = self._queue_key(n, arr.dtype, operator, inclusive)
+            if spelling is not None:
+                if len(self._keys) >= _KEYS_CAP:
+                    self._keys.clear()
+                self._keys[spelling] = key
         if at is not None:
             self.advance_to(at)
-        if self.depth >= self.max_queue:
+        depth = self.depth
+        if depth >= self.max_queue:
             error = BackpressureError(
-                f"admission queue full ({self.depth}/{self.max_queue} queued); "
+                f"admission queue full ({depth}/{self.max_queue} queued); "
                 "request rejected"
             )
             self._report("on_reject", error)
             raise error
-        key = QueueKey(
-            n=next_power_of_two(arr.size),
-            dtype=arr.dtype.name,
-            operator=op.name,
-            inclusive=bool(inclusive),
-        )
-        ticket = SubmitResult(self.record.submitted, key, self.clock.now, arr.size)
-        queue = self._queues.setdefault(key, [])
+        now = self.clock.now
+        ticket = SubmitResult(self.record.submitted, key, now, size)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = []
+        if not queue and self._head_s is None:
+            self._head_s = now
         queue.append(_Pending(ticket, arr))
+        self._depth += 1
         # Subscribers (the controller among them) see the admission
         # before the max_batch check, so a knob moved here governs this
         # very admission.
@@ -623,7 +661,28 @@ class ScanService:
             self._flush_key(key, reason="max_batch")
         return ticket
 
+    @staticmethod
+    def _queue_key(n: int, dtype: np.dtype, operator, inclusive) -> QueueKey:
+        """Validate one request spelling into its queue key."""
+        op = resolve_operator(operator)
+        require_scannable(dtype, op)
+        if not isinstance(inclusive, (bool, np.bool_)):
+            raise ConfigurationError(f"inclusive must be a bool, got {inclusive!r}")
+        return QueueKey(n=n, dtype=dtype.name, operator=op.name,
+                        inclusive=bool(inclusive))
+
     # ----------------------------------------------------------------- time
+
+    def _earliest_head_s(self) -> float | None:
+        """The earliest queue-head arrival, recomputed only after a head
+        moved (``None``: every queue is empty)."""
+        head = self._head_s
+        if head is _STALE:
+            head = self._head_s = min(
+                (q[0].ticket.arrival_s for q in self._queues.values() if q),
+                default=None,
+            )
+        return head
 
     def _deadlines(self) -> list[tuple[float, QueueKey]]:
         """(deadline, key) of every non-empty queue, soonest first."""
@@ -637,22 +696,25 @@ class ScanService:
 
     def advance(self, dt_s: float) -> float:
         """Advance simulated time, firing ``max_wait`` flushes on the way."""
-        return self.advance_to(self.clock.now + dt_s)
+        return self.advance_to(self.clock.now + finite_seconds(dt_s, "a clock step"))
 
     def advance_to(self, t_s: float) -> float:
         """Advance to absolute time ``t_s``, flushing queues whose oldest
         request's ``max_wait`` deadline falls at or before it — each at
         its exact deadline, in deadline order."""
+        finite_seconds(t_s, "a serving time")
         if t_s < self.clock.now:
             raise ConfigurationError(
                 f"serving clock cannot run backwards: now={self.clock.now}, "
                 f"requested {t_s}"
             )
         while True:
-            deadlines = self._deadlines()
-            if not deadlines or deadlines[0][0] > t_s:
+            # The earliest deadline is the earliest head plus the current
+            # max_wait_s; the ordered list is built only when one is due.
+            head = self._earliest_head_s()
+            if head is None or head + self.max_wait_s > t_s:
                 break
-            deadline, key = deadlines[0]
+            deadline, key = self._deadlines()[0]
             self.clock.advance_to(max(deadline, self.clock.now))
             self._flush_key(key, reason="max_wait")
         return self.clock.advance_to(max(t_s, self.clock.now))
@@ -683,8 +745,12 @@ class ScanService:
         if not queue:
             return
         pending, self._queues[key] = queue[: self.max_batch], queue[self.max_batch:]
-        with obs.span("serve.coalesce", key=str(key), requests=len(pending),
-                      reason=reason):
+        self._depth -= len(pending)
+        self._head_s = _STALE
+        span = (obs.span("serve.coalesce", key=str(key), requests=len(pending),
+                         reason=reason)
+                if obs.is_enabled() else obs.NULL_SPAN)
+        with span:
             try:
                 self._dispatch(key, pending, reason, depth=0)
             except BaseException as exc:
@@ -722,9 +788,11 @@ class ScanService:
         batch = pad_rows_to_batch(rows, key.n, key.operator,
                                   dtype=np.dtype(key.dtype))
         g = batch.shape[0]
+        span = (obs.span("serve.flush", key=str(key), requests=requests,
+                         g=g, depth=depth)
+                if obs.is_enabled() else obs.NULL_SPAN)
         try:
-            with obs.span("serve.flush", key=str(key), requests=requests,
-                          g=g, depth=depth):
+            with span:
                 result = self.session.scan(
                     batch,
                     proposal=self.proposal,
@@ -856,6 +924,8 @@ class ScanService:
             for p in self._queues.pop(key, []):
                 p.ticket.status = "evicted"
                 pairs.append(p)
+        self._depth -= len(pairs)
+        self._head_s = _STALE
         if pairs:
             self._report("on_evict", pairs)
         return pairs

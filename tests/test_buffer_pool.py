@@ -74,6 +74,15 @@ class TestBufferPoolUnit:
         assert pool.trim() == block.nbytes
         assert pool.pooled_buffers == 0 and pool.pooled_bytes == 0
 
+    def test_non_integer_dimension_fails_alone(self):
+        # (4.0, 2) and (4, 2) are equal keys: the bad spelling must not be
+        # kept for the good one.
+        pool = BufferPool()
+        with pytest.raises(TypeError):
+            pool.take((4.0, 2), np.int32)
+        arr, _ = pool.take((4, 2), np.int32)
+        assert arr.shape == (4, 2) and arr.dtype == np.int32
+
     def test_counters_reconcile(self):
         pool = BufferPool()
         blocks = []

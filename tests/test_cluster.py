@@ -7,6 +7,8 @@ across a mid-traffic drain) and schedule-deterministic (the same
 workload produces the same batch assignment on every run).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,30 @@ class TestRouterValidation:
             ClusterRouter(replicas=1, drain_after=0)
         with pytest.raises(ConfigurationError, match="recovery_s"):
             ClusterRouter(replicas=1, recovery_s=0.0)
+
+    @pytest.mark.parametrize("recovery_s", [math.nan, math.inf, "1e-3"])
+    def test_non_finite_recovery_rejected(self, recovery_s):
+        with pytest.raises(ConfigurationError, match="recovery_s"):
+            ClusterRouter(replicas=1, recovery_s=recovery_s)
+
+    def test_fractional_max_batch_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="max_batch"):
+            ClusterRouter(replicas=2, max_batch=2.5)
+
+    @pytest.mark.parametrize("at", [math.nan, math.inf])
+    def test_non_finite_arrival_leaves_every_clock_alone(self, rng, at):
+        router = small_router(replicas=2)
+        x = rows(rng, 1)[0]
+        router.submit(x, at=1e-6)
+        with pytest.raises(ConfigurationError, match="finite"):
+            router.submit(x, at=at)
+        with pytest.raises(ConfigurationError, match="finite"):
+            router.advance(at)
+        assert router.clock.now == 1e-6
+        assert [r.service.clock.now for r in router.replicas] == [1e-6, 1e-6]
+        assert router.submitted == 1
+        router.submit(x, at=2e-6)
+        assert router.clock.now == 2e-6
 
     def test_stats_snapshot(self, rng):
         router = small_router(replicas=2, max_batch=2)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import MPIError
 from repro.gpusim.events import Trace
+from repro.interconnect.topology import tsubame_kfc
 from repro.mpisim.communicator import Communicator
 
 
@@ -98,6 +99,37 @@ class TestScatter:
         recvs = [g.alloc((2,), np.int32, fill=0) for g in comm.gpus]
         with pytest.raises(MPIError, match="expected"):
             comm.scatter(Trace(), "s", send, recvs)
+
+
+class TestStridedBuffers:
+    """Receive buffers that are strided views of a larger allocation."""
+
+    @pytest.fixture
+    def pair(self):
+        machine = tsubame_kfc(2)
+        return Communicator(machine, [machine.gpus[0], machine.gpus[8]])
+
+    def test_gather_into_a_strided_view(self, pair):
+        sends = [gpu.upload(np.full((2, 2), rank + 1, dtype=np.int32))
+                 for rank, gpu in enumerate(pair.gpus)]
+        whole = pair.gpus[0].alloc((4, 4), np.int32, fill=-1)
+        pair.gather(Trace(), "g", sends, whole.view(slice(None), slice(0, 2)))
+        np.testing.assert_array_equal(
+            whole.to_host(),
+            [[1, 1, -1, -1], [1, 1, -1, -1], [2, 2, -1, -1], [2, 2, -1, -1]],
+        )
+
+    def test_scatter_into_strided_views(self, pair):
+        send = pair.gpus[0].upload(np.arange(8, dtype=np.int32))
+        wholes = [gpu.alloc((2, 4), np.int32, fill=-1) for gpu in pair.gpus]
+        views = [whole.view(slice(None), slice(0, 2)) for whole in wholes]
+        pair.scatter(Trace(), "s", send, views)
+        for rank, whole in enumerate(wholes):
+            base = 4 * rank
+            np.testing.assert_array_equal(
+                whole.to_host(),
+                [[base, base + 1, -1, -1], [base + 2, base + 3, -1, -1]],
+            )
 
 
 class TestBcast:

@@ -80,6 +80,59 @@ class TestAdmission:
         assert all(b.requests == 1 for b in service.batches)
 
 
+class TestKnobAndTimeValidation:
+    """Knobs and timestamps are checked before anything is queued."""
+
+    def _queued(self, service, x):
+        service.submit(x, at=1e-6)
+        return service.depth, service.clock.now
+
+    @pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_is_rejected(self, service, rng, at):
+        x = rows(rng, 1)[0]
+        before = self._queued(service, x)
+        with pytest.raises(ConfigurationError, match="finite"):
+            service.submit(x, at=at)
+        assert (service.depth, service.clock.now) == before
+        assert service.batches == [] and service.submitted == 1
+        service.submit(x, at=2e-6)  # the clock still moves afterwards
+        assert service.clock.now == 2e-6
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, "1e-3"])
+    def test_non_finite_advance_is_rejected(self, service, rng, dt):
+        before = self._queued(service, rows(rng, 1)[0])
+        with pytest.raises(ConfigurationError, match="finite"):
+            service.advance(dt)
+        assert (service.depth, service.clock.now) == before
+        assert service.batches == []
+
+    def test_sim_clock_rejects_non_finite_times(self):
+        clock = SimClock()
+        for bad in (math.nan, math.inf, "1e-3"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                clock.advance(bad)
+            with pytest.raises(ConfigurationError, match="finite"):
+                clock.advance_to(bad)
+        assert clock.now == 0.0
+
+    @pytest.mark.parametrize("knob, value", [
+        ("max_batch", 2.5), ("max_batch", True), ("max_batch", 0),
+        ("max_batch", "4"), ("max_queue", 2.5), ("max_queue", False),
+        ("max_wait_s", "1e-4"), ("max_wait_s", math.nan), ("max_wait_s", -1.0),
+        ("max_wait_s", True),
+    ])
+    def test_bad_knob_is_rejected_at_construction(self, machine, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            ScanSession(machine).service(**{knob: value})
+
+    def test_integral_and_real_knobs_are_accepted(self, machine, rng):
+        service = ScanSession(machine).service(
+            max_batch=np.int64(2), max_queue=np.int32(8),
+            max_wait_s=np.float32(1e-4))
+        tickets = [service.submit(r) for r in rows(rng, 2)]
+        assert all(t.done for t in tickets)
+
+
 class TestCoalescing:
     def test_results_identical_to_individual_scans(self, machine, rng):
         """The coalescing front door must be output-invisible."""
