@@ -20,14 +20,15 @@ path:
   a whole cluster), extracted from the executors' constructors.
 - :class:`ScanExecutor` — the template-method base class. ``execute()``
   owns plan → upload → device flow → collect → result assembly;
-  a subclass supplies only its buffer placement, its device flow and its
-  config summary. ``run()`` and ``estimate()`` are thin wrappers that
-  build the request — the analytic estimate is the *same* pipeline with
-  virtual arrays, so the two paths cannot drift.
-- :class:`LaunchProgram` — a single-GPU device flow held per plan: its
-  buffer slots, its launch steps and the kernel bodies bound to the pool
-  blocks it was handed, so a warm call derives nothing
-  (:class:`SingleGPUExecutor`, and ``pp`` through its workers).
+  a subclass supplies only its plan spec, its program's buffer slots and
+  ops, and its config summary. ``run()`` and ``estimate()`` are thin
+  wrappers that build the request — the analytic estimate is the *same*
+  program over virtual arrays, so the two paths cannot drift.
+- :class:`LaunchProgram` — an executor's device flow held per problem:
+  its buffer slots on their GPUs, its ordered ops (kernel launches, host
+  dispatches, copies, MPI collectives, relayouts) under their obs spans,
+  and the kernel bodies and buffer views bound to the pool blocks it was
+  handed, so a warm call derives nothing.
 - the **proposal registry** — the single source of truth mapping proposal
   names to executors, replacing the session's constructor if-chain; the
   session, the CLI and the docs all read it.
@@ -40,11 +41,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from repro import obs
+from repro.obs.tracing import NULL_SPAN
 from repro.errors import ConfigurationError
 from repro.gpusim.arch import GPUArchitecture
 from repro.gpusim.events import Trace
@@ -67,9 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpusim.device import GPU
     from repro.interconnect.topology import SystemTopology
 
-#: Bound on the plans one executor holds (:meth:`ScanExecutor._held_plan`);
-#: a full map is dropped and refilled by later calls.
-_HELD_PLANS_CAP = 64
+#: Bound on the programs one executor holds
+#: (:meth:`ScanExecutor._held_program`); a full map is dropped and refilled
+#: by later calls.
+_HELD_PROGRAMS_CAP = 64
 
 
 def native_rows(arr: np.ndarray) -> np.ndarray:
@@ -419,26 +423,21 @@ class Placement:
 class ScanExecutor(ABC):
     """Template-method base class: one pipeline for every proposal.
 
-    ``execute(request)`` owns the shared skeleton — resolve the plan,
-    place buffers (real uploads or virtual reservations), run the device
-    flow, collect the output, assemble the :class:`ScanResult`. The
-    functional and analytic paths differ *only* in their buffers: every
-    launch and transfer is priced from the same closed forms, and virtual
-    buffers run no body and move no data, so their traces are identical
-    by construction.
+    ``execute(request)`` owns the shared skeleton — take the held program
+    of the request's problem, place its buffers (real uploads or virtual
+    reservations), run its ops, collect the output, assemble the
+    :class:`ScanResult`. The functional and analytic paths differ *only*
+    in their buffers: every launch and transfer is priced from the same
+    closed forms, and virtual buffers run no body and move no data, so
+    their traces are identical by construction.
 
     Subclasses provide:
 
     - :meth:`_plan_spec` — the proposal's :class:`PlanSpec` (how many
       GPUs share a problem, which premise equation bounds K, ...);
-    - :meth:`_place_buffers` — upload the batch portions (or reserve
-      virtual buffers when ``request.batch is None``);
-    - :meth:`_device_flow` — the timed region: kernels + communication;
-    - :meth:`_collect_output` — reassemble the host batch;
+    - :meth:`_slots` and :meth:`_stages` — the program of a plan: its
+      buffer slots and its ordered ops (see :class:`LaunchProgram`);
     - :meth:`_describe` — the proposal's result config dict.
-
-    A :class:`SingleGPUExecutor` holds its placement and launches as a
-    :class:`LaunchProgram` per plan instead of deriving them per call.
     """
 
     #: Registry name ("sp", "mps", ...); set by subclasses.
@@ -450,8 +449,11 @@ class ScanExecutor(ABC):
     resolver: PlanResolver = PLAN_RESOLVER
     #: Which GPUs this executor drives; set by subclass constructors.
     placement: Placement
-    #: ``problem -> (resolver, arch, plan)``: the plans :meth:`execute`
-    #: resolved, created on first use (see :meth:`_held_plan`).
+    #: The machine whose dual-die boards contend while the program runs;
+    #: ``None`` for a one-GPU executor.
+    topology: "SystemTopology | None" = None
+    #: ``problem -> (resolver, arch, program)``: the programs
+    #: :meth:`execute` ran, created on first use (see :meth:`_held_program`).
     _held: dict | None = None
 
     @property
@@ -491,26 +493,29 @@ class ScanExecutor(ABC):
         return self.execute(ScanRequest.analytic(problem))
 
     def execute(self, request: ScanRequest) -> ScanResult:
-        """The template method: plan → place → flow → collect.
+        """The template method: program → place → run → collect.
 
         ``request`` is already validated (:meth:`ScanRequest.from_host`,
         :meth:`ScanRequest.analytic` or the session's own checks).
         """
         problem = request.problem
-        plan = self._held_plan(problem)
+        program = self._held_program(problem)
+        plan = program.plan
+        batch = request.batch
+        trace = Trace()
         with AllocationScope() as scope:
-            if request.functional:
+            if batch is not None:
                 with obs.span("upload"):
-                    buffers = self._place_buffers(scope, plan, request)
+                    buffers = program.place(scope, batch)
             else:
-                buffers = self._place_buffers(scope, plan, request)
-            trace = self._device_flow(buffers, plan)
+                buffers = program.place(scope, None)
+            program.run(trace, scope, buffers, self)
             output = None
-            if request.functional and request.collect:
+            if batch is not None and request.collect:
                 with obs.span("collect"):
                     output = self._collect_output(buffers)
         config = self._describe(problem, plan)
-        if not request.functional:
+        if batch is None:
             config["estimated"] = True
         if obs.is_enabled():
             # Stamp the attribution headline on the ambient span so span
@@ -533,12 +538,14 @@ class ScanExecutor(ABC):
         """The memoised plan for this executor's share of ``problem``."""
         return self.resolver.resolve(self._arch(), self._plan_spec(problem))
 
-    def _held_plan(self, problem: ProblemConfig) -> ExecutionPlan:
-        """:meth:`plan_for`, kept per problem while the resolver and the
-        architecture are the objects that resolved it.
+    def _held_program(self, problem: ProblemConfig) -> "LaunchProgram":
+        """The program of ``problem``, built on its first call and kept
+        while the resolver and the architecture are the objects that
+        resolved its plan.
 
-        A warm call then builds no :class:`PlanSpec` and asks no resolver.
-        Swapping ``resolver`` or the architecture re-resolves.
+        A warm call then builds no :class:`PlanSpec`, asks no resolver
+        and derives no op. Swapping ``resolver`` or the architecture
+        re-resolves and rebuilds.
         """
         resolver, arch = self.resolver, self._arch()
         held = self._held
@@ -548,10 +555,18 @@ class ScanExecutor(ABC):
         if hit is not None and hit[0] is resolver and hit[1] is arch:
             return hit[2]
         plan = self.plan_for(problem)
-        if len(held) >= _HELD_PLANS_CAP:
+        program = LaunchProgram(
+            problem, plan, self._slots(plan, problem),
+            self._stages(plan, problem), self.topology,
+        )
+        if len(held) >= _HELD_PROGRAMS_CAP:
             held.clear()
-        held[problem] = (resolver, arch, plan)
-        return plan
+        held[problem] = (resolver, arch, program)
+        return program
+
+    def _collect_output(self, buffers: "Placed") -> np.ndarray:
+        """Reassemble the scanned host batch from the placed buffers."""
+        return buffers.program.collect(buffers)
 
     # ----------------------------------------------------------------- hooks
 
@@ -564,17 +579,12 @@ class ScanExecutor(ABC):
         """The proposal's normalised plan parameters for ``problem``."""
 
     @abstractmethod
-    def _place_buffers(self, scope: AllocationScope, plan: ExecutionPlan,
-                       request: ScanRequest):
-        """Upload the batch (or reserve virtual buffers) onto the placement."""
+    def _slots(self, plan: ExecutionPlan, problem: ProblemConfig):
+        """The program's :class:`Slot` s, in allocation order."""
 
     @abstractmethod
-    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
-        """The timed region over resident (or virtual) buffers."""
-
-    @abstractmethod
-    def _collect_output(self, buffers) -> np.ndarray:
-        """Reassemble the scanned host batch from the device buffers."""
+    def _stages(self, plan: ExecutionPlan, problem: ProblemConfig):
+        """The program's ``(span, attrs, ((span, ops), ...))`` groups."""
 
     @abstractmethod
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
@@ -584,110 +594,332 @@ class ScanExecutor(ABC):
 # ------------------------------------------------------------------ programs
 
 
-class LaunchProgram:
-    """One GPU's device flow for one plan, held between calls.
+class Slot(NamedTuple):
+    """One buffer of a :class:`LaunchProgram`.
 
-    A single-GPU flow is a fixed list of launches over a fixed set of
-    buffers, so everything but the data is derived once, here:
-
-    - ``slots`` are the buffers a call places, as ``(shape, dtype, fill)``.
-      Slot 0 receives the host batch; the others are allocated (``fill``
-      initialises one, ``None`` leaves recycled contents).
-    - ``stages`` are ``(span, launches)`` pairs, each launch a
-      ``(slots, step)`` pair: the :class:`~repro.core.kernels.LaunchStep`
-      and the slots whose storage its body binds. A stage's launches run
-      inside one obs span.
-
-    Buffers still come from the device allocator and go back to it on
-    every call (:meth:`place` runs inside the caller's
-    :class:`AllocationScope`), so pool counters, poisoning and capacity
-    checks are per call. The bodies are not: they are bound to the
-    storage of the buffers the program was handed and kept while a call
-    is handed the same pool blocks under the same ``fast_paths`` state.
-    Any other call rebinds each step right before it launches, as a
-    per-call flow would. Unpooled storage is fresh on every call, so
-    its bodies are bound per call and never held. A call on virtual
-    buffers (an estimate) runs the same launches with no body.
+    ``source`` is the index of the host batch the slot uploads (``None``:
+    the slot is allocated, ``fill`` initialising it or, when ``None``,
+    leaving recycled contents). ``group`` is the op group at whose start
+    the slot is allocated; ``-1`` places it with the batch.
     """
 
-    __slots__ = ("gpu", "arch", "plan", "slots", "stages",
-                 "_fast", "_blocks", "_bodies")
+    gpu: "GPU"
+    shape: tuple
+    dtype: np.dtype
+    fill: object = None
+    source: tuple | None = None
+    group: int = -1
 
-    def __init__(self, gpu: "GPU", plan: ExecutionPlan, slots, stages):
-        self.gpu = gpu
-        #: The architecture the steps' specs were built for.
-        self.arch = gpu.arch
+
+def _view(buffers, ref):
+    """The buffer ``ref`` names: a slot index or ``(slot, columns)``."""
+    if isinstance(ref, int):
+        return buffers[ref]
+    slot, columns = ref
+    return buffers[slot].view(slice(None), columns)
+
+
+class Launch:
+    """A kernel launch: ``step`` on ``gpu``, its body bound to ``slots``."""
+
+    __slots__ = ("gpu", "step", "slots")
+
+    def __init__(self, gpu: "GPU", step, slots: tuple[int, ...]):
+        self.gpu, self.step, self.slots = gpu, step, slots
+
+    def bind(self, buffers, real: bool):
+        if not real:
+            return None
+        return self.step.bind(*[buffers[s].data for s in self.slots])
+
+    def run(self, trace: Trace, body, executor) -> None:
+        self.step.run(trace, self.gpu, body)
+
+
+class Dispatch:
+    """The host's ``ordinal``-th dispatch of a ``phase`` kernel to ``gpu``
+    (:meth:`~repro.interconnect.transfer.TransferEngine.record_dispatch`)."""
+
+    __slots__ = ("phase", "gpu", "ordinal")
+
+    def __init__(self, phase: str, gpu: "GPU", ordinal: int):
+        self.phase, self.gpu, self.ordinal = phase, gpu, ordinal
+
+    def bind(self, buffers, real: bool):
+        return None
+
+    def run(self, trace: Trace, _, executor) -> None:
+        executor.engine.record_dispatch(trace, self.phase, self.gpu,
+                                        ordinal=self.ordinal)
+
+
+class Copy:
+    """An intra-node copy between two buffer refs (see :func:`_view`).
+
+    ``messages`` is the copy's count on a healthy machine: one bulk write
+    when ``pair`` can use P2P, else one per row of ``rows``. While the
+    machine has a health state the count is asked at the copy, as a link
+    can fail soft between two copies.
+    """
+
+    __slots__ = ("phase", "src", "dst", "pair", "rows", "messages")
+
+    def __init__(self, phase: str, src, dst, pair: tuple, rows: int,
+                 messages: int):
+        self.phase, self.src, self.dst = phase, src, dst
+        self.pair, self.rows, self.messages = pair, rows, messages
+
+    def bind(self, buffers, real: bool):
+        return _view(buffers, self.src), _view(buffers, self.dst)
+
+    def run(self, trace: Trace, views, executor) -> None:
+        engine = executor.engine
+        topology = engine.topology
+        messages = self.messages
+        if topology.health is not None:
+            messages = 1 if topology.p2p_usable(*self.pair) else self.rows
+        engine.copy(trace, self.phase, views[0], views[1], messages=messages)
+
+
+class Barrier:
+    """``MPI_Barrier`` over the executor's communicator."""
+
+    __slots__ = ("phase",)
+
+    def __init__(self, phase: str):
+        self.phase = phase
+
+    def bind(self, buffers, real: bool):
+        return None
+
+    def run(self, trace: Trace, _, executor) -> None:
+        executor.comm.barrier(trace, self.phase)
+
+
+class Gather:
+    """``MPI_Gather`` of the ``sends`` slots into the root's ``recv``."""
+
+    __slots__ = ("phase", "sends", "recv")
+
+    def __init__(self, phase: str, sends: tuple[int, ...], recv: int):
+        self.phase, self.sends, self.recv = phase, sends, recv
+
+    def bind(self, buffers, real: bool):
+        return [buffers[s] for s in self.sends], buffers[self.recv]
+
+    def run(self, trace: Trace, bufs, executor) -> None:
+        executor.comm.gather(trace, self.phase, bufs[0], bufs[1], root=0)
+
+
+class Scatter:
+    """``MPI_Scatter`` of the root's ``send`` slot into the ``recvs``."""
+
+    __slots__ = ("phase", "send", "recvs")
+
+    def __init__(self, phase: str, send: int, recvs: tuple[int, ...]):
+        self.phase, self.send, self.recvs = phase, send, recvs
+
+    def bind(self, buffers, real: bool):
+        return buffers[self.send], [buffers[s] for s in self.recvs]
+
+    def run(self, trace: Trace, bufs, executor) -> None:
+        executor.comm.scatter(trace, self.phase, bufs[0], bufs[1], root=0)
+
+
+class Relayout:
+    """An untimed device-side shuffle between rank-major ``(parts, rows *
+    cols)`` and problem-major ``(rows, parts * cols)`` layouts.
+
+    ``to_problem_major`` moves ``src`` (rank-major) into ``dst``;
+    otherwise ``src`` is problem-major. Virtual buffers move nothing.
+    """
+
+    __slots__ = ("src", "dst", "split", "to_problem_major")
+
+    def __init__(self, src: int, dst: int, split: tuple[int, int, int],
+                 to_problem_major: bool):
+        self.src, self.dst, self.split = src, dst, split
+        self.to_problem_major = to_problem_major
+
+    def bind(self, buffers, real: bool):
+        if not real:
+            return None
+        parts, rows, cols = self.split
+        rank_major = (parts, rows, cols)
+        problem_major = (rows, parts, cols)
+        src, dst = buffers[self.src].data, buffers[self.dst].data
+        if self.to_problem_major:
+            moved = src.reshape(rank_major).transpose(1, 0, 2)
+            target = dst.reshape(problem_major)
+        else:
+            moved = src.reshape(problem_major).transpose(1, 0, 2)
+            target = dst.reshape(rank_major)
+        return partial(np.copyto, target, moved)
+
+    def run(self, trace: Trace, move, executor) -> None:
+        if move is not None:
+            move()
+
+
+class Placed(list):
+    """A call's buffers in slot order, with the program that placed them."""
+
+    __slots__ = ("program",)
+
+
+class LaunchProgram:
+    """An executor's device flow for one problem, held between calls.
+
+    A flow is a fixed list of ops over a fixed set of buffers, so
+    everything but the data is derived once, here:
+
+    - ``slots`` are the buffers a call places (:class:`Slot`), in
+      allocation order: the batch portions and their companions first,
+      then each op group's own buffers at the group's start.
+    - ``groups`` are ``(span, attrs, stages)`` triples, run in order: a
+      group's stages run inside one obs span (none when ``span`` is
+      ``None``), each stage a ``(span, ops)`` pair whose ops
+      (:class:`Launch`, :class:`Dispatch`, :class:`Copy`,
+      :class:`Barrier`, :class:`Gather`, :class:`Scatter`,
+      :class:`Relayout`) run inside one obs span.
+    - ``contended`` are the placement's GPUs whose board-mate runs too;
+      they run at the dual-die contention factor while the ops run
+      (:meth:`~repro.interconnect.topology.SystemTopology.activate`).
+
+    Buffers still come from the device allocators and go back to them on
+    every call (:meth:`place` and the group allocations run in the
+    caller's :class:`AllocationScope`), so pool counters, poisoning and
+    capacity checks are per call. What the ops bind is not: kernel bodies
+    and buffer views are bound to the storage of the buffers the program
+    was handed and kept while a call is handed the same pool blocks under
+    the same ``fast_paths`` state. Any other call rebinds each op right
+    before it runs, as a per-call flow would. Unpooled storage is fresh
+    on every call, so its ops are bound per call and never held. A call
+    on virtual buffers (an estimate) runs the same ops with no body and
+    moves no data.
+
+    The ops price through the executor's live transfer engine and
+    communicator, which keep the priced records; a held program holds
+    no price.
+    """
+
+    __slots__ = ("problem", "plan", "slots", "groups", "topology",
+                 "active", "contended", "_placed", "_frames", "_uploads",
+                 "_fast", "_blocks", "_args")
+
+    def __init__(self, problem: ProblemConfig, plan: ExecutionPlan, slots,
+                 groups, topology: "SystemTopology | None" = None):
+        self.problem = problem
         self.plan = plan
         self.slots = tuple(slots)
-        self.stages = tuple(stages)
+        self.groups = tuple(groups)
+        self.topology = topology
+        #: The GPUs the program runs on, in slot order.
+        self.active = tuple(dict.fromkeys(slot.gpu for slot in self.slots))
+        self.contended = (() if topology is None or len(self.active) < 2
+                          else tuple(topology.contended(self.active)))
+        self._placed = tuple(s for s in self.slots if s.group < 0)
+        self._frames = tuple(
+            tuple(s for s in self.slots if s.group == j)
+            for j in range(len(self.groups))
+        )
+        self._uploads = tuple(
+            (i, s.source) for i, s in enumerate(self.slots)
+            if s.source is not None
+        )
         self._fast: bool | None = None
         self._blocks: tuple | None = None
-        self._bodies: tuple | None = None
+        self._args: tuple | None = None
 
-    def place(self, scope: AllocationScope, batch: np.ndarray | None) -> list:
-        """The call's buffers: ``batch`` uploaded into slot 0 and the other
-        slots allocated, or every slot virtual when ``batch is None``."""
-        gpu = self.gpu
+    def place(self, scope: AllocationScope, batch: np.ndarray | None) -> Placed:
+        """The call's placed buffers: each slot's portion of ``batch``
+        uploaded or the slot allocated, or every slot virtual when
+        ``batch is None``."""
+        buffers = Placed()
+        buffers.program = self
         if batch is None:
-            return [scope.alloc(gpu, shape, dtype, virtual=True)
-                    for shape, dtype, _ in self.slots]
-        buffers = [scope.upload(gpu, batch)]
-        for shape, dtype, fill in self.slots[1:]:
-            buffers.append(scope.alloc(gpu, shape, dtype, fill=fill))
+            for slot in self._placed:
+                buffers.append(scope.alloc(slot.gpu, slot.shape, slot.dtype,
+                                           virtual=True))
+            return buffers
+        for slot in self._placed:
+            if slot.source is None:
+                buffers.append(scope.alloc(slot.gpu, slot.shape, slot.dtype,
+                                           fill=slot.fill))
+            else:
+                buffers.append(scope.upload(slot.gpu, batch[slot.source]))
         return buffers
 
-    def launch(self, trace: Trace, buffers) -> None:
-        """Run every step over ``buffers`` (all real or all virtual)."""
-        gpu = self.gpu
-        real = not buffers[0].virtual
-        held = real and self._holds(buffers)
-        bodies = self._bodies if held else []
-        i = 0
-        for span, launches in self.stages:
-            with obs.span(span):
-                for slots, step in launches:
-                    if held:
-                        body = bodies[i]
-                    elif real:
-                        body = step.bind(*[buffers[s].data for s in slots])
-                        bodies.append(body)
-                    else:
-                        body = None
-                    step.run(trace, gpu, body)
-                    i += 1
-        if real and not held:
-            self._hold(buffers, tuple(bodies))
+    def run(self, trace: Trace, scope: AllocationScope, buffers: Placed,
+            executor: "ScanExecutor") -> None:
+        """Allocate each group's buffers and run every op (all buffers
+        real or all virtual), with the contended GPUs derated."""
+        if self.contended:
+            with self.topology.activate(self.active, self.contended):
+                self._run(trace, scope, buffers, executor)
+        else:
+            self._run(trace, scope, buffers, executor)
 
-    def _holds(self, buffers) -> bool:
-        """Whether the held bodies work on ``buffers``' storage."""
+    def _run(self, trace: Trace, scope: AllocationScope, buffers: Placed,
+             executor: "ScanExecutor") -> None:
+        real = not buffers[0].virtual
+        held = (real and self._fast is fast_enabled()
+                and self._holds(buffers, 0))
+        args = self._args if held else []
+        i = 0
+        for (span, attrs, stages), frame in zip(self.groups, self._frames):
+            with obs.span(span, **attrs) if span else NULL_SPAN:
+                if frame:
+                    start = len(buffers)
+                    for slot in frame:
+                        buffers.append(scope.alloc(
+                            slot.gpu, slot.shape, slot.dtype,
+                            virtual=not real, fill=slot.fill,
+                        ))
+                    if held and not self._holds(buffers, start):
+                        held, args = False, list(args[:i])
+                for name, ops in stages:
+                    with obs.span(name):
+                        for op in ops:
+                            if held:
+                                arg = args[i]
+                            else:
+                                arg = op.bind(buffers, real)
+                                args.append(arg)
+                            op.run(trace, arg, executor)
+                            i += 1
+        if real and not held:
+            self._hold(buffers, args)
+
+    def collect(self, buffers: Placed) -> np.ndarray:
+        """The host batch: each uploaded slot copied back into its portion."""
+        problem = self.problem
+        out = np.empty((problem.G, problem.N), dtype=problem.dtype)
+        for i, source in self._uploads:
+            buffers[i].to_host(out=out[source])
+        return out
+
+    def _holds(self, buffers, start: int) -> bool:
+        """Whether the held ops work on the storage of ``buffers[start:]``."""
         blocks = self._blocks
-        if blocks is None or self._fast is not fast_enabled():
+        if blocks is None:
             return False
-        for buffer, block in zip(buffers, blocks):
-            if buffer.pool_block is not block:
+        for i in range(start, len(buffers)):
+            if buffers[i].pool_block is not blocks[i]:
                 return False
         return True
 
-    def _hold(self, buffers, bodies: tuple) -> None:
+    def _hold(self, buffers, args) -> None:
         blocks = tuple(buffer.pool_block for buffer in buffers)
         if any(block is None for block in blocks):
-            self._fast = self._blocks = self._bodies = None
+            self._fast = self._blocks = self._args = None
             return
-        self._fast, self._blocks, self._bodies = fast_enabled(), blocks, bodies
+        self._fast, self._blocks, self._args = fast_enabled(), blocks, tuple(args)
 
 
 class SingleGPUExecutor(ScanExecutor):
-    """A one-GPU executor whose device flow is a held :class:`LaunchProgram`.
-
-    Subclasses supply :meth:`_slots` and :meth:`_stages`. :meth:`program`
-    builds a plan's program on its first call and keeps it while the plan
-    and the architecture are the objects it was built for; programs are
-    keyed by the plan object, so a fan-out executor (``pp``) can hand its
-    workers a plan it resolved itself.
-    """
-
-    #: ``id(plan) -> program``, created on first use (see :meth:`program`).
-    _programs: dict | None = None
+    """A one-GPU executor: its program's slots all live on ``gpu``, and
+    its one op group runs under no span of its own."""
 
     def __init__(
         self,
@@ -702,41 +934,6 @@ class SingleGPUExecutor(ScanExecutor):
 
     def _arch(self) -> GPUArchitecture:
         return self.gpu.arch
-
-    def program(self, plan: ExecutionPlan) -> LaunchProgram:
-        """The held program of ``plan`` on this executor's GPU."""
-        programs = self._programs
-        if programs is None:
-            programs = self._programs = {}
-        program = programs.get(id(plan))
-        if (program is None or program.plan is not plan
-                or program.arch is not self.gpu.arch):
-            program = LaunchProgram(self.gpu, plan, self._slots(plan),
-                                    self._stages(plan))
-            if len(programs) >= _HELD_PLANS_CAP:
-                programs.clear()
-            programs[id(plan)] = program
-        return program
-
-    @abstractmethod
-    def _slots(self, plan: ExecutionPlan):
-        """The program's buffer slots (slot 0: the batch)."""
-
-    @abstractmethod
-    def _stages(self, plan: ExecutionPlan):
-        """The program's ``(span, ((slots, step), ...))`` stages."""
-
-    def _place_buffers(self, scope: AllocationScope, plan: ExecutionPlan,
-                       request: ScanRequest):
-        return self.program(plan).place(scope, request.batch)
-
-    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
-        trace = Trace()
-        self.program(plan).launch(trace, buffers)
-        return trace
-
-    def _collect_output(self, buffers) -> np.ndarray:
-        return buffers[0].to_host()
 
 
 # ------------------------------------------------------------------- registry

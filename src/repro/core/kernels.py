@@ -45,10 +45,10 @@ launch costs its body and a trace append.
 Each kernel is a spec builder, a body binder (``bind_*``: the body over
 given storage) and a ``*_step`` factory that packages spec, binder and
 pricing as a :class:`LaunchStep`, the one place its launch arguments are
-stated. ``launch_*`` checks its buffers, builds the step, binds the body
-and runs it, per call, as the multi-GPU flows do; the single-GPU
-executors hold their steps and bodies in a
-:class:`~repro.core.executor.LaunchProgram` so a warm call binds nothing.
+stated. Every executor holds its steps and bodies in a
+:class:`~repro.core.executor.LaunchProgram`, so a warm call binds nothing.
+``launch_*`` is the kernels' direct-launch API (the kernel tests drive
+it): it checks its buffers, builds the step, binds the body and runs it.
 """
 
 from __future__ import annotations
@@ -493,9 +493,9 @@ class LaunchStep(NamedTuple):
     record name and phase, the body binder and the exposed latency the
     roofline cannot see (``latency(spec, cost_params)``; ``None``:
     none). ``bind(*arrays)`` returns the body over the given storage.
-    Every launch of a kernel is its step's :meth:`run`: a ``launch_*``
-    function builds the step and binds the body per call, a held
-    :class:`~repro.core.executor.LaunchProgram` keeps both.
+    Every launch of a kernel is its step's :meth:`run`: a held
+    :class:`~repro.core.executor.LaunchProgram` keeps the step and the
+    bound body, a direct ``launch_*`` call builds both.
     """
 
     name: str

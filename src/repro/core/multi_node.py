@@ -20,30 +20,30 @@ phase names give exactly the Figure-14 breakdown.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import obs
 from repro.errors import ConfigurationError
 from repro.gpusim.arch import GPUArchitecture
-from repro.gpusim.events import Trace
-from repro.gpusim.memory import AllocationScope, DeviceArray
 from repro.interconnect.topology import SystemTopology
 from repro.interconnect.transfer import TransferCostParams, TransferEngine
 from repro.mpisim.communicator import Communicator, MPICostParams
 from repro.core.executor import (
+    Barrier,
+    Gather,
+    Launch,
     Placement,
     PlanSpec,
     ProposalSpec,
+    Relayout,
+    Scatter,
     ScanExecutor,
-    ScanRequest,
+    Slot,
     register_proposal,
 )
 from repro.core.kernels import (
-    launch_chunk_reduce,
-    launch_intermediate_scan,
-    launch_scan_add,
+    chunk_reduce_step,
+    intermediate_scan_step,
+    scan_add_step,
 )
-from repro.core.multi_gpu import collect_portions, upload_portions
+from repro.core.multi_gpu import dispatch_op, portion_slots
 from repro.core.params import ExecutionPlan, KernelParams, NodeConfig, ProblemConfig
 
 
@@ -94,23 +94,58 @@ class ScanMultiNodeMPS(ScanExecutor):
             k_pick="max", clamp_chunks=False,
         )
 
-    def _place_buffers(
-        self, scope: AllocationScope, plan: ExecutionPlan, request: ScanRequest
-    ):
-        problem = request.problem
-        n_local = problem.N // self.total_gpus
-        if request.batch is None:
-            return [
-                scope.alloc(gpu, (problem.G, n_local), problem.dtype, virtual=True)
-                for gpu in self.gpus
-            ]
-        return upload_portions(self.gpus, request.batch, self.total_gpus, scope)
+    def _slots(self, plan: ExecutionPlan, problem: ProblemConfig):
+        # Slots 0..P-1: the portions; P..2P-1: each rank's auxiliary
+        # array; 2P: the master's rank-major staging; 2P+1: the
+        # problem-major array Stage 2 scans ("allocating an additional
+        # array for processing the second stage on its device memory").
+        parts, rows = self.total_gpus, problem.G
+        bx, dtype, master = plan.chunks_per_gpu, problem.dtype, self.gpus[0]
+        return (
+            portion_slots(self.gpus, plan, slice(0, rows))
+            + tuple(Slot(gpu, (rows, bx), dtype, group=0) for gpu in self.gpus)
+            + (Slot(master, (parts, rows * bx), dtype, group=0),
+               Slot(master, (rows, parts * bx), dtype, group=0))
+        )
 
-    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
-        return self.run_on_device(buffers, plan)
-
-    def _collect_output(self, buffers) -> np.ndarray:
-        return collect_portions(buffers)
+    def _stages(self, plan: ExecutionPlan, problem: ProblemConfig):
+        """The timed region as program stages (Figure 14's phases, in order)."""
+        parts, rows, gpus = self.total_gpus, problem.G, self.gpus
+        master = gpus[0]
+        arch = master.arch
+        aux, staging, aux_master = parts, 2 * parts, 2 * parts + 1
+        ordinals: dict = {}
+        reduce_step = chunk_reduce_step(plan, arch, rows)
+        add_step = scan_add_step(plan, arch, rows)
+        split = (parts, rows, plan.chunks_per_gpu)
+        ranks = tuple(range(aux, aux + parts))
+        stage1, stage3 = [], []
+        # Stage 1 and Stage 3 on every GPU (each node's host dispatches
+        # its own W).
+        for r, gpu in enumerate(gpus):
+            stage1 += (Launch(gpu, reduce_step, (r, aux + r)),
+                       dispatch_op(self.topology, ordinals, "stage1", gpu))
+        stage2 = (Launch(master, intermediate_scan_step(plan, arch),
+                         (aux_master,)),
+                  dispatch_op(self.topology, ordinals, "stage2", master))
+        for r, gpu in enumerate(gpus):
+            stage3 += (Launch(gpu, add_step, (r, aux + r)),
+                       dispatch_op(self.topology, ordinals, "stage3", gpu))
+        return ((None, {}, (
+            ("stage1", tuple(stage1)),
+            # "After synchronizing all MPI processes, ..."
+            ("mpi_barrier", (Barrier("mpi_barrier"),)),
+            # MPI_Gather of every rank's chunk reductions to the master,
+            # then the rank-major -> problem-major relayout (a cheap
+            # device-side shuffle; not separately timed).
+            ("mpi_gather", (Gather("mpi_gather", ranks, staging),
+                            Relayout(staging, aux_master, split, True))),
+            ("stage2", stage2),
+            # MPI_Scatter of each rank's slice of the scanned offsets.
+            ("mpi_scatter", (Relayout(aux_master, staging, split, False),
+                             Scatter("mpi_scatter", staging, ranks))),
+            ("stage3", tuple(stage3)),
+        )),)
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         return {
@@ -121,100 +156,6 @@ class ScanMultiNodeMPS(ScanExecutor):
             "M": self.node.M,
             "gpu_ids": [g.id for g in self.gpus],
         }
-
-    # ------------------------------------------------------------ device flow
-
-    def run_on_device(self, portions: list[DeviceArray], plan: ExecutionPlan) -> Trace:
-        """The timed region (Figure 14's phases, in order).
-
-        Virtual ``portions`` (an estimate) get virtual auxiliary buffers,
-        so the flow records the same launches and messages and moves no
-        data.
-        """
-        parts = self.total_gpus
-        if len(portions) != parts:
-            raise ConfigurationError(f"expected {parts} portions, got {len(portions)}")
-        g_local = portions[0].shape[0]
-        bx = plan.chunks_per_gpu
-        master = self.gpus[0]
-        dtype = plan.problem.dtype
-        trace = Trace()
-        scope = AllocationScope()
-        virtual = portions[0].virtual
-        aux_locals = [
-            scope.alloc(gpu, (g_local, bx), dtype, virtual=virtual)
-            for gpu in self.gpus
-        ]
-        # Master-side buffers: rank-major staging + the problem-major array
-        # Stage 2 scans.
-        staging = scope.alloc(master, (parts, g_local * bx), dtype, virtual=virtual)
-        aux_master = scope.alloc(master, (g_local, parts * bx), dtype, virtual=virtual)
-        counter: dict = {}
-
-        def dispatch(phase, gpu):
-            key = (self.topology.slot(gpu).node, phase)
-            counter[key] = counter.get(key, 0) + 1
-            self.engine.record_dispatch(trace, phase, gpu, ordinal=counter[key])
-
-        try:
-            with self.topology.activate(self.gpus):
-                # Stage 1 on every GPU (each node's host dispatches its own W).
-                with obs.span("stage1"):
-                    for gpu, portion, aux in zip(self.gpus, portions, aux_locals):
-                        launch_chunk_reduce(
-                            trace, gpu, portion, aux, plan,
-                            chunk_column_offset=0, phase="stage1",
-                        )
-                        dispatch("stage1", gpu)
-
-                # "After synchronizing all MPI processes, ..."
-                with obs.span("mpi_barrier"):
-                    self.comm.barrier(trace, "mpi_barrier")
-
-                # MPI_Gather of every rank's chunk reductions to the master.
-                with obs.span("mpi_gather"):
-                    self.comm.gather(
-                        trace, "mpi_gather", aux_locals, staging, root=0,
-                    )
-                    # Rank-major -> problem-major relayout on the master (cheap
-                    # device-side shuffle; not separately timed).
-                    if not virtual:
-                        aux_master.data[...] = (
-                            staging.data.reshape(parts, g_local, bx)
-                            .transpose(1, 0, 2)
-                            .reshape(g_local, parts * bx)
-                        )
-
-                # Stage 2 on the master only.
-                with obs.span("stage2"):
-                    launch_intermediate_scan(
-                        trace, master, aux_master, plan, phase="stage2",
-                    )
-                    dispatch("stage2", master)
-
-                # MPI_Scatter of each rank's slice of the scanned offsets.
-                with obs.span("mpi_scatter"):
-                    if not virtual:
-                        staging.data[...] = (
-                            aux_master.data.reshape(g_local, parts, bx)
-                            .transpose(1, 0, 2)
-                            .reshape(parts, g_local * bx)
-                        )
-                    self.comm.scatter(
-                        trace, "mpi_scatter", staging, aux_locals, root=0,
-                    )
-
-                # Stage 3 on every GPU.
-                with obs.span("stage3"):
-                    for gpu, portion, aux in zip(self.gpus, portions, aux_locals):
-                        launch_scan_add(
-                            trace, gpu, portion, aux, plan,
-                            chunk_column_offset=0, phase="stage3",
-                        )
-                        dispatch("stage3", gpu)
-        finally:
-            scope.release()
-        return trace
 
 
 register_proposal(ProposalSpec(

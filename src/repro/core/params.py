@@ -86,6 +86,23 @@ class ProblemConfig:
         object.__setattr__(self, "operator", resolve_operator(self.operator))
         object.__setattr__(self, "inclusive", bool(self.inclusive))
 
+    def __hash__(self) -> int:
+        # Every warm call looks its config up in the session's and the
+        # executor's maps: the fields' hash is computed once per instance.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.n, self.g, self.dtype, self.operator,
+                          self.inclusive))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # str and operator hashes are per process: a pickle carries fields.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @classmethod
     def from_sizes(
         cls,

@@ -14,26 +14,20 @@ also why Figure 10 omits n=28, solved by a single network).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import obs
 from repro.gpusim.arch import GPUArchitecture
-from repro.gpusim.events import Trace
 from repro.interconnect.topology import SystemTopology
 from repro.interconnect.transfer import TransferCostParams, TransferEngine
-from repro.gpusim.memory import AllocationScope
 from repro.core.executor import (
     Placement,
     PlanSpec,
     ProposalSpec,
     ScanExecutor,
-    ScanRequest,
     register_proposal,
 )
 from repro.core.multi_gpu import (
-    collect_portions,
+    portion_slots,
     problem_scattering_flow,
-    upload_portions,
+    scattering_slots,
 )
 from repro.core.params import ExecutionPlan, KernelParams, NodeConfig, ProblemConfig
 
@@ -92,53 +86,35 @@ class ScanMPPC(ScanExecutor):
     def _plan_spec(self, problem: ProblemConfig) -> PlanSpec:
         return self._spec_for(problem, self.groups_used(problem.G))
 
-    def _place_buffers(
-        self, scope: AllocationScope, plan: ExecutionPlan, request: ScanRequest
-    ):
-        problem = request.problem
+    def _slots(self, plan: ExecutionPlan, problem: ProblemConfig):
+        # Group j's portions come first (row block j, split into column
+        # slices), then each group's auxiliary arrays at its start.
         groups_used = self.groups_used(problem.G)
         g_per_group = problem.G // groups_used
-        group_portions = []
-        for j in range(groups_used):
-            if request.batch is None:
-                n_local = problem.N // self.node.V
-                group_portions.append([
-                    scope.alloc(gpu, (g_per_group, n_local), problem.dtype,
-                                virtual=True)
-                    for gpu in self.groups[j]
-                ])
-            else:
-                sub = request.batch[j * g_per_group : (j + 1) * g_per_group]
-                group_portions.append(
-                    upload_portions(self.groups[j], sub, self.node.V, scope)
-                )
-        return group_portions
+        portions = sum((
+            portion_slots(self.groups[j], plan,
+                          slice(j * g_per_group, (j + 1) * g_per_group))
+            for j in range(groups_used)
+        ), ())
+        return portions + sum((
+            scattering_slots(self.groups[j], plan, g_per_group, group=j)
+            for j in range(groups_used)
+        ), ())
 
-    def _device_flow(self, buffers, plan: ExecutionPlan) -> Trace:
-        groups_used = len(buffers)
-        trace = Trace()
-        active = [g for j in range(groups_used) for g in self.groups[j]]
-        dispatch_counter: dict = {}
-        with self.topology.activate(active):
-            for j in range(groups_used):
-                with obs.span("network", group=j):
-                    problem_scattering_flow(
-                        trace, self.engine, self.topology,
-                        self.groups[j], buffers[j], plan,
-                        dispatch_counter=dispatch_counter,
-                        overlap=self.overlap,
-                    )
-        return trace
-
-    def _collect_output(self, buffers) -> np.ndarray:
-        g_per_group, n_local = buffers[0][0].shape
-        out = np.empty(
-            (g_per_group * len(buffers), n_local * len(buffers[0])),
-            dtype=buffers[0][0].dtype,
+    def _stages(self, plan: ExecutionPlan, problem: ProblemConfig):
+        groups_used = self.groups_used(problem.G)
+        g_per_group = problem.G // groups_used
+        v = self.node.V
+        aux = groups_used * v
+        # One dispatch count per node, shared by the node's networks.
+        ordinals: dict = {}
+        return tuple(
+            ("network", {"group": j}, problem_scattering_flow(
+                self.topology, self.groups[j], plan, g_per_group,
+                j * v, aux + j * v, ordinals, overlap=self.overlap,
+            ))
+            for j in range(groups_used)
         )
-        for j, portions in enumerate(buffers):
-            collect_portions(portions, out[j * g_per_group : (j + 1) * g_per_group])
-        return out
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         groups_used = self.groups_used(problem.G)

@@ -8,8 +8,9 @@ paper's core advantage over per-problem library invocations.
 
 The pipeline (coerce → plan → upload → flow → collect) lives in
 :class:`repro.core.executor.ScanExecutor`; this module supplies only the
-three-launch program (:class:`~repro.core.executor.LaunchProgram`) and
-registers the ``sp`` proposal.
+three-launch program (:class:`~repro.core.executor.LaunchProgram`), which
+the problem-parallel executor runs once per GPU, and registers the ``sp``
+proposal.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import numpy as np
 
 from repro.gpusim.arch import GPUArchitecture
 from repro.gpusim.device import GPU
-from repro.gpusim.events import Trace
-from repro.gpusim.memory import DeviceArray
 from repro.core.executor import (
+    Launch,
     PlanSpec,
     ProposalSpec,
     SingleGPUExecutor,
+    Slot,
     coerce_batch,
     register_proposal,
     shrink_template_to_fit,
@@ -89,44 +90,41 @@ class ScanSP(SingleGPUExecutor):
             k_space="sp", k_pick="max", clamp_chunks=True,
         )
 
-    def _slots(self, plan: ExecutionPlan):
-        problem = plan.problem
-        return (((problem.G, problem.N), problem.dtype, None),
-                ((problem.G, plan.chunks_total), problem.dtype, None))
+    def _slots(self, plan: ExecutionPlan, problem: ProblemConfig):
+        return three_kernel_slots(self.gpu, plan, (slice(None),))
 
-    def _stages(self, plan: ExecutionPlan):
+    def _stages(self, plan: ExecutionPlan, problem: ProblemConfig):
         # Slot 0 holds the batch, slot 1 the auxiliary array.
-        arch, rows = self.gpu.arch, plan.problem.G
-        vector_loads = self.vector_loads
-        return (
-            ("stage1", (((0, 1), chunk_reduce_step(
-                plan, arch, rows, vector_loads=vector_loads)),)),
-            ("stage2", (((1,), intermediate_scan_step(plan, arch)),)),
-            ("stage3", (((0, 1), scan_add_step(
-                plan, arch, rows, vector_loads=vector_loads)),)),
-        )
+        return ((None, {}, three_kernel_stages(
+            self.gpu, plan, 0, 1, vector_loads=self.vector_loads)),)
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         return {"K": plan.stage1.params.K, "W": 1, "V": 1, "M": 1,
                 "gpu_ids": [self.gpu.id]}
 
-    # ------------------------------------------------------------ device flow
 
-    def run_on_device(
-        self,
-        device_data: DeviceArray,
-        aux: DeviceArray,
-        plan: ExecutionPlan,
-    ) -> Trace:
-        """The timed region: the plan's three launches on resident data.
+def three_kernel_slots(gpu: GPU, plan: ExecutionPlan, source: tuple) -> tuple:
+    """Scan-SP's two buffers on ``gpu``: ``plan``'s batch, uploaded from
+    the host batch's ``source``, and its auxiliary array."""
+    problem = plan.problem
+    return (Slot(gpu, (problem.G, problem.N), problem.dtype, source=source),
+            Slot(gpu, (problem.G, plan.chunks_total), problem.dtype))
 
-        ``device_data`` and ``aux`` are the buffers of the plan's program
-        (:meth:`program`), placed by this executor or by a fan-out over
-        several GPUs (``pp``).
-        """
-        trace = Trace()
-        self.program(plan).launch(trace, (device_data, aux))
-        return trace
+
+def three_kernel_stages(
+    gpu: GPU, plan: ExecutionPlan, data: int, aux: int,
+    vector_loads: bool = True,
+) -> tuple:
+    """Scan-SP's three launches on ``gpu``, as program stages over the
+    batch in slot ``data`` and its auxiliary array in slot ``aux``."""
+    arch, rows = gpu.arch, plan.problem.G
+    return (
+        ("stage1", (Launch(gpu, chunk_reduce_step(
+            plan, arch, rows, vector_loads=vector_loads), (data, aux)),)),
+        ("stage2", (Launch(gpu, intermediate_scan_step(plan, arch), (aux,)),)),
+        ("stage3", (Launch(gpu, scan_add_step(
+            plan, arch, rows, vector_loads=vector_loads), (data, aux)),)),
+    )
 
 
 def scan_single_gpu(

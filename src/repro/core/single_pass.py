@@ -33,9 +33,11 @@ import numpy as np
 
 from repro.gpusim.lookback import STATE_INVALID
 from repro.core.executor import (
+    Launch,
     PlanSpec,
     ProposalSpec,
     SingleGPUExecutor,
+    Slot,
     register_proposal,
 )
 from repro.core.kernels import (
@@ -67,29 +69,31 @@ class ScanSinglePassDLB(SingleGPUExecutor):
             k_space="sp", k_pick="min", clamp_chunks=True,
         )
 
-    def _slots(self, plan: ExecutionPlan):
-        problem = plan.problem
+    def _slots(self, plan: ExecutionPlan, problem: ProblemConfig):
+        gpu = self.gpu
         # Descriptors: an integer status word per block (an int32 plane, so
         # every payload dtype — bool included — keeps X/A/P distinct) and
         # its (aggregate, inclusive prefix) pair in the payload dtype.
         plane = (problem.G, plan.stage1.bx)
         return (
-            ((problem.G, problem.N), problem.dtype, None),
-            (plane, np.dtype(np.int32),
-             None if self.reset_launch else STATE_INVALID),
-            (plane + (2,), problem.dtype, None),
+            Slot(gpu, (problem.G, problem.N), problem.dtype,
+                 source=(slice(None),)),
+            Slot(gpu, plane, np.dtype(np.int32),
+                 fill=None if self.reset_launch else STATE_INVALID),
+            Slot(gpu, plane + (2,), problem.dtype),
         )
 
-    def _stages(self, plan: ExecutionPlan):
+    def _stages(self, plan: ExecutionPlan, problem: ProblemConfig):
         # Slots: the batch, the status plane, the descriptor pairs.
-        arch, phase = self.gpu.arch, self.proposal
-        launches = (((0, 1, 2), single_pass_step(plan, arch, phase,
-                                                 self.build_spec)),)
+        gpu, phase = self.gpu, self.proposal
+        arch = gpu.arch
+        launches = (Launch(gpu, single_pass_step(plan, arch, phase,
+                                                 self.build_spec), (0, 1, 2)),)
         if self.reset_launch:
-            plane = (plan.problem.G, plan.stage1.bx)
-            launches = (((1,), descriptor_reset_step(plan, arch, plane, phase)),
-                        ) + launches
-        return ((phase, launches),)
+            plane = (problem.G, plan.stage1.bx)
+            launches = (Launch(gpu, descriptor_reset_step(
+                plan, arch, plane, phase), (1,)),) + launches
+        return ((None, {}, ((phase, launches),)),)
 
     def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
         spec = launch_spec(plan, self.gpu.arch, _single_pass_spec)

@@ -106,6 +106,10 @@ class PremiseTuner:
 
     def __init__(self, topology: SystemTopology):
         self.topology = topology
+        #: ``gpu -> (sp, sp-dlb)`` executors the variant comparison reuses
+        #: (:meth:`tune_single_gpu_variant`), so their held programs serve
+        #: every problem tuned on that GPU.
+        self._variants: dict = {}
 
     def search_space(
         self,
@@ -175,12 +179,13 @@ class PremiseTuner:
         large ones, with the frontier shifting in (N, G, dtype).
         """
         gpu = self.topology.first_healthy_gpu()
+        executors = self._variants.get(gpu)
+        if executors is None:
+            executors = self._variants[gpu] = (ScanSP(gpu), ScanSinglePassDLB(gpu))
         candidates = tuple(
-            VariantCandidate(proposal=name, time_s=executor.estimate(problem).total_time_s)
-            for name, executor in (
-                ("sp", ScanSP(gpu)),
-                ("sp-dlb", ScanSinglePassDLB(gpu)),
-            )
+            VariantCandidate(proposal=executor.proposal,
+                             time_s=executor.estimate(problem).total_time_s)
+            for executor in executors
         )
         best = min(candidates, key=lambda c: c.time_s)
         _log.debug(

@@ -327,29 +327,34 @@ class SystemTopology:
         slot = self.slot(gpu)
         return (slot.node, slot.network, slot.index // self.arch.dies_per_board)
 
+    def contended(self, gpus) -> list[GPU]:
+        """The GPUs of ``gpus`` whose board-mate is in ``gpus`` too."""
+        if self.arch.dies_per_board <= 1:
+            return []
+        boards: dict[tuple[int, int, int], int] = {}
+        for g in gpus:
+            boards[self.board_of(g)] = boards.get(self.board_of(g), 0) + 1
+        return [g for g in gpus if boards[self.board_of(g)] > 1]
+
     @contextmanager
-    def activate(self, gpus: list[GPU]):
+    def activate(self, gpus, contended=None):
         """Mark a set of GPUs as simultaneously busy for a timed region.
 
         Dies whose board-mate is also in the active set run with the
         dual-die contention factor applied to their achievable bandwidth
         (K80 GPU Boost throttling under a shared power envelope); solo dies
-        run at full rate. Restores all factors on exit.
+        run at full rate. Restores all factors on exit. ``contended`` is
+        :meth:`contended` of ``gpus`` when the caller holds it already.
         """
         contention = self.gpus[0].cost_model.params.dual_die_contention
-        previous = {g.id: g.bandwidth_scale for g in gpus}
-        if self.arch.dies_per_board > 1:
-            boards: dict[tuple[int, int, int], int] = {}
-            for g in gpus:
-                boards[self.board_of(g)] = boards.get(self.board_of(g), 0) + 1
-            for g in gpus:
-                if boards[self.board_of(g)] > 1:
-                    g.bandwidth_scale = contention
+        previous = [g.bandwidth_scale for g in gpus]
+        for g in self.contended(gpus) if contended is None else contended:
+            g.bandwidth_scale = contention
         try:
             yield
         finally:
-            for g in gpus:
-                g.bandwidth_scale = previous[g.id]
+            for g, scale in zip(gpus, previous):
+                g.bandwidth_scale = scale
 
     # ------------------------------------------------------------ reachability
 

@@ -23,9 +23,11 @@ composition rule in :mod:`repro.gpusim.events`.
 Each engine keeps the records it priced. On a healthy machine a record is
 a pure function of the call's arguments and the cost params, so a repeated
 copy, dispatch or host copy reuses its record; the data still moves and
-the fault schedule and telemetry still see every call. While the machine
-has a health state, routes and lane speeds can change between two copies
-of one flow, so every record is priced afresh.
+the fault schedule and telemetry still see every call. An engine built
+without params prices with its machine's current ``transfer_params``, and
+replacing them drops its records. While the machine has a health state,
+routes and lane speeds can change between two copies of one flow, so
+every record is priced afresh.
 """
 
 from __future__ import annotations
@@ -95,34 +97,56 @@ def _observe(record: TransferRecord) -> None:
 _RECORD_MEMO_CAP = 512
 
 
+#: The constants a copy is priced with when neither its engine nor its
+#: machine sets any: one shared object, so record memos keyed on the
+#: params object hold.
+DEFAULT_TRANSFER_PARAMS = TransferCostParams()
+
+
 class TransferEngine:
-    """Executes and prices intra-node copies between device buffers."""
+    """Executes and prices intra-node copies between device buffers.
+
+    ``params`` given at construction are kept for the engine's life.
+    Without them the engine prices with its machine's current
+    ``transfer_params`` (the defaults when the machine sets none), so
+    repricing the interconnect takes effect on the next copy.
+    """
 
     def __init__(self, topology: SystemTopology, params: TransferCostParams | None = None):
         self.topology = topology
-        self.params = params or topology.transfer_params or TransferCostParams()
-        #: Priced records by call key, valid for ``_records_params``.
+        self._override = params
+        #: Priced records by call key, valid while the machine's
+        #: ``transfer_params`` is the ``_records_under`` object.
         self._records: dict[tuple, TransferRecord] = {}
-        self._records_params = self.params
+        self._records_under = topology.transfer_params
+
+    @property
+    def params(self) -> TransferCostParams:
+        """The constants a copy is priced with now."""
+        return (self._override or self.topology.transfer_params
+                or DEFAULT_TRANSFER_PARAMS)
 
     def _priced(
         self, key: tuple, price: Callable[[], TransferRecord]
     ) -> TransferRecord:
         """The record of the call ``key`` names, priced by ``price()`` once.
 
-        The record is kept while the machine is healthy and the params
-        object is unchanged. While the machine has a health state every
-        call is priced afresh: its routes and lane speeds can change
-        between two copies of one flow.
+        The record is kept while the machine is healthy and its transfer
+        params are the same object (replacing them drops every record,
+        although an engine with its own params would price the same).
+        While the machine has a health state every call is priced afresh:
+        its routes and lane speeds can change between two copies of one
+        flow.
         """
-        if self.topology.health is not None:
+        topology = self.topology
+        if topology.health is not None:
             return price()
         records = self._records
-        if self._records_params is not self.params or (
+        if self._records_under is not topology.transfer_params or (
             len(records) >= _RECORD_MEMO_CAP
         ):
             records.clear()
-            self._records_params = self.params
+            self._records_under = topology.transfer_params
         record = records.get(key)
         if record is None:
             record = records[key] = price()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,11 @@ from repro.gpusim.device import GPU
 from repro.gpusim.events import MPIRecord, Trace
 from repro.gpusim.memory import DeviceArray
 from repro.interconnect.topology import SystemTopology
-from repro.interconnect.transfer import TransferCostParams
+from repro.interconnect.transfer import DEFAULT_TRANSFER_PARAMS, TransferCostParams
+
+#: Bound on the priced collectives one communicator remembers; a full memo
+#: is dropped and refilled by later calls.
+_RECORD_MEMO_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,17 @@ class MPICostParams:
 
 
 class Communicator:
-    """An MPI communicator whose ranks are simulated GPUs."""
+    """An MPI communicator whose ranks are simulated GPUs.
+
+    ``transfer_params`` given at construction price the intra-node legs
+    for the communicator's life; without them the legs are priced with
+    the machine's current ``transfer_params``. The records of a barrier,
+    gather, scatter or reduce are priced once per (op, phase, payload
+    bytes, root) while the machine is healthy and the MPI params and the
+    machine's transfer params are the same objects; while the machine has
+    a health state every collective is priced afresh, as routes can
+    change between two calls.
+    """
 
     def __init__(
         self,
@@ -80,9 +94,18 @@ class Communicator:
         self.topology = topology
         self.gpus = list(gpus)
         self.params = params or MPICostParams()
-        self.transfer_params = (
-            transfer_params or topology.transfer_params or TransferCostParams()
-        )
+        self._transfer_override = transfer_params
+        #: Priced collective records by call key, valid while the MPI
+        #: params and the machine's transfer params are the
+        #: ``_records_under`` objects.
+        self._records: dict[tuple, tuple[MPIRecord, ...]] = {}
+        self._records_under = (self.params, topology.transfer_params)
+
+    @property
+    def transfer_params(self) -> TransferCostParams:
+        """The constants the intra-node legs are priced with now."""
+        return (self._transfer_override or self.topology.transfer_params
+                or DEFAULT_TRANSFER_PARAMS)
 
     def _check_ranks_healthy(self) -> None:
         """A collective blocks on every rank: one lost device fails the op.
@@ -134,21 +157,52 @@ class Communicator:
         )
         return time, f"host{src_slot.node}"
 
-    def _record(self, trace: Trace, phase: str, op: str, lane: str, time: float, nbytes: int) -> None:
-        trace.add(
-            MPIRecord(
-                phase=phase,
-                lane=lane,
-                time_s=time,
-                op=op,
-                comm_size=self.size,
-                nbytes=nbytes,
-            )
-        )
+    def _make(self, phase: str, op: str, lane: str, time: float,
+              nbytes: int) -> MPIRecord:
+        return MPIRecord(phase=phase, lane=lane, time_s=time, op=op,
+                         comm_size=self.size, nbytes=nbytes)
+
+    def _add(self, trace: Trace, record: MPIRecord) -> None:
+        trace.add(record)
         if obs.is_enabled():
+            op = record.op
             obs.counter("mpi.ops", op=op).inc()
-            obs.counter("mpi.bytes", op=op).inc(nbytes)
-            obs.counter("mpi.sim_time_s", op=op).inc(time)
+            obs.counter("mpi.bytes", op=op).inc(record.nbytes)
+            obs.counter("mpi.sim_time_s", op=op).inc(record.time_s)
+
+    def _record(self, trace: Trace, phase: str, op: str, lane: str, time: float, nbytes: int) -> None:
+        self._add(trace, self._make(phase, op, lane, time, nbytes))
+
+    def _priced(
+        self, key: tuple, price: Callable[[], tuple[MPIRecord, ...]]
+    ) -> tuple[MPIRecord, ...]:
+        """The records of the collective ``key`` names, priced once by
+        ``price()`` while the machine is healthy (see the class doc)."""
+        topology = self.topology
+        if topology.health is not None:
+            return price()
+        records = self._records
+        under = self._records_under
+        if (under[0] is not self.params
+                or under[1] is not topology.transfer_params
+                or len(records) >= _RECORD_MEMO_CAP):
+            records.clear()
+            self._records_under = (self.params, topology.transfer_params)
+        hit = records.get(key)
+        if hit is None:
+            hit = records[key] = price()
+        return hit
+
+    def _tree(
+        self, phase: str, op: str, root_gpu: GPU, payload_bytes: int
+    ) -> tuple[MPIRecord, ...]:
+        """A node-aggregating collective's records: entering it, then each
+        leg of :meth:`_hierarchical_legs`."""
+        head = self._make(phase, op, "mpi", self.params.collective_overhead_s, 0)
+        return (head,) + tuple(
+            self._make(phase, op, lane, time, nbytes)
+            for time, lane, nbytes in self._hierarchical_legs(root_gpu, payload_bytes)
+        )
 
     # ------------------------------------------------------------- topology
 
@@ -195,6 +249,11 @@ class Communicator:
         ``ceil(log2(nodes))`` inter-node rounds pay InfiniBand latency.
         """
         self._check_ranks_healthy()
+        for record in self._priced(("barrier", phase),
+                                   lambda: (self._barrier_record(phase),)):
+            self._add(trace, record)
+
+    def _barrier_record(self, phase: str) -> MPIRecord:
         p = self.params
         num_nodes = len(self._nodes())
         inter_rounds = max(0, math.ceil(math.log2(num_nodes))) if num_nodes > 1 else 0
@@ -204,7 +263,7 @@ class Communicator:
             + inter_rounds * p.internode_latency_s * p.barrier_jitter
             + intra_rounds * 2e-6
         )
-        self._record(trace, phase, "barrier", "mpi", time, 0)
+        return self._make(phase, "barrier", "mpi", time, 0)
 
     def gather(
         self,
@@ -247,9 +306,12 @@ class Communicator:
             if not np.may_share_memory(flat, recvbuf.data):
                 # A strided view reshapes into a copy: write it back.
                 recvbuf.data[...] = flat.reshape(recvbuf.shape)
-        self._record(trace, phase, "gather", "mpi", self.params.collective_overhead_s, 0)
-        for time, lane, nbytes in self._hierarchical_legs(root_gpu, sendbufs[0].nbytes):
-            self._record(trace, phase, "gather", lane, time, nbytes)
+        nbytes = sendbufs[0].nbytes
+        for record in self._priced(
+            ("gather", phase, nbytes, root),
+            lambda: self._tree(phase, "gather", root_gpu, nbytes),
+        ):
+            self._add(trace, record)
 
     def scatter(
         self,
@@ -287,9 +349,12 @@ class Communicator:
                 # Assigned in the buffer's own shape: reshaping a strided
                 # view would copy, and the slice would land in the copy.
                 buf.data[...] = flat[rank].reshape(buf.shape)
-        self._record(trace, phase, "scatter", "mpi", self.params.collective_overhead_s, 0)
-        for time, lane, nbytes in self._hierarchical_legs(root_gpu, recvbufs[0].nbytes):
-            self._record(trace, phase, "scatter", lane, time, nbytes)
+        nbytes = recvbufs[0].nbytes
+        for record in self._priced(
+            ("scatter", phase, nbytes, root),
+            lambda: self._tree(phase, "scatter", root_gpu, nbytes),
+        ):
+            self._add(trace, record)
 
     def bcast(
         self,
@@ -402,9 +467,12 @@ class Communicator:
             for buf in sendbufs[1:]:
                 acc = operator.combine(acc, buf.data)
             recvbuf.data[...] = acc
-        self._record(trace, phase, "reduce", "mpi", self.params.collective_overhead_s, 0)
-        for time, lane, nbytes in self._hierarchical_legs(root_gpu, sendbufs[0].nbytes):
-            self._record(trace, phase, "reduce", lane, time, nbytes)
+        nbytes = sendbufs[0].nbytes
+        for record in self._priced(
+            ("reduce", phase, nbytes, root),
+            lambda: self._tree(phase, "reduce", root_gpu, nbytes),
+        ):
+            self._add(trace, record)
 
     def allreduce(
         self,

@@ -41,6 +41,39 @@ class TestProblemConfig:
         with pytest.raises(ConfigurationError):
             ProblemConfig(n=-1)
 
+    @pytest.mark.parametrize("dtype,operator,inclusive", [
+        (np.int32, "add", True), (np.float32, "max", False),
+        (np.bool_, "add", True), (np.uint8, "min", False),
+    ])
+    def test_hash_is_kept_and_matches_a_fresh_config(self, dtype, operator,
+                                                     inclusive):
+        p = ProblemConfig.from_sizes(N=1024, G=4, dtype=dtype,
+                                     operator=operator, inclusive=inclusive)
+        fresh = ProblemConfig.from_sizes(N=1024, G=4, dtype=dtype,
+                                         operator=operator, inclusive=inclusive)
+        fields = (p.n, p.g, p.dtype, p.operator, p.inclusive)
+        assert hash(p) == hash(fields) == hash(fresh)
+        assert hash(p) == hash(p)  # the kept value
+        assert p == fresh and {p: 1}[fresh] == 1
+        assert p != ProblemConfig.from_sizes(N=1024, G=8, dtype=dtype,
+                                             operator=operator,
+                                             inclusive=inclusive)
+
+    def test_pickle_carries_no_cached_hash(self):
+        import copy
+        import pickle
+
+        p = ProblemConfig.from_sizes(N=1024, G=4, dtype=np.float32,
+                                     operator="max", inclusive=False)
+        hash(p)
+        assert "_hash" in vars(p)
+        state = p.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        assert "_hash" not in state
+        restored = pickle.loads(pickle.dumps(p))
+        assert "_hash" not in vars(restored)
+        assert restored == p and hash(restored) == hash(p)
+        assert "_hash" not in vars(copy.deepcopy(p))
+
 
 class TestKernelParams:
     def test_paper_tuple(self):

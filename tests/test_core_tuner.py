@@ -68,3 +68,48 @@ class TestPremiseTuner:
         outcome = tuner.tune_sp(data)
         rerun = ScanSP(machine.gpus[0], K=outcome.best_k).run(data, collect=False)
         assert rerun.total_time_s == pytest.approx(outcome.best.time_s, rel=1e-9)
+
+    def test_variant_tuning_reuses_its_executors(self, machine, monkeypatch):
+        """A second variant tuning on one GPU builds no program and gives
+        the outcome fresh executors give."""
+        from repro.core.executor import ScanExecutor
+        from repro.core.single_pass import ScanSinglePassDLB
+
+        builds = []
+        real = ScanExecutor._held_program
+
+        def counted(self, problem):
+            before = self._held.get(problem) if self._held else None
+            program = real(self, problem)
+            if before is None or before[2] is not program:
+                builds.append(self.proposal)
+            return program
+
+        monkeypatch.setattr(ScanExecutor, "_held_program", counted)
+        tuner = PremiseTuner(machine)
+        problem = ProblemConfig.from_sizes(N=1 << 14, G=4, dtype=np.float32)
+        first = tuner.tune_single_gpu_variant(problem)
+        assert sorted(builds) == ["sp", "sp-dlb"]
+        builds.clear()
+        again = tuner.tune_single_gpu_variant(problem)
+        assert builds == []
+        gpu = machine.first_healthy_gpu()
+        fresh = tuple(
+            (executor.proposal, executor.estimate(problem).total_time_s)
+            for executor in (ScanSP(gpu), ScanSinglePassDLB(gpu))
+        )
+        for outcome in (first, again):
+            assert tuple((c.proposal, c.time_s)
+                         for c in outcome.candidates) == fresh
+        assert again == first
+
+    def test_variant_executors_follow_the_first_healthy_gpu(self, machine):
+        problem = ProblemConfig.from_sizes(N=1 << 12, G=4)
+        tuner = PremiseTuner(machine)
+        tuner.tune_single_gpu_variant(problem)
+        machine.mark_offline(0)
+        outcome = tuner.tune_single_gpu_variant(problem)
+        assert set(tuner._variants) == {machine.gpus[0], machine.gpus[1]}
+        gpu = machine.gpus[1]
+        assert outcome.candidates[0].time_s == (
+            ScanSP(gpu).estimate(problem).total_time_s)

@@ -30,6 +30,7 @@ from repro.core.session import ScanSession
 from repro.core.single_gpu import ScanSP
 from repro.core.single_pass import ScanSinglePassDLB
 from repro.errors import ConfigurationError, ReproError
+from repro.gpusim.device import GPU
 
 N = 1 << 13
 G = 8
@@ -239,15 +240,17 @@ class TestActivationSafety:
         before = {g.id: g.bandwidth_scale for g in machine.gpus}
 
         calls = {"n": 0}
-        original = ScanSP.run_on_device
+        original = GPU.launch
 
         def failing(self, *args, **kwargs):
             calls["n"] += 1
-            if calls["n"] == 3:  # die mid-loop, after two workers succeeded
+            # Die mid-loop: the third worker's first launch, after two
+            # workers' three launches each succeeded.
+            if calls["n"] == 7:
                 raise ReproError("injected fault")
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(ScanSP, "run_on_device", failing)
+        monkeypatch.setattr(GPU, "launch", failing)
         with pytest.raises(ReproError, match="injected fault"):
             executor.run(data)
         after = {g.id: g.bandwidth_scale for g in machine.gpus}
@@ -262,7 +265,7 @@ class TestActivationSafety:
         def failing(self, *args, **kwargs):
             raise ReproError("injected fault")
 
-        monkeypatch.setattr(ScanSP, "run_on_device", failing)
+        monkeypatch.setattr(GPU, "launch", failing)
         with pytest.raises(ReproError):
             executor.run(data)
         for gpu in machine.gpus:

@@ -3,21 +3,24 @@
 A served request used to pay for work unrelated to its data: the service
 re-validated its spelling, rebuilt and sorted a deadline list over every
 queue on each clock advance and summed every queue for each depth read,
-and a single-GPU executor re-derived its buffer shapes, launch specs and
-kernel bodies on every call. These tests pin three things:
+and an executor re-derived its buffer shapes, launch specs, kernel bodies,
+copy message counts and MPI records on every call. These tests pin three
+things:
 
 - *host cost*: a warm submit validates nothing and builds the deadline
-  list only when a flush is due; a warm single-GPU call (``sp``,
-  ``sp-dlb``, ``chained``, and ``pp`` through its ``sp`` workers) asks
-  for no launch spec, builds no launch program and binds no body while
-  the buffer pools hand back the same blocks;
-- *same accounting*: pool counters, flush times and reasons, batch logs
-  and ticket latencies equal the literals measured before requests were
-  held (controllers, evictions and backpressure included);
+  list only when a flush is due; a warm call of any executor (``sp``,
+  ``sp-dlb``, ``chained``, ``pp``, ``mps``, ``mppc`` and ``mn-mps``) asks
+  for no launch spec, builds no launch program, binds no body, asks no
+  P2P route and prices no MPI leg while the buffer pools hand back the
+  same blocks;
+- *same accounting*: pool counters, flush times and reasons, batch logs,
+  ticket latencies, span trees, failovers and degraded-network records
+  equal the literals measured before requests were held (controllers,
+  evictions and backpressure included);
 - *invalidation*: new pool blocks, ``fast_paths(False)``, poison mode,
-  replaced cost params, a swapped resolver or architecture, an armed
-  fault and observability each give the bytes, records and reports of a
-  fresh session.
+  replaced cost or transfer params, a swapped resolver or architecture,
+  an armed fault, a degraded network and observability each give the
+  bytes, records and reports of a fresh session.
 """
 
 from __future__ import annotations
@@ -32,13 +35,19 @@ from repro import obs
 from repro.core import kernels
 from repro.core.autotune_cache import AutotuneCache
 from repro.core.executor import PlanResolver, ScanExecutor
+from repro.core.multi_gpu import ScanMPS
+from repro.core.params import NodeConfig
+from repro.core.prioritized import ScanMPPC
 from repro.core.session import ScanSession
 from repro.errors import BackpressureError
 from repro.gpusim import warp
-from repro.gpusim.faults import DeviceDown, FaultSchedule
+from repro.gpusim.events import TransferRecord
+from repro.gpusim.faults import DeviceDown, FaultSchedule, LinkDown
 from repro.gpusim.kernel import ExecutionEngine
 from repro.gpusim.metrics import buffer_pool_stats
-from repro.interconnect.topology import tsubame_kfc
+from repro.interconnect.topology import SystemTopology, tsubame_kfc
+from repro.interconnect.transfer import TransferCostParams
+from repro.mpisim.communicator import Communicator
 from repro.serve import service as service_module
 from repro.serve.service import ScanService
 from repro.util.hotpath import fast_paths
@@ -49,8 +58,15 @@ PROGRAM_CALLS = [
     ("sp-dlb", {}, (4, 1 << 12)),
     ("chained", {}, (4, 1 << 12)),
     ("pp", {"W": 4}, (8, 1 << 11)),
+    ("mps", {"W": 4, "V": 4}, (4, 1 << 12)),
+    ("mppc", {"W": 8, "V": 4}, (4, 1 << 12)),
+    ("mn-mps", {"W": 4, "V": 4, "M": 2}, (2, 1 << 13)),
 ]
 PROGRAM_IDS = [call[0] for call in PROGRAM_CALLS]
+#: The multi-GPU calls, which run on two TSUBAME-KFC nodes.
+MULTI_GPU_CALLS = PROGRAM_CALLS[4:]
+MULTI_GPU_IDS = PROGRAM_IDS[4:]
+NODES = {"mps": 2, "mppc": 2, "mn-mps": 2}
 ENGINES = ("vectorized", "blockwise")
 
 #: What a second identical call adds to the pool counters of
@@ -61,6 +77,9 @@ POOL_DELTAS = {
     "sp-dlb": (3, 0, 3, 3, 65728, 0, 0),
     "chained": (3, 0, 3, 3, 65728, 0, 0),
     "pp": (8, 0, 8, 8, 65600, 0, 0),
+    "mps": (8, 0, 8, 8, 65648, 0, 0),
+    "mppc": (16, 0, 16, 16, 65648, 0, 0),
+    "mn-mps": (18, 0, 18, 18, 65728, 0, 0),
 }
 _POOL_KEYS = ("hits", "misses", "allocs", "releases", "bytes_reused",
               "pooled_buffers", "pooled_bytes")
@@ -69,8 +88,9 @@ BINDERS = ("bind_chunk_reduce", "bind_intermediate_scan", "bind_scan_add",
            "bind_descriptor_reset", "bind_single_pass_scan")
 
 
-def _machine(engine: str = "vectorized", poison: bool = False):
-    topology = tsubame_kfc(1, engine=ExecutionEngine(
+def _machine(engine: str = "vectorized", poison: bool = False,
+             nodes: int = 1):
+    topology = tsubame_kfc(nodes, engine=ExecutionEngine(
         mode=engine, rng=np.random.default_rng(7)))
     topology.enable_buffer_pooling(poison=poison)
     return topology
@@ -79,6 +99,11 @@ def _machine(engine: str = "vectorized", poison: bool = False):
 def _session(topology=None) -> ScanSession:
     return ScanSession(topology if topology is not None else _machine(),
                        autotune_cache=AutotuneCache())
+
+
+def _machine_for(proposal: str, engine: str = "vectorized",
+                 poison: bool = False):
+    return _machine(engine, poison, NODES.get(proposal, 1))
 
 
 def _data(shape, dtype=np.int32, seed: int = 3) -> np.ndarray:
@@ -102,8 +127,9 @@ def _same_result(got, want) -> None:
 
 @pytest.fixture
 def derivations(monkeypatch) -> Counter:
-    """Count launch-spec lookups, body binds and program builds (each
-    build derives a plan's buffer slots and stages).
+    """Count launch-spec lookups, body binds, program builds (each build
+    derives a plan's buffer slots and stages), P2P route questions and
+    MPI leg pricing.
 
     Installed before a test's first call, so the programs it builds hold
     the counting binders.
@@ -122,6 +148,8 @@ def derivations(monkeypatch) -> Counter:
     spy(kernels, "launch_spec")
     for name in BINDERS:
         spy(kernels, name)
+    spy(SystemTopology, "p2p_usable")
+    spy(Communicator, "_hierarchical_legs")
     classes, seen = [ScanExecutor], set()
     while classes:
         cls = classes.pop()
@@ -171,7 +199,7 @@ class TestHeldProgramHostCost:
     def test_second_identical_call_derives_nothing(
         self, derivations, engine, proposal, spec, shape
     ):
-        session = _session(_machine(engine))
+        session = _session(_machine_for(proposal, engine))
         data = _data(shape)
         first = session.scan(data, proposal=proposal, **spec)
         assert derivations["launch_spec"] > 0
@@ -193,7 +221,7 @@ class TestHeldProgramHostCost:
     def test_estimate_runs_the_program_without_bodies(
         self, derivations, proposal, spec, shape
     ):
-        session = _session()
+        session = _session(_machine_for(proposal))
         data = _data(shape)
         functional = session.scan(data, proposal=proposal, **spec)
         derivations.clear()
@@ -384,7 +412,7 @@ class TestHeldProgramInvalidation:
     @pytest.mark.parametrize("proposal,spec,shape", PROGRAM_CALLS,
                              ids=PROGRAM_IDS)
     def test_swapped_architecture(self, derivations, proposal, spec, shape):
-        machine = _machine()
+        machine = _machine_for(proposal)
         session = _session(machine)
         data = _data(shape)
         first = session.scan(data, proposal=proposal, **spec)
@@ -395,6 +423,295 @@ class TestHeldProgramInvalidation:
         derivations.clear()
         warm = session.scan(data, proposal=proposal, **spec)
         assert derivations["launch_spec"] > 0
+        _same_result(warm, first)
+
+
+class TestMultiGPUProgramInvalidation:
+    """The rebind and rebuild rules of the multi-GPU programs: held
+    bodies and auxiliary views follow the pool blocks and ``fast_paths``;
+    a program is rebuilt with its plan."""
+
+    @staticmethod
+    def _launches(result) -> list[int]:
+        """How many launches of each three-kernel stage a call made."""
+        names = Counter(r.name for r in result.trace.kernel_records())
+        return [names["chunk_reduce"], names["intermediate_scan"],
+                names["scan_add"]]
+
+    @pytest.mark.parametrize("proposal,spec,shape", MULTI_GPU_CALLS,
+                             ids=MULTI_GPU_IDS)
+    def test_trimmed_pool_rebinds(self, derivations, proposal, spec, shape):
+        session = _session(_machine_for(proposal))
+        data = _data(shape)
+        first = session.scan(data, proposal=proposal, **spec)
+        for gpu in session.topology.gpus:
+            gpu.buffer_pool.trim()
+        derivations.clear()
+        warm = session.scan(data, proposal=proposal, **spec)
+        assert ([derivations[name] for name in BINDERS[:3]]
+                == self._launches(first))
+        assert derivations["_slots"] == 0
+        _same_result(warm, first)
+        derivations.clear()
+        session.scan(data, proposal=proposal, **spec)
+        assert dict(derivations) == {}
+
+    @pytest.mark.parametrize("proposal,spec,shape", MULTI_GPU_CALLS,
+                             ids=MULTI_GPU_IDS)
+    def test_fast_paths_off_after_binding_runs_the_warp_flow(
+        self, derivations, monkeypatch, proposal, spec, shape
+    ):
+        session = _session(_machine_for(proposal))
+        data = _data(shape)
+        session.scan(data, proposal=proposal, **spec)
+        session.scan(data, proposal=proposal, **spec)
+        warps = Counter()
+        real = warp.warp_inclusive_scan
+
+        def counted(*args, **kwargs):
+            warps["warp_inclusive_scan"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(warp, "warp_inclusive_scan", counted)
+        derivations.clear()
+        with fast_paths(False):
+            slow = session.scan(data, proposal=proposal, **spec)
+            assert ([derivations[name] for name in BINDERS[:3]]
+                    == self._launches(slow))
+            assert warps["warp_inclusive_scan"] > 0
+            _same_result(slow, _session(_machine_for(proposal)).scan(
+                data, proposal=proposal, **spec))
+        warps.clear()
+        _same_result(session.scan(data, proposal=proposal, **spec), slow)
+        assert warps["warp_inclusive_scan"] == 0
+
+    @pytest.mark.parametrize("proposal,spec,shape", MULTI_GPU_CALLS,
+                             ids=MULTI_GPU_IDS)
+    def test_poisoned_pool(self, proposal, spec, shape):
+        session = _session(_machine_for(proposal, poison=True))
+        data = _data(shape)
+        first = session.scan(data, proposal=proposal, **spec)
+        for _ in range(2):
+            _same_result(session.scan(data, proposal=proposal, **spec), first)
+        pool = session.topology.gpus[0].buffer_pool
+        assert pool.poison and pool.hits > 0
+        assert first.output.tobytes() == np.cumsum(
+            data, axis=1, dtype=data.dtype).tobytes()
+
+    @pytest.mark.parametrize("proposal,spec,shape", MULTI_GPU_CALLS,
+                             ids=MULTI_GPU_IDS)
+    def test_replaced_cost_params(self, proposal, spec, shape):
+        """Replaced cost params, dual-die contention included, reprice the
+        warm call's launches as on a fresh session."""
+        machine = _machine_for(proposal)
+        session = _session(machine)
+        data = _data(shape)
+        first = session.scan(data, proposal=proposal, **spec)
+        for gpu in machine.gpus:
+            gpu.cost_model.params = dataclasses.replace(
+                gpu.cost_model.params, dual_die_contention=0.5,
+                uncoalesced_penalty=0.25, int_ops_per_sm_per_cycle=64.0,
+            )
+        warm = session.scan(data, proposal=proposal, **spec)
+        assert warm.total_time_s != first.total_time_s
+        _same_result(warm, _session(machine).scan(
+            data, proposal=proposal, **spec))
+
+    @pytest.mark.parametrize("proposal,spec,shape", MULTI_GPU_CALLS,
+                             ids=MULTI_GPU_IDS)
+    def test_swapped_resolver(self, derivations, proposal, spec, shape):
+        class PinnedK(PlanResolver):
+            def resolve(self, arch, spec):
+                return super().resolve(arch, dataclasses.replace(spec, K=2))
+
+        machine = _machine_for(proposal)
+        session = _session(machine)
+        data = _data((shape[0], shape[1] << 2))  # room for K=2 chunks
+        assert session.scan(data, proposal=proposal, **spec).config["K"] == 1
+        original = ScanExecutor.resolver
+        try:
+            ScanExecutor.resolver = PinnedK()
+            derivations.clear()
+            warm = session.scan(data, proposal=proposal, **spec)
+            assert warm.config["K"] == 2
+            assert derivations["_slots"] == derivations["_stages"] == 1
+            _same_result(warm, _session(machine).scan(
+                data, proposal=proposal, **spec))
+        finally:
+            ScanExecutor.resolver = original
+
+
+#: The interconnect a machine is repriced to mid-session.
+REPRICED = TransferCostParams(p2p_bandwidth_gbs=1.0,
+                              host_staged_bandwidth_gbs=0.5,
+                              host_dispatch_s=5e-4)
+#: (proposal, placement) of the repricing checks, on 16 x 2^14 int32.
+REPRICED_CALLS = [("mps", {"W": 8, "V": 4}), ("mppc", {"W": 8, "V": 4}),
+                  ("mn-mps", {"W": 4, "V": 4, "M": 2})]
+
+
+class TestRepricedInterconnect:
+    """Replacing a machine's ``transfer_params`` reprices its next call,
+    warm executors included, as on a fresh machine with those params."""
+
+    @pytest.mark.parametrize("proposal,spec", REPRICED_CALLS,
+                             ids=[c[0] for c in REPRICED_CALLS])
+    def test_warm_call_prices_with_the_new_params(self, proposal, spec):
+        machine = _machine(nodes=2)
+        session = _session(machine)
+        data = _data((16, 1 << 14))
+        before = session.scan(data, proposal=proposal, **spec)
+        machine.transfer_params = REPRICED
+        warm = session.scan(data, proposal=proposal, **spec)
+        fresh_machine = _machine(nodes=2)
+        fresh_machine.transfer_params = REPRICED
+        _same_result(warm, _session(fresh_machine).scan(
+            data, proposal=proposal, **spec))
+        assert warm.total_time_s > before.total_time_s
+
+    def test_estimate_prices_with_the_new_params(self):
+        machine = _machine(nodes=2)
+        session = _session(machine)
+        data = _data((16, 1 << 14))
+        problem = session.scan(data, proposal="mppc", W=8, V=4).problem
+        session.estimate(problem, proposal="mppc", W=8, V=4)
+        machine.transfer_params = REPRICED
+        estimate = session.estimate(problem, proposal="mppc", W=8, V=4)
+        fresh_machine = _machine(nodes=2)
+        fresh_machine.transfer_params = REPRICED
+        fresh = _session(fresh_machine).estimate(problem, proposal="mppc",
+                                                 W=8, V=4)
+        assert estimate.trace.records == fresh.trace.records
+
+    def test_explicit_params_stay_fixed(self):
+        machine = _machine(nodes=2)
+        node = NodeConfig.from_counts(W=8, V=4)
+        executor = ScanMPS(machine, node, transfer_params=REPRICED)
+        data = _data((16, 1 << 14))
+        first = executor.run(data)
+        machine.transfer_params = TransferCostParams(p2p_bandwidth_gbs=99.0)
+        _same_result(executor.run(data), first)
+
+
+#: Each copy (phase, kind, lane, messages) of a warm call after network
+#: 0 of node 0 degrades, its total time, and its MPI legs (phase, op,
+#: lane, bytes), as measured before multi-GPU flows were held programs.
+DEGRADED = {
+    "mps": ([("aux_gather", "host_staged", "host0", 4)] * 3
+            + [("aux_scatter", "host_staged", "host0", 4)] * 3,
+            0.0012462487901234568, []),
+    "mppc": ([("aux_gather", "host_staged", "host0", 2)] * 3
+             + [("aux_scatter", "host_staged", "host0", 2)] * 3
+             + [("aux_gather", "p2p", "pcie0.1", 1)] * 3
+             + [("aux_scatter", "p2p", "pcie0.1", 1)] * 3,
+             0.0013812389805996474, []),
+    "mn-mps": ([], 0.0008502389805996474,
+               [("mpi_barrier", "barrier", "mpi", 0)]
+               + [(f"mpi_{op}", op, lane, nbytes)
+                  for op in ("gather", "scatter")
+                  for lane, nbytes in [("mpi", 0)] + [("host0", 8)] * 3
+                  + [("pcie1.0", 8)] * 3 + [("ib", 32)]]),
+}
+#: A warm call's config and total time after GPU 1 goes offline, as
+#: measured before multi-GPU flows were held programs.
+_LOST_1 = ["DeviceLostError: gpu:1 is offline (device lost)"]
+OFFLINE = {
+    "mps": ({"K": 1, "W": 4, "V": 4, "Y": 1, "M": 1, "gpu_ids": [4, 5, 6, 7],
+             "failover": {"attempts": 2, "backoff_s": 0.001,
+                          "degraded_node": (4, 4, 1), "errors": _LOST_1}},
+            0.0015742370567901236),
+    "mppc": ({"K": 1, "W": 4, "V": 4, "Y": 1, "M": 1, "networks_used": 1,
+              "gpu_ids": [4, 5, 6, 7],
+              "failover": {"attempts": 2, "backoff_s": 0.001,
+                           "degraded_node": (4, 4, 1), "errors": _LOST_1}},
+             0.0015742370567901236),
+    "mn-mps": ({"K": 1, "W": 4, "V": 4, "Y": 1, "M": 2,
+                "gpu_ids": [4, 5, 6, 7, 8, 9, 10, 11],
+                "failover": {"attempts": 2, "backoff_s": 0.001,
+                             "degraded_node": (4, 4, 2), "errors": _LOST_1}},
+               0.0016702331139329806),
+}
+
+
+class TestHeldProgramsUnderHealth:
+    @pytest.mark.parametrize("proposal,spec,shape", MULTI_GPU_CALLS,
+                             ids=MULTI_GPU_IDS)
+    def test_soft_degraded_network_host_stages(self, proposal, spec, shape):
+        """A held program asks each copy's route while the machine has a
+        health state: a degraded network's copies host-stage, one message
+        per auxiliary row, and the MPI legs reprice."""
+        machine = _machine_for(proposal)
+        session = _session(machine)
+        data = _data(shape)
+        session.scan(data, proposal=proposal, **spec)
+        session.scan(data, proposal=proposal, **spec)
+        machine.ensure_health().degraded_networks.add((0, 0))
+        warm = session.scan(data, proposal=proposal, **spec)
+        copies = [(r.phase, r.kind, r.lane, r.messages)
+                  for r in warm.trace.records
+                  if isinstance(r, TransferRecord) and r.kind != "dispatch"]
+        legs = [(r.phase, r.op, r.lane, r.nbytes)
+                for r in warm.trace.mpi_records()]
+        assert (copies, warm.total_time_s, legs) == DEGRADED[proposal]
+        assert warm.output.tobytes() == np.cumsum(
+            data, axis=1, dtype=data.dtype).tobytes()
+        machine.health = None
+        healed = session.scan(data, proposal=proposal, **spec)
+        _same_result(healed, _session(_machine_for(proposal)).scan(
+            data, proposal=proposal, **spec))
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("proposal,spec,shape", MULTI_GPU_CALLS,
+                             ids=MULTI_GPU_IDS)
+    def test_offline_gpu_fails_over(self, proposal, spec, shape):
+        machine = _machine_for(proposal)
+        session = _session(machine)
+        data = _data(shape)
+        session.scan(data, proposal=proposal, **spec)
+        session.scan(data, proposal=proposal, **spec)
+        machine.mark_offline(1)
+        warm = session.scan(data, proposal=proposal, **spec)
+        assert (warm.config, warm.total_time_s) == OFFLINE[proposal]
+        assert warm.output.tobytes() == np.cumsum(
+            data, axis=1, dtype=data.dtype).tobytes()
+
+    def test_link_failing_mid_call_host_stages_the_later_copies(self):
+        """A link that fails soft during Stage 1 makes that very call's
+        copies host-staged, as a flow asking at each copy would."""
+        machine = _machine(nodes=2)
+        session = _session(machine)
+        data = _data((4, 1 << 12))
+        session.scan(data, proposal="mps", W=4, V=4)
+        session.scan(data, proposal="mps", W=4, V=4)
+        machine.install_faults(FaultSchedule(
+            [LinkDown(at_call=3, node=0, network=0)]))
+        warm = session.scan(data, proposal="mps", W=4, V=4)
+        copies = [(r.kind, r.messages) for r in warm.trace.records
+                  if isinstance(r, TransferRecord) and r.kind != "dispatch"]
+        assert copies == [("host_staged", 4)] * 6
+        assert warm.output.tobytes() == np.cumsum(
+            data, axis=1, dtype=data.dtype).tobytes()
+
+
+#: The phases and total time of a warm W8/V4 overlapped call, as measured
+#: before multi-GPU flows were held programs.
+OVERLAPPED = {ScanMPS: 0.001020357135802469, ScanMPPC: 0.0010212283139329806}
+
+
+class TestOverlappedPrograms:
+    @pytest.mark.parametrize("executor_class", [ScanMPS, ScanMPPC],
+                             ids=["mps", "mppc"])
+    def test_overlap_keeps_the_phases(self, derivations, executor_class):
+        executor = executor_class(_machine(nodes=2),
+                                  NodeConfig.from_counts(W=8, V=4),
+                                  overlap=True)
+        data = _data((4, 1 << 12))
+        first = executor.run(data)
+        derivations.clear()
+        warm = executor.run(data)
+        assert dict(derivations) == {}
+        assert warm.trace.phases() == ["stage1", "stage2", "stage3"]
+        assert warm.total_time_s == OVERLAPPED[executor_class]
         _same_result(warm, first)
 
 
@@ -414,6 +731,18 @@ SPAN_TREES = {
         ("upload", [])] + [("pp.worker", [
             ("stage1", []), ("stage2", []), ("stage3", [])])] * 4
         + [("collect", [])])]),
+    "mps": ("scan", [("plan", []), ("execute", [
+        ("upload", []), ("stage1", []), ("aux_gather", []), ("stage2", []),
+        ("aux_scatter", []), ("stage3", []), ("collect", [])])]),
+    "mppc": ("scan", [("plan", []), ("execute", [
+        ("upload", [])] + [("network", [
+            ("stage1", []), ("aux_gather", []), ("stage2", []),
+            ("aux_scatter", []), ("stage3", [])])] * 2
+        + [("collect", [])])]),
+    "mn-mps": ("scan", [("plan", []), ("execute", [
+        ("upload", []), ("stage1", []), ("mpi_barrier", []),
+        ("mpi_gather", []), ("stage2", []), ("mpi_scatter", []),
+        ("stage3", []), ("collect", [])])]),
 }
 
 #: The launch (counted from the fault's arming) on which GPU 0 goes down
@@ -429,6 +758,16 @@ FAILOVERS = {
                     "degraded_node": (1, 1, 1), "errors": _LOST}),
     "pp": (2, {"attempts": 2, "backoff_s": 0.001,
                "degraded_node": (4, 4, 1), "errors": _LOST}),
+    # Counted machine-wide, the second operation is GPU 1's Stage-1
+    # launch: the first auxiliary copy of mps and mppc (into the lost
+    # master) or mn-mps's barrier then finds GPU 0 gone. A schedule of
+    # GPU 0's own counts its Stage-2 launch.
+    "mps": (2, {"attempts": 2, "backoff_s": 0.001,
+                "degraded_node": (4, 4, 1), "errors": _LOST}),
+    "mppc": (2, {"attempts": 2, "backoff_s": 0.001,
+                 "degraded_node": (4, 4, 1), "errors": _LOST}),
+    "mn-mps": (2, {"attempts": 2, "backoff_s": 0.001,
+                   "degraded_node": (4, 4, 2), "errors": _LOST}),
 }
 
 
@@ -453,12 +792,13 @@ class TestReportsAndFaults:
             return result, root
 
         data = _data(shape)
-        warm, root = warm_call(_session())
+        warm, root = warm_call(_session(_machine_for(proposal)))
         assert names(root) == SPAN_TREES[proposal]
         with obs_off():
-            quiet = _session().scan(data, proposal=proposal, **spec)
+            quiet = _session(_machine_for(proposal)).scan(
+                data, proposal=proposal, **spec)
         _same_result(warm, quiet)
-        again, twin = warm_call(_session())
+        again, twin = warm_call(_session(_machine_for(proposal)))
         assert tree(root) == tree(twin)
         _same_result(warm, again)
 
@@ -467,7 +807,8 @@ class TestReportsAndFaults:
                              ids=PROGRAM_IDS)
     def test_fault_armed_on_the_warm_key(self, proposal, spec, shape):
         data = _data(shape, dtype=np.int64)
-        machine, fresh_machine = _machine(), _machine()
+        machine = _machine_for(proposal)
+        fresh_machine = _machine_for(proposal)
         session = _session(machine)
         session.scan(data, proposal=proposal, **spec)
         session.scan(data, proposal=proposal, **spec)
@@ -494,7 +835,7 @@ class TestReportsAndFaults:
         no health and has no machine-wide schedule, still fails over when
         one of its GPUs is offline or carries its own fault schedule."""
         data = _data(shape, dtype=np.int64)
-        machine = _machine()
+        machine = _machine_for(proposal)
         session = _session(machine)
         session.scan(data, proposal=proposal, **spec)
         session.scan(data, proposal=proposal, **spec)
