@@ -13,11 +13,6 @@ from repro.core.executor import (
     proposal_names,
     proposal_specs,
 )
-from repro.core.kernels import (
-    launch_chunk_reduce,
-    launch_intermediate_scan,
-    launch_scan_add,
-)
 from repro.core.multi_gpu import ScanMPS, ScanProblemParallel
 from repro.core.multi_node import ScanMultiNodeMPS
 from repro.core.occupancy_table import (
@@ -77,9 +72,6 @@ __all__ = [
     "build_executor",
     "proposal_names",
     "proposal_specs",
-    "launch_chunk_reduce",
-    "launch_intermediate_scan",
-    "launch_scan_add",
     "ScanMPS",
     "ScanProblemParallel",
     "ScanMultiNodeMPS",

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import TuningError
 from repro.gpusim.arch import GPUArchitecture
 from repro.interconnect.topology import SystemTopology
 from repro.core.params import NodeConfig, ProblemConfig
@@ -245,7 +244,8 @@ class CachedTuner:
 
         A cached K outside the *current* premise search space is treated
         as stale and re-tuned (the premises may have changed since the
-        cache was written).
+        cache was written). A sweep runs ``data`` when given and
+        estimates ``problem`` otherwise (:meth:`PremiseTuner.sweep`).
         """
         key = cache_key(
             self.topology.arch, problem, proposal, node,
@@ -260,17 +260,7 @@ class CachedTuner:
             self.cache.hits += 1
             return hit.best_k
         self.cache.misses += 1
-        if data is None:
-            rng = np.random.default_rng(0)
-            data = rng.integers(0, 100, (problem.G, problem.N)).astype(problem.dtype)
-        if proposal == "sp":
-            outcome = self.tuner.tune_sp(data, operator=problem.operator)
-        elif proposal in ("mps", "mn-mps"):
-            outcome = self.tuner.tune_mps(node, data, operator=problem.operator)
-        elif proposal == "mppc":
-            outcome = self.tuner.tune_mppc(node, data, operator=problem.operator)
-        else:
-            raise TuningError(f"unknown proposal {proposal!r}")
+        outcome = self.tuner.sweep(proposal, problem, node, data)
         self.cache.put(key, outcome)
         self.cache.save()
         return outcome.best_k

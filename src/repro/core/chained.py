@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from repro.gpusim.arch import GPUArchitecture
 from repro.gpusim.kernel import LaunchStats
-from repro.core.executor import ProposalSpec, register_proposal
-from repro.core.kernels import LaunchSpec, _launch_config, block_flow_stats
-from repro.core.params import ExecutionPlan, ProblemConfig
+from repro.core import kernels
+from repro.core.executor import LaunchProgram, ProposalSpec, register_proposal
+from repro.core.params import ExecutionPlan
 from repro.core.single_pass import ScanSinglePassDLB
 
 #: Descriptor reads a block performs while resolving its prefix (the
@@ -36,7 +36,7 @@ def chained_scan_stats(plan: ExecutionPlan, warp_size: int) -> LaunchStats:
     kp = plan.stage1.params
     itemsize = plan.problem.itemsize
     nb = plan.stage1.blocks
-    stats = block_flow_stats(kp, warp_size, itemsize, nb, kp.K, addressing=6)
+    stats = kernels.block_flow_stats(kp, warp_size, itemsize, nb, kp.K, addressing=6)
     stats.read_global(
         nb * kp.chunk_size * itemsize + nb * LOOKBACK_READS_PER_BLOCK * itemsize
     )
@@ -47,15 +47,19 @@ def chained_scan_stats(plan: ExecutionPlan, warp_size: int) -> LaunchStats:
     return stats
 
 
-def _chained_spec(plan: ExecutionPlan, arch: GPUArchitecture, _) -> LaunchSpec:
-    """The single pass's launch spec under idealised pricing."""
+def chained_step(
+    plan: ExecutionPlan, arch: GPUArchitecture, phase: str = "chained",
+) -> kernels.LaunchStep:
+    """The single pass (:func:`~repro.core.kernels.single_pass_step`'s
+    body and buffers) under idealised pricing: record ``chained_scan``,
+    :func:`chained_scan_stats` counters, no stall."""
     kp = plan.stage1.params
-    return LaunchSpec(
-        arch,
-        _launch_config(kp, plan.stage1.bx, plan.stage1.by, plan.problem.itemsize),
+    return kernels.LaunchStep(
+        "chained_scan", phase, plan, arch,
+        kernels._launch_config(kp, plan.stage1.bx, plan.stage1.by, plan.problem.itemsize),
         chained_scan_stats(plan, arch.warp_size),
-        flow=(kp, plan.problem.operator, plan.problem.dtype),
-        name="chained_scan",
+        kernels.bind_single_pass_scan, flow=kp, ordered=True,
+        check=kernels._check_planes,
     )
 
 
@@ -64,11 +68,11 @@ class ScanChained(ScanSinglePassDLB):
 
     proposal = "chained"
     result_label = "scan-chained"
-    build_spec = staticmethod(_chained_spec)
+    pass_step = staticmethod(chained_step)
     reset_launch = False
 
-    def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
-        return {"K": plan.stage1.params.K, "single_pass": True,
+    def _describe(self, program: LaunchProgram) -> dict:
+        return {"K": program.plan.stage1.params.K, "single_pass": True,
                 "gpu_ids": [self.gpu.id]}
 
 

@@ -14,13 +14,8 @@ from repro.baselines import ALL_BASELINES
 from repro.errors import ReproError
 from repro.interconnect.topology import SystemTopology
 from repro.core.api import recommend_proposal
-from repro.core.chained import ScanChained
-from repro.core.multi_gpu import ScanMPS
-from repro.core.multi_node import ScanMultiNodeMPS
+from repro.core.executor import build_executor
 from repro.core.params import NodeConfig, ProblemConfig
-from repro.core.prioritized import ScanMPPC
-from repro.core.single_gpu import ScanSP
-from repro.core.single_pass import ScanSinglePassDLB
 
 
 @dataclass(frozen=True)
@@ -50,10 +45,13 @@ def compare_proposals(
     )
     recommendation = recommend_proposal(topology, full_node, problem)
 
-    candidates: list[tuple[str, str, object, str]] = [
-        ("scan-sp", "proposal", ScanSP(topology.gpus[0]), "W=1"),
-        ("scan-chained", "extension", ScanChained(topology.gpus[0]), "W=1 single-pass"),
-        ("scan-sp-dlb", "extension", ScanSinglePassDLB(topology.gpus[0]),
+    # (row name, kind, registry proposal, placement, config); each is
+    # built where a served request would be, on the healthy GPUs.
+    one_gpu = NodeConfig.from_counts(W=1, V=1)
+    candidates: list[tuple[str, str, str, NodeConfig, str]] = [
+        ("scan-sp", "proposal", "sp", one_gpu, "W=1"),
+        ("scan-chained", "extension", "chained", one_gpu, "W=1 single-pass"),
+        ("scan-sp-dlb", "extension", "sp-dlb", one_gpu,
          "W=1 single-pass lookback"),
     ]
     for w in (2, 4, 8):
@@ -61,13 +59,10 @@ def compare_proposals(
             continue
         v = min(w, topology.gpus_per_network)
         node = NodeConfig.from_counts(W=w, V=v)
-        candidates.append(
-            (f"scan-mps W={w}", "proposal", ScanMPS(topology, node), f"W={w} V={v}")
-        )
+        candidates.append((f"scan-mps W={w}", "proposal", "mps", node, f"W={w} V={v}"))
         if w > topology.gpus_per_network or node.Y > 1:
             candidates.append(
-                (f"scan-mp-pc W={w}", "proposal", ScanMPPC(topology, node),
-                 f"W={w} V={v}")
+                (f"scan-mp-pc W={w}", "proposal", "mppc", node, f"W={w} V={v}")
             )
     if topology.num_nodes > 1:
         node = NodeConfig.from_counts(
@@ -75,8 +70,7 @@ def compare_proposals(
             M=min(2, topology.num_nodes),
         )
         candidates.append(
-            ("scan-mn-mps", "proposal", ScanMultiNodeMPS(topology, node),
-             f"M={node.M} W={node.W}")
+            ("scan-mn-mps", "proposal", "mn-mps", node, f"M={node.M} W={node.W}")
         )
 
     recommended_name = {
@@ -86,11 +80,11 @@ def compare_proposals(
         "mn-mps": "scan-mn-mps",
     }.get(recommendation, "")
 
-    for name, kind, executor, config in candidates:
+    for name, kind, proposal, node, config in candidates:
         try:
-            result = executor.estimate(problem)
+            result = build_executor(proposal, topology, node).estimate(problem)
         except ReproError:
-            continue  # infeasible at this problem shape
+            continue  # no placement on this machine, or infeasible here
         rows.append(
             ComparisonRow(
                 name=name,

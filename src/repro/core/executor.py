@@ -514,7 +514,7 @@ class ScanExecutor(ABC):
             if batch is not None and request.collect:
                 with obs.span("collect"):
                     output = self._collect_output(buffers)
-        config = self._describe(problem, plan)
+        config = self._describe(program)
         if batch is None:
             config["estimated"] = True
         if obs.is_enabled():
@@ -587,8 +587,9 @@ class ScanExecutor(ABC):
         """The program's ``(span, attrs, ((span, ops), ...))`` groups."""
 
     @abstractmethod
-    def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
-        """The proposal's result config (K, placement counts, gpu ids)."""
+    def _describe(self, program: "LaunchProgram") -> dict:
+        """The result config of ``program``'s problem (K, placement
+        counts, gpu ids)."""
 
 
 # ------------------------------------------------------------------ programs
@@ -620,7 +621,8 @@ def _view(buffers, ref):
 
 
 class Launch:
-    """A kernel launch: ``step`` on ``gpu``, its body bound to ``slots``."""
+    """A kernel launch: ``step`` (a :class:`~repro.core.kernels.LaunchStep`)
+    on ``gpu``, its body bound to ``slots``."""
 
     __slots__ = ("gpu", "step", "slots")
 
@@ -785,6 +787,7 @@ class LaunchProgram:
     - ``contended`` are the placement's GPUs whose board-mate runs too;
       they run at the dual-die contention factor while the ops run
       (:meth:`~repro.interconnect.topology.SystemTopology.activate`).
+    - ``launches`` are the :class:`Launch` ops, in run order.
 
     Buffers still come from the device allocators and go back to them on
     every call (:meth:`place` and the group allocations run in the
@@ -804,8 +807,8 @@ class LaunchProgram:
     """
 
     __slots__ = ("problem", "plan", "slots", "groups", "topology",
-                 "active", "contended", "_placed", "_frames", "_uploads",
-                 "_fast", "_blocks", "_args")
+                 "active", "contended", "launches", "_placed", "_frames",
+                 "_uploads", "_fast", "_blocks", "_args")
 
     def __init__(self, problem: ProblemConfig, plan: ExecutionPlan, slots,
                  groups, topology: "SystemTopology | None" = None):
@@ -818,6 +821,10 @@ class LaunchProgram:
         self.active = tuple(dict.fromkeys(slot.gpu for slot in self.slots))
         self.contended = (() if topology is None or len(self.active) < 2
                           else tuple(topology.contended(self.active)))
+        self.launches = tuple(
+            op for _, _, stages in self.groups for _, ops in stages
+            for op in ops if isinstance(op, Launch)
+        )
         self._placed = tuple(s for s in self.slots if s.group < 0)
         self._frames = tuple(
             tuple(s for s in self.slots if s.group == j)

@@ -34,27 +34,24 @@ block at a time in random order to prove that independence in tests.
 Bodies only move data. Everything a launch derives from its plan alone —
 the launch configuration, its closed-form counters (those of the flow
 above, :func:`block_flow_stats`), the block-flow and lookback geometry —
-is a :class:`LaunchSpec`, built on the kernel's first launch and kept with
-the plan (:func:`launch_spec`). Every launch is priced from the spec's
-counters, whichever body ran, so traces and simulated time do not depend
-on the body. A launch whose destination is a virtual buffer (the analytic
-estimate) runs no body at all. Warm launches reuse the spec, and
-:meth:`repro.gpusim.device.GPU.launch` reuses the priced record, so a warm
-launch costs its body and a trace append.
+is held by its :class:`LaunchStep`, with the body binder (``bind_*``: the
+body over given storage) and the launch arguments. Each kernel's
+``*_step`` factory is the one place that builds it. Every launch is
+priced from the step's counters, whichever body ran, so traces and
+simulated time do not depend on the body. A launch whose destination is
+a virtual buffer (the analytic estimate) runs no body at all.
 
-Each kernel is a spec builder, a body binder (``bind_*``: the body over
-given storage) and a ``*_step`` factory that packages spec, binder and
-pricing as a :class:`LaunchStep`, the one place its launch arguments are
-stated. Every executor holds its steps and bodies in a
-:class:`~repro.core.executor.LaunchProgram`, so a warm call binds nothing.
-``launch_*`` is the kernels' direct-launch API (the kernel tests drive
-it): it checks its buffers, builds the step, binds the body and runs it.
+Every executor holds its steps and bound bodies in a
+:class:`~repro.core.executor.LaunchProgram`, and
+:meth:`repro.gpusim.device.GPU.launch` reuses the priced record, so a
+warm launch costs its body and a trace append. Outside a program,
+:meth:`LaunchStep.launch` checks its device buffers, binds the body and
+runs it.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -402,44 +399,66 @@ def scan_add_stats(
     return stats
 
 
-class LaunchSpec:
-    """One kernel's launch, derived from its plan once per architecture.
+class LaunchStep:
+    """One kernel launch: everything but the storage its body works on.
 
-    Everything here is a pure function of the plan, the data's geometry
-    and the architecture: the launch configuration, the closed-form
-    counters every launch is priced from, the block flow and, for the
-    single pass, how the launch is named and priced.
-    :func:`launch_spec` builds a spec on its kernel's first launch and
-    keeps it in :attr:`~repro.core.params.ExecutionPlan.launch_specs`.
-    The one value derived from the cost params, the lookback stall, is
-    kept with the params object it was priced under (:meth:`stall_s`).
+    A kernel's ``*_step`` factory builds it from the plan, the data's
+    geometry and the architecture: the record name and phase, the launch
+    configuration, the closed-form counters every launch is priced from,
+    the block flow, for the single pass the lookback geometry, the body
+    binder and the launch arguments. ``bind(*arrays)`` returns the body
+    over the given storage. Every launch is the step's :meth:`run`: a
+    held :class:`~repro.core.executor.LaunchProgram` keeps the step and
+    the bound body, and :meth:`launch` checks device buffers and binds
+    them first. The exposed latency the roofline cannot see is
+    ``latency(step, cost_params)`` (``None``: none); the lookback stall
+    is kept with the cost-params object it was priced under
+    (:meth:`stall_s`).
     """
 
-    __slots__ = ("arch", "config", "stats", "flow", "name", "capacity",
-                 "lookback", "_core", "_stall")
+    __slots__ = ("name", "phase", "plan", "arch", "config", "stats",
+                 "binder", "flow", "coalesced", "ordered", "capacity",
+                 "lookback", "latency", "check", "_core", "_stall")
 
     def __init__(
         self,
+        name: str,
+        phase: str,
+        plan: ExecutionPlan,
         arch: GPUArchitecture,
         config: LaunchConfig,
         stats: LaunchStats,
-        flow: tuple[KernelParams, Operator, np.dtype] | None = None,
-        name: str = "",
+        binder: Callable[..., Callable[[KernelContext, np.ndarray], None]],
+        flow: KernelParams | None = None,
+        coalesced: bool = True,
+        ordered: bool = False,
         capacity: int = 0,
         lookback: LookbackParams | None = None,
+        latency: Callable[["LaunchStep", CostModelParams], float] | None = None,
+        check: Callable[..., None] | None = None,
     ):
+        self.name = name
+        self.phase = phase
+        self.plan = plan
         self.arch = arch
         self.config = config
         #: The launch's counters; never mutated.
         self.stats = stats
-        #: ``(params, operator, dtype)`` of the block flow, or ``None``.
+        #: ``binder(step, *arrays)`` makes the body (see :meth:`bind`).
+        self.binder = binder
+        #: The block flow's kernel params, or ``None``.
         self.flow = flow
-        #: Single pass only: the record name, the resident-block capacity,
-        #: which is the lookback horizon, and the protocol params
-        #: (``None``: the protocol is free, no stall).
-        self.name = name
+        self.coalesced = coalesced
+        self.ordered = ordered
+        #: Single pass only: the resident-block capacity, which is the
+        #: lookback horizon, and the protocol params (``None``: the
+        #: protocol is free, no stall).
         self.capacity = capacity
         self.lookback = lookback
+        self.latency = latency
+        #: ``check(plan, *buffers)`` raises on device buffers of the wrong
+        #: shape (:meth:`launch`).
+        self.check = check
         self._core: _BlockScanCore | None = None
         self._stall: tuple[CostModelParams | None, float] = (None, 0.0)
 
@@ -450,8 +469,9 @@ class LaunchSpec:
         runs a body; a launch into virtual buffers never asks.
         """
         if self._core is None:
-            params, op, dtype = self.flow
-            self._core = _BlockScanCore(params, op, self.arch.warp_size, dtype)
+            problem = self.plan.problem
+            self._core = _BlockScanCore(self.flow, problem.operator,
+                                        self.arch.warp_size, problem.dtype)
         return self._core
 
     def stall_s(self, params: CostModelParams) -> float:
@@ -466,103 +486,68 @@ class LaunchSpec:
             self._stall = (params, stall)
         return self._stall[1]
 
-
-def launch_spec(
-    plan: ExecutionPlan,
-    arch: GPUArchitecture,
-    build: Callable[[ExecutionPlan, GPUArchitecture, Any], LaunchSpec],
-    shape: Any = None,
-) -> LaunchSpec:
-    """``build(plan, arch, shape)``, once per plan, builder, shape and arch.
-
-    ``shape`` is whatever of the launch's data its configuration depends
-    on (the problems a Stage-1/3 portion holds, the descriptor plane's
-    shape). A spec built for a different architecture object is rebuilt.
-    """
-    key = (build, shape)
-    spec = plan.launch_specs.get(key)
-    if spec is None or spec.arch is not arch:
-        spec = plan.launch_specs[key] = build(plan, arch, shape)
-    return spec
-
-
-class LaunchStep(NamedTuple):
-    """One kernel launch: everything but the storage its body works on.
-
-    ``spec`` holds the launch's geometry and counters; the step adds the
-    record name and phase, the body binder and the exposed latency the
-    roofline cannot see (``latency(spec, cost_params)``; ``None``:
-    none). ``bind(*arrays)`` returns the body over the given storage.
-    Every launch of a kernel is its step's :meth:`run`: a held
-    :class:`~repro.core.executor.LaunchProgram` keeps the step and the
-    bound body, a direct ``launch_*`` call builds both.
-    """
-
-    name: str
-    phase: str
-    spec: LaunchSpec
-    bind: Callable[..., Callable[[KernelContext, np.ndarray], None]]
-    coalesced: bool = True
-    ordered: bool = False
-    latency: Callable[[LaunchSpec, CostModelParams], float] | None = None
+    def bind(self, *arrays: np.ndarray) -> Callable[[KernelContext, np.ndarray], None]:
+        """The body over the storage of ``arrays``."""
+        return self.binder(self, *arrays)
 
     def run(self, trace: Trace, gpu: GPU, body) -> KernelRecord:
         """Launch on ``gpu`` with ``body`` (``None``: virtual buffers)."""
-        spec = self.spec
         latency = self.latency
         return gpu.launch(
-            trace, self.name, self.phase, spec.config, body, spec.stats,
+            trace, self.name, self.phase, self.config, body, self.stats,
             coalesced=self.coalesced, ordered=self.ordered,
             extra_latency_s=(0.0 if latency is None
-                             else latency(spec, gpu.cost_model.params)),
+                             else latency(self, gpu.cost_model.params)),
+        )
+
+    def launch(self, trace: Trace, gpu: GPU, *buffers: DeviceArray) -> KernelRecord:
+        """Launch on ``gpu`` over device ``buffers``, in the order the body
+        binds them.
+
+        Every buffer must be resident on ``gpu`` and of the shape the
+        kernel expects. A virtual buffer runs no body; the launch is
+        priced all the same.
+        """
+        for buffer in buffers:
+            buffer.require_on(gpu)
+        if self.check is not None:
+            self.check(self.plan, *buffers)
+        if any(buffer.virtual for buffer in buffers):
+            return self.run(trace, gpu, None)
+        return self.run(trace, gpu, self.bind(*[b.data for b in buffers]))
+
+
+def _check_portion(plan: ExecutionPlan, data: DeviceArray, aux: DeviceArray) -> None:
+    n_local = data.shape[1]
+    if n_local != plan.n_local:
+        raise ConfigurationError(
+            f"data has {n_local} elements per problem, plan expects {plan.n_local}"
         )
 
 
-def _chunk_reduce_spec(plan: ExecutionPlan, arch: GPUArchitecture, rows: int) -> LaunchSpec:
-    kp = plan.stage1.params
-    config = _launch_config(kp, plan.stage1.bx, rows, plan.problem.itemsize)
-    return LaunchSpec(
-        arch, config, chunk_reduce_stats(plan, arch.warp_size, config.blocks),
-        flow=(kp, plan.problem.operator, plan.problem.dtype),
-    )
-
-
-def _intermediate_scan_spec(plan: ExecutionPlan, arch: GPUArchitecture, _) -> LaunchSpec:
-    kp2 = plan.stage2.params
-    config = _launch_config(kp2, plan.stage2.bx, plan.stage2.by, plan.problem.itemsize)
-    return LaunchSpec(
-        arch, config, intermediate_scan_stats(plan, arch.warp_size),
-        flow=(_stage2_row_params(kp2), plan.problem.operator, plan.problem.dtype),
-    )
-
-
-def _scan_add_spec(plan: ExecutionPlan, arch: GPUArchitecture, rows: int) -> LaunchSpec:
-    kp = plan.stage3.params
-    config = _launch_config(kp, plan.stage3.bx, rows, plan.problem.itemsize)
-    return LaunchSpec(
-        arch, config, scan_add_stats(plan, arch.warp_size, config.blocks),
-        flow=(kp, plan.problem.operator, plan.problem.dtype),
-    )
+def _check_aux(plan: ExecutionPlan, aux: DeviceArray) -> None:
+    cx = aux.shape[1]
+    if cx != plan.chunks_total:
+        raise ConfigurationError(
+            f"aux has {cx} chunk columns, plan expects {plan.chunks_total}"
+        )
 
 
 def bind_chunk_reduce(
-    spec: LaunchSpec,
-    plan: ExecutionPlan,
-    data: np.ndarray,
-    aux: np.ndarray,
-    chunk_column_offset: int = 0,
+    step: LaunchStep, data: np.ndarray, aux: np.ndarray
 ) -> Callable[[KernelContext, np.ndarray], None]:
     """Stage 1's body over the storage of ``data`` and ``aux``.
 
     Whether it takes the one-pass body is decided here (:func:`_exact`),
     so a body is bound under one ``fast_paths`` state.
     """
-    core = spec.block_core()
+    core = step.block_core()
+    plan = step.plan
     kp = plan.stage1.params
     op = plan.problem.operator
     bx_total = plan.stage1.bx
     arr = data.reshape(data.shape[0], bx_total, kp.chunk_size)
-    aux_cols = aux[:, chunk_column_offset:chunk_column_offset + bx_total]
+    aux_cols = aux[:, :bx_total]
     exact = _exact(plan.problem.dtype)
 
     def body(ctx: KernelContext, block_ids: np.ndarray) -> None:
@@ -581,54 +566,34 @@ def bind_chunk_reduce(
     return body
 
 
-def launch_chunk_reduce(
-    trace: Trace,
-    gpu: GPU,
-    data: DeviceArray,
-    aux: DeviceArray,
-    plan: ExecutionPlan,
-    chunk_column_offset: int = 0,
-    phase: str = "stage1",
-    vector_loads: bool = True,
-) -> KernelRecord:
-    """Stage 1 (Chunk Reduce): one reduction value per chunk into ``aux``.
-
-    ``data`` is this GPU's portion, shape ``(g_local, n_local)``; ``aux``
-    is the auxiliary array it writes, shape ``(g_local, chunks_total)``
-    resident on the *same* GPU (multi-GPU proposals transfer it afterwards
-    or pre-offset ``chunk_column_offset`` when writing a shared array).
-    A virtual ``aux`` runs no body; the launch is priced all the same.
-    """
-    data.require_on(gpu)
-    aux.require_on(gpu)
-    g_local, n_local = data.shape
-    if n_local != plan.n_local:
-        raise ConfigurationError(
-            f"data has {n_local} elements per problem, plan expects {plan.n_local}"
-        )
-    step = chunk_reduce_step(plan, gpu.arch, g_local, phase, vector_loads)
-    body = (None if aux.virtual
-            else step.bind(data.data, aux.data, chunk_column_offset))
-    return step.run(trace, gpu, body)
-
-
 def chunk_reduce_step(
     plan: ExecutionPlan, arch: GPUArchitecture, rows: int,
     phase: str = "stage1", vector_loads: bool = True,
 ) -> LaunchStep:
-    """Stage 1 over ``rows`` problems; its body binds ``(data, aux[,
-    chunk_column_offset])``."""
-    spec = launch_spec(plan, arch, _chunk_reduce_spec, rows)
-    return LaunchStep("chunk_reduce", phase, spec,
-                      partial(bind_chunk_reduce, spec, plan),
-                      coalesced=vector_loads)
+    """Stage 1 (Chunk Reduce) over ``rows`` problems: one reduction value
+    per chunk.
+
+    Its body binds ``(data, aux)``: ``data`` is a GPU's ``(rows,
+    n_local)`` portion, and ``aux`` an auxiliary array on the same GPU
+    whose first ``Bx`` columns it writes (a column view of a shared
+    array writes that array's columns).
+    """
+    kp = plan.stage1.params
+    config = _launch_config(kp, plan.stage1.bx, rows, plan.problem.itemsize)
+    return LaunchStep(
+        "chunk_reduce", phase, plan, arch, config,
+        chunk_reduce_stats(plan, arch.warp_size, config.blocks),
+        bind_chunk_reduce, flow=kp, coalesced=vector_loads,
+        check=_check_portion,
+    )
 
 
 def bind_intermediate_scan(
-    spec: LaunchSpec, plan: ExecutionPlan, aux: np.ndarray
+    step: LaunchStep, aux: np.ndarray
 ) -> Callable[[KernelContext, np.ndarray], None]:
     """Stage 2's body over the storage of ``aux`` (see :func:`bind_chunk_reduce`)."""
-    core = spec.block_core()
+    core = step.block_core()
+    plan = step.plan
     kp2 = plan.stage2.params
     op = plan.problem.operator
     cx = plan.chunks_total
@@ -667,56 +632,39 @@ def bind_intermediate_scan(
     return body
 
 
-def launch_intermediate_scan(
-    trace: Trace,
-    gpu: GPU,
-    aux: DeviceArray,
-    plan: ExecutionPlan,
-    phase: str = "stage2",
-) -> KernelRecord:
-    """Stage 2 (Intermediate Scan): exclusive scan of each problem's chunk sums.
-
-    In-place over ``aux`` (shape ``(g_local, chunks_total)``). A block packs
-    ``Ly^2`` problems; when ``chunks_total`` exceeds one block round
-    (``P^2 * Lx^2`` elements) the block iterates serially with a running
-    carry, which the instruction accounting reflects. A virtual ``aux``
-    runs no body.
-    """
-    aux.require_on(gpu)
-    _, cx = aux.shape
-    if cx != plan.chunks_total:
-        raise ConfigurationError(
-            f"aux has {cx} chunk columns, plan expects {plan.chunks_total}"
-        )
-    step = intermediate_scan_step(plan, gpu.arch, phase)
-    return step.run(trace, gpu, None if aux.virtual else step.bind(aux.data))
-
-
 def intermediate_scan_step(
     plan: ExecutionPlan, arch: GPUArchitecture, phase: str = "stage2",
 ) -> LaunchStep:
-    """Stage 2; its body binds ``(aux,)``."""
-    spec = launch_spec(plan, arch, _intermediate_scan_spec)
-    return LaunchStep("intermediate_scan", phase, spec,
-                      partial(bind_intermediate_scan, spec, plan))
+    """Stage 2 (Intermediate Scan): the exclusive scan of each problem's
+    chunk sums, in place over the ``(g_local, chunks_total)`` ``aux``
+    its body binds.
+
+    A block packs ``Ly^2`` problems; when ``chunks_total`` exceeds one
+    block round (``P^2 * Lx^2`` elements) the block iterates serially
+    with a running carry, which the counters reflect.
+    """
+    kp2 = plan.stage2.params
+    config = _launch_config(kp2, plan.stage2.bx, plan.stage2.by, plan.problem.itemsize)
+    return LaunchStep(
+        "intermediate_scan", phase, plan, arch, config,
+        intermediate_scan_stats(plan, arch.warp_size), bind_intermediate_scan,
+        flow=_stage2_row_params(kp2), check=_check_aux,
+    )
 
 
 def bind_scan_add(
-    spec: LaunchSpec,
-    plan: ExecutionPlan,
-    data: np.ndarray,
-    aux_scanned: np.ndarray,
-    chunk_column_offset: int = 0,
+    step: LaunchStep, data: np.ndarray, aux_scanned: np.ndarray
 ) -> Callable[[KernelContext, np.ndarray], None]:
     """Stage 3's body over the storage of ``data`` and ``aux_scanned``
     (see :func:`bind_chunk_reduce`)."""
-    core = spec.block_core()
+    core = step.block_core()
+    plan = step.plan
     kp = plan.stage3.params
     op = plan.problem.operator
     bx_total = plan.stage3.bx
     inclusive_out = plan.problem.inclusive
     arr = data.reshape(data.shape[0], bx_total, kp.chunk_size)
-    aux_cols = aux_scanned[:, chunk_column_offset:chunk_column_offset + bx_total]
+    aux_cols = aux_scanned[:, :bx_total]
     identity = op.identity(plan.problem.dtype)
     exact = _exact(plan.problem.dtype)
 
@@ -743,42 +691,26 @@ def bind_scan_add(
     return body
 
 
-def launch_scan_add(
-    trace: Trace,
-    gpu: GPU,
-    data: DeviceArray,
-    aux_scanned: DeviceArray,
-    plan: ExecutionPlan,
-    chunk_column_offset: int = 0,
-    phase: str = "stage3",
-    vector_loads: bool = True,
-) -> KernelRecord:
-    """Stage 3 (Scan+Addition): local scan of every chunk plus its aux offset.
-
-    ``aux_scanned`` holds the *exclusive* per-chunk offsets produced by
-    Stage 2 (``(g_local, chunks_total)`` columns; this GPU reads columns
-    ``chunk_column_offset + [0, Bx)``). Writes the final scan in place over
-    ``data``; a virtual ``data`` runs no body. Inclusive vs exclusive
-    output follows the problem config.
-    """
-    data.require_on(gpu)
-    aux_scanned.require_on(gpu)
-    step = scan_add_step(plan, gpu.arch, data.shape[0], phase, vector_loads)
-    body = (None if data.virtual
-            else step.bind(data.data, aux_scanned.data, chunk_column_offset))
-    return step.run(trace, gpu, body)
-
-
 def scan_add_step(
     plan: ExecutionPlan, arch: GPUArchitecture, rows: int,
     phase: str = "stage3", vector_loads: bool = True,
 ) -> LaunchStep:
-    """Stage 3 over ``rows`` problems; its body binds ``(data,
-    aux_scanned[, chunk_column_offset])``."""
-    spec = launch_spec(plan, arch, _scan_add_spec, rows)
-    return LaunchStep("scan_add", phase, spec,
-                      partial(bind_scan_add, spec, plan),
-                      coalesced=vector_loads)
+    """Stage 3 (Scan+Addition) over ``rows`` problems: the local scan of
+    every chunk plus its offset.
+
+    Its body binds ``(data, aux_scanned)``: it reads the *exclusive*
+    chunk offsets Stage 2 left in the first ``Bx`` columns of
+    ``aux_scanned`` (as Stage 1 writes them) and writes the final scan in
+    place over ``data``. Inclusive vs exclusive output follows the
+    problem config.
+    """
+    kp = plan.stage3.params
+    config = _launch_config(kp, plan.stage3.bx, rows, plan.problem.itemsize)
+    return LaunchStep(
+        "scan_add", phase, plan, arch, config,
+        scan_add_stats(plan, arch.warp_size, config.blocks), bind_scan_add,
+        flow=kp, coalesced=vector_loads,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -817,23 +749,8 @@ def descriptor_reset_stats(g_local: int, bx_total: int) -> LaunchStats:
     return stats
 
 
-def _descriptor_reset_spec(
-    plan: ExecutionPlan, arch: GPUArchitecture, plane: tuple[int, int]
-) -> LaunchSpec:
-    g_local, bx_total = plane
-    config = LaunchConfig(
-        grid_x=ceil_div(g_local * bx_total, _RESET_BLOCK_THREADS),
-        grid_y=1,
-        block_x=_RESET_BLOCK_THREADS,
-        block_y=1,
-        regs_per_thread=8,
-        smem_per_block=0,
-    )
-    return LaunchSpec(arch, config, descriptor_reset_stats(g_local, bx_total))
-
-
 def bind_descriptor_reset(
-    spec: LaunchSpec, status: np.ndarray
+    step: LaunchStep, status: np.ndarray
 ) -> Callable[[KernelContext, np.ndarray], None]:
     """The descriptor memset's body over the storage of ``status``."""
     g_local, bx_total = status.shape
@@ -852,45 +769,40 @@ def bind_descriptor_reset(
     return body
 
 
-def setup_latency_s(spec: LaunchSpec, params: CostModelParams) -> float:
+def setup_latency_s(step: LaunchStep, params: CostModelParams) -> float:
     """The descriptor reset's protocol-arming latency under ``params``."""
     return params.lookback_setup_s
-
-
-def launch_descriptor_reset(
-    trace: Trace,
-    gpu: GPU,
-    status: DeviceArray,
-    plan: ExecutionPlan,
-    phase: str = "sp-dlb",
-) -> KernelRecord:
-    """Reset every lookback status word to ``X`` (invalid) before the pass.
-
-    ``status`` is the ``(g_local, Bx)`` integer status plane of the
-    descriptors. The scan kernel cannot start until no stale status word
-    is observable, so this launch also carries the protocol-arming latency
-    (:attr:`~repro.gpusim.costmodel.CostModelParams.lookback_setup_s`):
-    the memset/fence round trip plus priming the polling path. This fixed
-    cost — not bandwidth — is what the three-kernel pipeline undercuts at
-    small N, giving the tuner a genuine crossover to find. A virtual
-    ``status`` runs no body.
-    """
-    status.require_on(gpu)
-    step = descriptor_reset_step(plan, gpu.arch, status.shape, phase)
-    return step.run(trace, gpu,
-                    None if status.virtual else step.bind(status.data))
 
 
 def descriptor_reset_step(
     plan: ExecutionPlan, arch: GPUArchitecture, plane: tuple[int, int],
     phase: str = "sp-dlb",
 ) -> LaunchStep:
-    """The memset of a ``plane``-shaped status plane; its body binds
-    ``(status,)``."""
-    spec = launch_spec(plan, arch, _descriptor_reset_spec, plane)
-    return LaunchStep("descriptor_reset", phase, spec,
-                      partial(bind_descriptor_reset, spec),
-                      latency=setup_latency_s)
+    """Reset every lookback status word of a ``plane``-shaped ``(g_local,
+    Bx)`` status plane to ``X`` (invalid) before the pass; its body binds
+    ``(status,)``.
+
+    The scan kernel cannot start until no stale status word is
+    observable, so this launch also carries the protocol-arming latency
+    (:attr:`~repro.gpusim.costmodel.CostModelParams.lookback_setup_s`):
+    the memset/fence round trip plus priming the polling path. This fixed
+    cost — not bandwidth — is what the three-kernel pipeline undercuts at
+    small N, giving the tuner a genuine crossover to find.
+    """
+    g_local, bx_total = plane
+    config = LaunchConfig(
+        grid_x=ceil_div(g_local * bx_total, _RESET_BLOCK_THREADS),
+        grid_y=1,
+        block_x=_RESET_BLOCK_THREADS,
+        block_y=1,
+        regs_per_thread=8,
+        smem_per_block=0,
+    )
+    return LaunchStep(
+        "descriptor_reset", phase, plan, arch, config,
+        descriptor_reset_stats(g_local, bx_total), bind_descriptor_reset,
+        latency=setup_latency_s,
+    )
 
 
 def single_pass_scan_stats(
@@ -922,15 +834,19 @@ def single_pass_scan_stats(
     return stats
 
 
-def _single_pass_spec(plan: ExecutionPlan, arch: GPUArchitecture, _) -> LaunchSpec:
-    config, capacity, lookback = _lookback_geometry(plan, arch)
-    reads = total_lookback_reads(plan.stage1.bx, plan.stage1.by, capacity)
-    return LaunchSpec(
-        arch, config,
-        single_pass_scan_stats(plan, arch, config.blocks, reads),
-        flow=(plan.stage1.params, plan.problem.operator, plan.problem.dtype),
-        name="single_pass_scan", capacity=capacity, lookback=lookback,
-    )
+def _check_planes(
+    plan: ExecutionPlan, data: DeviceArray, status: DeviceArray,
+    descriptors: DeviceArray,
+) -> None:
+    """Raise unless the descriptor planes match ``data``'s blocks."""
+    g_local = data.shape[0]
+    bx_total = plan.stage1.bx
+    planes = (status.shape, descriptors.shape)
+    if planes != ((g_local, bx_total), (g_local, bx_total, 2)):
+        raise ConfigurationError(
+            f"descriptor planes must be {(g_local, bx_total)} and "
+            f"{(g_local, bx_total, 2)}, got {planes[0]} and {planes[1]}"
+        )
 
 
 def _resolve_lookback(
@@ -991,15 +907,15 @@ def _resolve_lookback(
 
 
 def bind_single_pass_scan(
-    spec: LaunchSpec,
-    plan: ExecutionPlan,
+    step: LaunchStep,
     data: np.ndarray,
     status: np.ndarray,
     descriptors: np.ndarray,
 ) -> Callable[[KernelContext, np.ndarray], None]:
     """The single pass's body over the storage of ``data`` and its two
     descriptor planes (see :func:`bind_chunk_reduce`)."""
-    core = spec.block_core()
+    core = step.block_core()
+    plan = step.plan
     kp = plan.stage1.params
     op = plan.problem.operator
     inclusive_out = plan.problem.inclusive
@@ -1038,21 +954,15 @@ def bind_single_pass_scan(
     return body
 
 
-def launch_single_pass_scan(
-    trace: Trace,
-    gpu: GPU,
-    data: DeviceArray,
-    status: DeviceArray,
-    descriptors: DeviceArray,
-    plan: ExecutionPlan,
-    phase: str = "sp-dlb",
-    build: Callable[..., LaunchSpec] = _single_pass_spec,
-) -> KernelRecord:
+def single_pass_step(
+    plan: ExecutionPlan, arch: GPUArchitecture, phase: str = "sp-dlb",
+) -> LaunchStep:
     """The decoupled-lookback pass: local scan + descriptor protocol, once.
 
-    The global-memory protocol state is two planes per block: ``status``,
-    the ``(g_local, Bx)`` integer status word, reset to ``X`` before the
-    pass (by :func:`launch_descriptor_reset`, or allocated so), and
+    Its body binds ``(data, status, descriptors)``. The global-memory
+    protocol state is two planes per block: ``status``, the ``(g_local,
+    Bx)`` integer status word, reset to ``X`` before the pass (by
+    :func:`descriptor_reset_step`'s launch, or allocated so), and
     ``descriptors``, the ``(g_local, Bx, 2)`` ``[aggregate,
     inclusive_prefix]`` pair in the payload dtype. Each block:
 
@@ -1069,42 +979,22 @@ def launch_single_pass_scan(
     chunk totals resolves every block of the call with the same bits
     (:func:`_resolve_lookback`). Float results are therefore
     bit-identical across the vectorized and blockwise execution modes.
-    A virtual ``data`` runs no body.
 
-    ``build`` makes the :class:`LaunchSpec` that names and prices the
-    launch; :mod:`repro.core.chained` passes one with free descriptors.
-    The default, sp-dlb's, lets the residency window shape the descriptor
-    reads (:func:`~repro.gpusim.lookback.total_lookback_reads`) and
-    the polling stall. The stall is round-trip-bound, invisible to the
-    byte-counting roofline, so it rides on the launch as
-    ``extra_latency_s`` — computed closed-form from the grid geometry
-    (schedule-independent), identical for the functional run and the
-    analytic estimate.
+    This step prices the protocol as ``sp-dlb`` pays for it
+    (:mod:`repro.core.chained` builds the same pass with free
+    descriptors): the residency window shapes the descriptor reads
+    (:func:`~repro.gpusim.lookback.total_lookback_reads`) and the polling
+    stall. The stall is round-trip-bound, invisible to the byte-counting
+    roofline, so it rides on the launch as ``extra_latency_s`` — computed
+    closed-form from the grid geometry (schedule-independent), identical
+    for the functional run and the analytic estimate.
     """
-    data.require_on(gpu)
-    status.require_on(gpu)
-    descriptors.require_on(gpu)
-    g_local = data.shape[0]
-    bx_total = plan.stage1.bx
-    planes = (status.shape, descriptors.shape)
-    if planes != ((g_local, bx_total), (g_local, bx_total, 2)):
-        raise ConfigurationError(
-            f"descriptor planes must be {(g_local, bx_total)} and "
-            f"{(g_local, bx_total, 2)}, got {planes[0]} and {planes[1]}"
-        )
-    step = single_pass_step(plan, gpu.arch, phase, build)
-    body = (None if data.virtual
-            else step.bind(data.data, status.data, descriptors.data))
-    return step.run(trace, gpu, body)
-
-
-def single_pass_step(
-    plan: ExecutionPlan, arch: GPUArchitecture, phase: str = "sp-dlb",
-    build: Callable[..., LaunchSpec] = _single_pass_spec,
-) -> LaunchStep:
-    """The single pass; its body binds ``(data, status, descriptors)``.
-    ``build`` as for :func:`launch_single_pass_scan`."""
-    spec = launch_spec(plan, arch, build)
-    return LaunchStep(spec.name, phase, spec,
-                      partial(bind_single_pass_scan, spec, plan),
-                      ordered=True, latency=LaunchSpec.stall_s)
+    config, capacity, lookback = _lookback_geometry(plan, arch)
+    reads = total_lookback_reads(plan.stage1.bx, plan.stage1.by, capacity)
+    return LaunchStep(
+        "single_pass_scan", phase, plan, arch, config,
+        single_pass_scan_stats(plan, arch, config.blocks, reads),
+        bind_single_pass_scan, flow=plan.stage1.params, ordered=True,
+        capacity=capacity, lookback=lookback, latency=LaunchStep.stall_s,
+        check=_check_planes,
+    )

@@ -28,6 +28,7 @@ from repro.core.executor import (
     Copy,
     Dispatch,
     Launch,
+    LaunchProgram,
     Placement,
     PlanSpec,
     ProposalSpec,
@@ -35,13 +36,12 @@ from repro.core.executor import (
     Slot,
     register_proposal,
 )
-from repro.core.kernels import (
-    chunk_reduce_step,
-    intermediate_scan_step,
-    scan_add_step,
-)
 from repro.core.params import ExecutionPlan, KernelParams, NodeConfig, ProblemConfig
-from repro.core.single_gpu import three_kernel_slots, three_kernel_stages
+from repro.core.single_gpu import (
+    three_kernel_slots,
+    three_kernel_stages,
+    three_kernel_steps,
+)
 
 
 def portion_slots(gpus: list[GPU], plan: ExecutionPlan, rows: slice) -> tuple:
@@ -84,7 +84,7 @@ def dispatch_op(topology: SystemTopology, ordinals: dict, phase: str,
 def problem_scattering_flow(
     topology: SystemTopology,
     gpus: list[GPU],
-    plan: ExecutionPlan,
+    steps: tuple,
     rows: int,
     portions: int,
     aux: int,
@@ -94,11 +94,13 @@ def problem_scattering_flow(
     """The three-stage scattering flow over one GPU group (Figure 7), as
     program stages.
 
-    ``gpus[0]`` acts as the group master holding the shared auxiliary
-    array; GPU ``i`` holds the ``(rows, n_local)`` portion in slot
-    ``portions + i`` of every problem the group works on, and its
-    auxiliary array in slot ``aux + i`` (the master's is the shared one,
-    from :func:`scattering_slots`). The stages record all kernels,
+    ``steps`` are the plan's three kernel steps over ``rows`` problems
+    (:func:`~repro.core.single_gpu.three_kernel_steps`), shared by every
+    GPU of the group. ``gpus[0]`` acts as the group master holding the
+    shared auxiliary array; GPU ``i`` holds the ``(rows, n_local)``
+    portion in slot ``portions + i`` of every problem the group works
+    on, and its auxiliary array in slot ``aux + i`` (the master's is the
+    shared one, from :func:`scattering_slots`). The stages record all kernels,
     dispatches and copies under the phases ``stage1``/``aux_gather``/
     ``stage2``/``aux_scatter``/``stage3``. Used by both Scan-MPS (group =
     all W GPUs) and Scan-MP-PC (one group per PCIe network).
@@ -111,6 +113,8 @@ def problem_scattering_flow(
     starts as its slice lands). Off by default to keep the Figure-14
     phase accounting comparable to the paper's.
     """
+    reduce_step, scan_step, add_step = steps
+    plan = reduce_step.plan
     w = len(gpus)
     if w != plan.gpus_sharing_problem:
         raise ConfigurationError(
@@ -119,11 +123,8 @@ def problem_scattering_flow(
         )
     bx = plan.chunks_per_gpu
     root = gpus[0]
-    arch = root.arch
     gather_phase = "stage1" if overlap else "aux_gather"
     scatter_phase = "stage3" if overlap else "aux_scatter"
-    reduce_step = chunk_reduce_step(plan, arch, rows)
-    add_step = scan_add_step(plan, arch, rows)
 
     def messages(src: GPU, dst: GPU) -> int:
         # P2P routes are written directly by the kernel (UVA): one bulk
@@ -147,7 +148,7 @@ def problem_scattering_flow(
         scatter.append(Copy(scatter_phase, column, aux + i, (root, gpus[i]),
                             rows, messages(root, gpus[i])))
     # Stage 2 on the master alone; Stage 3 everywhere.
-    stage2 = (Launch(root, intermediate_scan_step(plan, arch), (aux,)),
+    stage2 = (Launch(root, scan_step, (aux,)),
               dispatch_op(topology, ordinals, "stage2", root))
     stage3 = []
     for i, gpu in enumerate(gpus):
@@ -208,14 +209,15 @@ class ScanMPS(ScanExecutor):
                 + scattering_slots(self.gpus, plan, problem.G))
 
     def _stages(self, plan: ExecutionPlan, problem: ProblemConfig):
+        steps = three_kernel_steps(plan, self._arch(), problem.G)
         return ((None, {}, problem_scattering_flow(
-            self.topology, self.gpus, plan, problem.G, 0, self.node.W, {},
+            self.topology, self.gpus, steps, problem.G, 0, self.node.W, {},
             overlap=self.overlap,
         )),)
 
-    def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
+    def _describe(self, program: LaunchProgram) -> dict:
         return {
-            "K": plan.stage1.params.K,
+            "K": program.plan.stage1.params.K,
             "W": self.node.W,
             "V": self.node.V,
             "Y": self.node.Y,
@@ -285,15 +287,16 @@ class ScanProblemParallel(ScanExecutor):
         ), ())
 
     def _stages(self, plan: ExecutionPlan, problem: ProblemConfig):
-        w, _ = self._split(problem)
+        w, g_per_gpu = self._split(problem)
+        steps = three_kernel_steps(plan, self._arch(), g_per_gpu)
         return tuple(
             ("pp.worker", {"gpu": gpu.id},
-             three_kernel_stages(gpu, plan, 2 * i, 2 * i + 1))
+             three_kernel_stages(gpu, steps, 2 * i, 2 * i + 1))
             for i, gpu in enumerate(self.gpus[:w])
         )
 
-    def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
-        w, g_per_gpu = self._split(problem)
+    def _describe(self, program: LaunchProgram) -> dict:
+        w, g_per_gpu = self._split(program.problem)
         return {"W": w, "G_per_gpu": g_per_gpu,
                 "gpu_ids": [g.id for g in self.gpus[:w]]}
 

@@ -29,6 +29,7 @@ from repro.core.executor import (
     Barrier,
     Gather,
     Launch,
+    LaunchProgram,
     Placement,
     PlanSpec,
     ProposalSpec,
@@ -38,13 +39,9 @@ from repro.core.executor import (
     Slot,
     register_proposal,
 )
-from repro.core.kernels import (
-    chunk_reduce_step,
-    intermediate_scan_step,
-    scan_add_step,
-)
 from repro.core.multi_gpu import dispatch_op, portion_slots
 from repro.core.params import ExecutionPlan, KernelParams, NodeConfig, ProblemConfig
+from repro.core.single_gpu import three_kernel_steps
 
 
 class ScanMultiNodeMPS(ScanExecutor):
@@ -112,11 +109,10 @@ class ScanMultiNodeMPS(ScanExecutor):
         """The timed region as program stages (Figure 14's phases, in order)."""
         parts, rows, gpus = self.total_gpus, problem.G, self.gpus
         master = gpus[0]
-        arch = master.arch
         aux, staging, aux_master = parts, 2 * parts, 2 * parts + 1
         ordinals: dict = {}
-        reduce_step = chunk_reduce_step(plan, arch, rows)
-        add_step = scan_add_step(plan, arch, rows)
+        reduce_step, scan_step, add_step = three_kernel_steps(
+            plan, self._arch(), rows)
         split = (parts, rows, plan.chunks_per_gpu)
         ranks = tuple(range(aux, aux + parts))
         stage1, stage3 = [], []
@@ -125,8 +121,7 @@ class ScanMultiNodeMPS(ScanExecutor):
         for r, gpu in enumerate(gpus):
             stage1 += (Launch(gpu, reduce_step, (r, aux + r)),
                        dispatch_op(self.topology, ordinals, "stage1", gpu))
-        stage2 = (Launch(master, intermediate_scan_step(plan, arch),
-                         (aux_master,)),
+        stage2 = (Launch(master, scan_step, (aux_master,)),
                   dispatch_op(self.topology, ordinals, "stage2", master))
         for r, gpu in enumerate(gpus):
             stage3 += (Launch(gpu, add_step, (r, aux + r)),
@@ -147,9 +142,9 @@ class ScanMultiNodeMPS(ScanExecutor):
             ("stage3", tuple(stage3)),
         )),)
 
-    def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
+    def _describe(self, program: LaunchProgram) -> dict:
         return {
-            "K": plan.stage1.params.K,
+            "K": program.plan.stage1.params.K,
             "W": self.node.W,
             "V": self.node.V,
             "Y": self.node.Y,

@@ -322,13 +322,6 @@ class ExecutionPlan:
     n_local: int
     chunks_total: int
     gpus_sharing_problem: int = 1
-    #: Launch specs of this plan's kernels, built on their first launch
-    #: (:func:`repro.core.kernels.launch_spec`). Derived state, not part
-    #: of the plan's value: it is not compared, hashed or serialised, and
-    #: it dies with the plan.
-    launch_specs: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         # Section 3.1 equalities the implementation relies on.

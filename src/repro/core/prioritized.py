@@ -18,6 +18,7 @@ from repro.gpusim.arch import GPUArchitecture
 from repro.interconnect.topology import SystemTopology
 from repro.interconnect.transfer import TransferCostParams, TransferEngine
 from repro.core.executor import (
+    LaunchProgram,
     Placement,
     PlanSpec,
     ProposalSpec,
@@ -30,6 +31,7 @@ from repro.core.multi_gpu import (
     scattering_slots,
 )
 from repro.core.params import ExecutionPlan, KernelParams, NodeConfig, ProblemConfig
+from repro.core.single_gpu import three_kernel_steps
 
 
 class ScanMPPC(ScanExecutor):
@@ -106,20 +108,22 @@ class ScanMPPC(ScanExecutor):
         g_per_group = problem.G // groups_used
         v = self.node.V
         aux = groups_used * v
-        # One dispatch count per node, shared by the node's networks.
+        # One dispatch count per node, shared by the node's networks, and
+        # one set of kernel steps for every network.
         ordinals: dict = {}
+        steps = three_kernel_steps(plan, self._arch(), g_per_group)
         return tuple(
             ("network", {"group": j}, problem_scattering_flow(
-                self.topology, self.groups[j], plan, g_per_group,
+                self.topology, self.groups[j], steps, g_per_group,
                 j * v, aux + j * v, ordinals, overlap=self.overlap,
             ))
             for j in range(groups_used)
         )
 
-    def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
-        groups_used = self.groups_used(problem.G)
+    def _describe(self, program: LaunchProgram) -> dict:
+        groups_used = self.groups_used(program.problem.G)
         return {
-            "K": plan.stage1.params.K,
+            "K": program.plan.stage1.params.K,
             "W": self.node.W,
             "V": self.node.V,
             "Y": self.node.Y,

@@ -21,6 +21,7 @@ from repro.gpusim.arch import GPUArchitecture
 from repro.gpusim.device import GPU
 from repro.core.executor import (
     Launch,
+    LaunchProgram,
     PlanSpec,
     ProposalSpec,
     SingleGPUExecutor,
@@ -30,6 +31,7 @@ from repro.core.executor import (
     shrink_template_to_fit,
 )
 from repro.core.kernels import (
+    LaunchStep,
     chunk_reduce_step,
     intermediate_scan_step,
     scan_add_step,
@@ -95,11 +97,12 @@ class ScanSP(SingleGPUExecutor):
 
     def _stages(self, plan: ExecutionPlan, problem: ProblemConfig):
         # Slot 0 holds the batch, slot 1 the auxiliary array.
-        return ((None, {}, three_kernel_stages(
-            self.gpu, plan, 0, 1, vector_loads=self.vector_loads)),)
+        steps = three_kernel_steps(plan, self.gpu.arch, problem.G,
+                                   vector_loads=self.vector_loads)
+        return ((None, {}, three_kernel_stages(self.gpu, steps, 0, 1)),)
 
-    def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
-        return {"K": plan.stage1.params.K, "W": 1, "V": 1, "M": 1,
+    def _describe(self, program: LaunchProgram) -> dict:
+        return {"K": program.plan.stage1.params.K, "W": 1, "V": 1, "M": 1,
                 "gpu_ids": [self.gpu.id]}
 
 
@@ -111,19 +114,26 @@ def three_kernel_slots(gpu: GPU, plan: ExecutionPlan, source: tuple) -> tuple:
             Slot(gpu, (problem.G, plan.chunks_total), problem.dtype))
 
 
-def three_kernel_stages(
-    gpu: GPU, plan: ExecutionPlan, data: int, aux: int,
+def three_kernel_steps(
+    plan: ExecutionPlan, arch: GPUArchitecture, rows: int,
     vector_loads: bool = True,
-) -> tuple:
-    """Scan-SP's three launches on ``gpu``, as program stages over the
-    batch in slot ``data`` and its auxiliary array in slot ``aux``."""
-    arch, rows = gpu.arch, plan.problem.G
+) -> tuple[LaunchStep, LaunchStep, LaunchStep]:
+    """``plan``'s Stage 1, 2 and 3 steps over ``rows`` problems; a
+    program shares them between the GPUs that launch them."""
+    return (chunk_reduce_step(plan, arch, rows, vector_loads=vector_loads),
+            intermediate_scan_step(plan, arch),
+            scan_add_step(plan, arch, rows, vector_loads=vector_loads))
+
+
+def three_kernel_stages(gpu: GPU, steps: tuple, data: int, aux: int) -> tuple:
+    """Scan-SP's three launches of ``steps`` on ``gpu``, as program
+    stages over the batch in slot ``data`` and its auxiliary array in
+    slot ``aux``."""
+    reduce_step, scan_step, add_step = steps
     return (
-        ("stage1", (Launch(gpu, chunk_reduce_step(
-            plan, arch, rows, vector_loads=vector_loads), (data, aux)),)),
-        ("stage2", (Launch(gpu, intermediate_scan_step(plan, arch), (aux,)),)),
-        ("stage3", (Launch(gpu, scan_add_step(
-            plan, arch, rows, vector_loads=vector_loads), (data, aux)),)),
+        ("stage1", (Launch(gpu, reduce_step, (data, aux)),)),
+        ("stage2", (Launch(gpu, scan_step, (aux,)),)),
+        ("stage3", (Launch(gpu, add_step, (data, aux)),)),
     )
 
 

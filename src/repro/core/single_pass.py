@@ -23,7 +23,7 @@ the winner transparently (see ``benchmarks/bench_single_pass.py``).
 :class:`~repro.core.chained.ScanChained` is this executor with the
 protocol priced at zero: same plan (small K keeps many blocks in flight
 to pipeline the lookback, so the two share a resolver cache entry), same
-buffers and kernel body, but an idealised launch spec and no reset
+buffers and kernel body, but an idealised launch step and no reset
 launch.
 """
 
@@ -34,18 +34,14 @@ import numpy as np
 from repro.gpusim.lookback import STATE_INVALID
 from repro.core.executor import (
     Launch,
+    LaunchProgram,
     PlanSpec,
     ProposalSpec,
     SingleGPUExecutor,
     Slot,
     register_proposal,
 )
-from repro.core.kernels import (
-    _single_pass_spec,
-    descriptor_reset_step,
-    launch_spec,
-    single_pass_step,
-)
+from repro.core.kernels import descriptor_reset_step, single_pass_step
 from repro.core.params import ExecutionPlan, ProblemConfig
 
 
@@ -54,9 +50,9 @@ class ScanSinglePassDLB(SingleGPUExecutor):
 
     proposal = "sp-dlb"
     result_label = "scan-sp-dlb"
-    #: Builds the pass's :class:`~repro.core.kernels.LaunchSpec`, which
+    #: Builds the pass's :class:`~repro.core.kernels.LaunchStep`, which
     #: names the launch record and prices it.
-    build_spec = staticmethod(_single_pass_spec)
+    pass_step = staticmethod(single_pass_step)
     #: Whether a priced ``descriptor_reset`` launch clears the status plane
     #: before the pass. Without one the plane is allocated already reset.
     reset_launch = True
@@ -87,21 +83,21 @@ class ScanSinglePassDLB(SingleGPUExecutor):
         # Slots: the batch, the status plane, the descriptor pairs.
         gpu, phase = self.gpu, self.proposal
         arch = gpu.arch
-        launches = (Launch(gpu, single_pass_step(plan, arch, phase,
-                                                 self.build_spec), (0, 1, 2)),)
+        launches = (Launch(gpu, self.pass_step(plan, arch, phase), (0, 1, 2)),)
         if self.reset_launch:
             plane = (problem.G, plan.stage1.bx)
             launches = (Launch(gpu, descriptor_reset_step(
                 plan, arch, plane, phase), (1,)),) + launches
         return ((None, {}, ((phase, launches),)),)
 
-    def _describe(self, problem: ProblemConfig, plan: ExecutionPlan) -> dict:
-        spec = launch_spec(plan, self.gpu.arch, _single_pass_spec)
+    def _describe(self, program: LaunchProgram) -> dict:
+        # The pass is the program's last launch.
+        step = program.launches[-1].step
         return {
-            "K": plan.stage1.params.K,
+            "K": program.plan.stage1.params.K,
             "single_pass": True,
-            "lookback_window": spec.lookback.window,
-            "lookback_capacity": spec.capacity,
+            "lookback_window": step.lookback.window,
+            "lookback_capacity": step.capacity,
             "gpu_ids": [self.gpu.id],
         }
 

@@ -17,11 +17,9 @@ import numpy as np
 
 from repro.errors import TuningError
 from repro.interconnect.topology import SystemTopology
-from repro.core.multi_gpu import ScanMPS
-from repro.core.multi_node import ScanMultiNodeMPS
+from repro.core.executor import get_proposal
 from repro.core.params import NodeConfig, ProblemConfig
 from repro.core.premises import derive_stage_kernel_params, k_search_space
-from repro.core.prioritized import ScanMPPC
 from repro.core.results import ScanResult
 from repro.core.single_gpu import ScanSP, shrink_template_to_fit
 from repro.core.single_pass import ScanSinglePassDLB
@@ -131,41 +129,44 @@ class PremiseTuner:
 
     # ------------------------------------------------------------- proposals
 
+    def sweep(
+        self,
+        proposal: str,
+        problem: ProblemConfig,
+        node: NodeConfig | None = None,
+        data: np.ndarray | None = None,
+    ) -> TuningOutcome:
+        """Time every K of ``proposal``'s premise search space at ``problem``.
+
+        Each candidate is built through the proposal registry, so it is
+        placed as a served request would be (``sp`` on the first healthy
+        GPU). With a ``data`` batch each candidate runs it; without one
+        each estimates ``problem``, which prices the same launches and
+        copies (and ticks the same fault schedules) without allocating a
+        batch, so it picks the same K. Scattering sweeps ``mps`` on one
+        node and ``mn-mps`` over more, whichever of the two is named, in
+        the ``mps`` search space (Premise 4 bounds scattering over all
+        M*W GPUs either way).
+        """
+        scattering = proposal in ("mps", "mn-mps")
+        space = self.search_space(problem, "mps" if scattering else proposal, node)
+        if scattering:
+            proposal = "mn-mps" if node.M > 1 else "mps"
+        spec = get_proposal(proposal)
+
+        def run(k: int) -> ScanResult:
+            executor = spec.build(self.topology, node, k)
+            if data is None:
+                return executor.estimate(problem)
+            return executor.run(data, operator=problem.operator, collect=False)
+
+        return tune_k(run, space, proposal=proposal)
+
     def tune_sp(self, data: np.ndarray, operator="add") -> TuningOutcome:
-        gpu = self.topology.gpus[0]
-        batch = np.atleast_2d(np.asarray(data))
-        problem = ProblemConfig.from_sizes(
-            N=batch.shape[1], G=batch.shape[0], dtype=batch.dtype, operator=operator
-        )
-        space = self.search_space(problem, "sp")
-        return tune_k(
-            lambda k: ScanSP(gpu, K=k).run(data, operator=operator, collect=False),
-            space,
-            proposal="sp",
-        )
+        return self.sweep("sp", _batch_problem(data, operator), data=data)
 
     def tune_mps(self, node: NodeConfig, data: np.ndarray, operator="add") -> TuningOutcome:
-        batch = np.atleast_2d(np.asarray(data))
-        problem = ProblemConfig.from_sizes(
-            N=batch.shape[1], G=batch.shape[0], dtype=batch.dtype, operator=operator
-        )
-        if node.M > 1:
-            space = self.search_space(problem, "mps", node)
-            return tune_k(
-                lambda k: ScanMultiNodeMPS(self.topology, node, K=k).run(
-                    data, operator=operator, collect=False
-                ),
-                space,
-                proposal="mn-mps",
-            )
-        space = self.search_space(problem, "mps", node)
-        return tune_k(
-            lambda k: ScanMPS(self.topology, node, K=k).run(
-                data, operator=operator, collect=False
-            ),
-            space,
-            proposal="mps",
-        )
+        return self.sweep("mps", _batch_problem(data, operator), node, data)
 
     def tune_single_gpu_variant(self, problem: ProblemConfig) -> VariantOutcome:
         """Three-kernel pipeline vs decoupled lookback for one problem.
@@ -197,15 +198,12 @@ class PremiseTuner:
         return VariantOutcome(best=best, candidates=candidates)
 
     def tune_mppc(self, node: NodeConfig, data: np.ndarray, operator="add") -> TuningOutcome:
-        batch = np.atleast_2d(np.asarray(data))
-        problem = ProblemConfig.from_sizes(
-            N=batch.shape[1], G=batch.shape[0], dtype=batch.dtype, operator=operator
-        )
-        space = self.search_space(problem, "mppc", node)
-        return tune_k(
-            lambda k: ScanMPPC(self.topology, node, K=k).run(
-                data, operator=operator, collect=False
-            ),
-            space,
-            proposal="mppc",
-        )
+        return self.sweep("mppc", _batch_problem(data, operator), node, data)
+
+
+def _batch_problem(data: np.ndarray, operator) -> ProblemConfig:
+    """The problem a host batch poses (inclusive, as a sweep runs it)."""
+    batch = np.atleast_2d(np.asarray(data))
+    return ProblemConfig.from_sizes(
+        N=batch.shape[1], G=batch.shape[0], dtype=batch.dtype, operator=operator
+    )

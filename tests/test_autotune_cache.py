@@ -16,7 +16,9 @@ from repro.core.autotune_cache import (
     cost_fingerprint,
 )
 from repro.core.params import NodeConfig, ProblemConfig
+from repro.core.tuner import PremiseTuner
 from repro.gpusim.arch import KEPLER_K80, MAXWELL_GM200
+from repro.gpusim.device import GPU
 from repro.interconnect.topology import tsubame_kfc
 from repro.interconnect.transfer import TransferCostParams
 
@@ -224,6 +226,46 @@ class TestCachedTuner:
         tuner = CachedTuner(machine)
         with pytest.raises(TuningError):
             tuner.best_k(ProblemConfig.from_sizes(N=1 << 14), "teleport")
+
+
+class TestSweepWithoutBatch:
+    """A K sweep with no batch (an estimate's, a controller's re-tune)
+    estimates its candidates: nothing is uploaded, and every candidate
+    is timed as a functional sweep times it."""
+
+    @pytest.mark.parametrize("proposal,placement,nodes", [
+        ("sp", {}, 1),
+        ("mps", {"W": 4, "V": 4}, 1),
+        ("mppc", {"W": 8, "V": 4}, 1),
+        ("mn-mps", {"W": 4, "V": 4, "M": 2}, 2),
+    ])
+    def test_estimate_uploads_nothing_and_picks_the_functional_k(
+        self, monkeypatch, proposal, placement, nodes
+    ):
+        uploads = []
+        real = GPU.upload
+
+        def counted(self, host):
+            uploads.append(np.shape(host))
+            return real(self, host)
+
+        monkeypatch.setattr(GPU, "upload", counted)
+        problem = ProblemConfig.from_sizes(N=1 << 16, G=4)
+        session = ScanSession(tsubame_kfc(nodes), autotune_cache=AutotuneCache())
+        estimate = session.estimate(problem, proposal=proposal, K="tune",
+                                    **placement)
+        assert uploads == []
+
+        data = np.random.default_rng(0).integers(
+            0, 100, (problem.G, problem.N)).astype(problem.dtype)
+        functional = ScanSession(tsubame_kfc(nodes),
+                                 autotune_cache=AutotuneCache())
+        ran = functional.scan(data, proposal=proposal, K="tune", **placement)
+        assert estimate.config["K"] == ran.config["K"]
+        node = NodeConfig.from_counts(**placement) if placement else None
+        tuner = PremiseTuner(tsubame_kfc(nodes))
+        assert (tuner.sweep(proposal, problem, node)
+                == tuner.sweep(proposal, problem, node, data))
 
 
 class TestVariantSelection:

@@ -3,6 +3,7 @@
 
 from repro.core.compare import compare_proposals, format_comparison
 from repro.core.params import ProblemConfig
+from repro.core.single_gpu import ScanSP
 
 
 class TestCompare:
@@ -53,6 +54,22 @@ class TestCompare:
         rows = compare_proposals(machine, problem, include_baselines=False)
         chained = next(r for r in rows if r.name == "scan-chained")
         assert chained.kind == "extension"
+
+    def test_degraded_machine(self, machine):
+        """With GPU 0 offline the one-GPU candidates run on GPU 1, and a
+        placement the survivors cannot hold is left out like an
+        infeasible shape."""
+        problem = ProblemConfig.from_sizes(N=1 << 16, G=16)
+        healthy = {r.name: r for r in
+                   compare_proposals(machine, problem, include_baselines=False)}
+        machine.mark_offline(0)
+        rows = compare_proposals(machine, problem, include_baselines=False)
+        names = {r.name for r in rows}
+        assert {"scan-sp", "scan-chained", "scan-sp-dlb"} <= names
+        assert "scan-mps W=8" in healthy and "scan-mps W=8" not in names
+        sp = next(r for r in rows if r.name == "scan-sp")
+        assert sp.time_s == ScanSP(machine.gpus[1]).estimate(problem).total_time_s
+        assert sp.time_s == healthy["scan-sp"].time_s
 
     def test_format(self, machine):
         problem = ProblemConfig.from_sizes(N=1 << 14, G=16)

@@ -13,14 +13,14 @@ from repro.core import kernels
 from repro.core.chained import ScanChained
 from repro.core.kernels import (
     _lookback_geometry,
+    chunk_reduce_step,
     chunk_reduce_stats,
+    descriptor_reset_step,
+    intermediate_scan_step,
     intermediate_scan_stats,
-    launch_chunk_reduce,
-    launch_descriptor_reset,
-    launch_intermediate_scan,
-    launch_scan_add,
-    launch_single_pass_scan,
+    scan_add_step,
     scan_add_stats,
+    single_pass_step,
 )
 from repro.core.params import KernelParams, ProblemConfig
 from repro.core.plan import build_execution_plan
@@ -50,19 +50,19 @@ def make_setup(gpu, n=1 << 14, g=4, k=2, dtype=np.int32, operator="add",
 class TestChunkReduce:
     def test_writes_chunk_reductions(self, gpu):
         problem, plan, host, data, aux = make_setup(gpu)
-        launch_chunk_reduce(Trace(), gpu, data, aux, plan)
+        chunk_reduce_step(plan, gpu.arch, problem.G).launch(Trace(), gpu, data, aux)
         chunk = plan.chunk_size
         expected = host.reshape(problem.G, -1, chunk).sum(axis=-1, dtype=np.int32)
         np.testing.assert_array_equal(aux.to_host(), expected)
 
     def test_does_not_modify_input(self, gpu):
         problem, plan, host, data, aux = make_setup(gpu)
-        launch_chunk_reduce(Trace(), gpu, data, aux, plan)
+        chunk_reduce_step(plan, gpu.arch, problem.G).launch(Trace(), gpu, data, aux)
         np.testing.assert_array_equal(data.to_host(), host)
 
     def test_max_operator(self, gpu):
         problem, plan, host, data, aux = make_setup(gpu, operator="max")
-        launch_chunk_reduce(Trace(), gpu, data, aux, plan)
+        chunk_reduce_step(plan, gpu.arch, problem.G).launch(Trace(), gpu, data, aux)
         chunk = plan.chunk_size
         expected = host.reshape(problem.G, -1, chunk).max(axis=-1)
         np.testing.assert_array_equal(aux.to_host(), expected)
@@ -70,8 +70,9 @@ class TestChunkReduce:
     def test_column_offset(self, gpu):
         problem, plan, host, data, _ = make_setup(gpu)
         wide = gpu.alloc((problem.G, 2 * plan.chunks_total), np.int32, fill=-1)
-        launch_chunk_reduce(Trace(), gpu, data, wide, plan,
-                            chunk_column_offset=plan.chunks_total)
+        chunk_reduce_step(plan, gpu.arch, problem.G).launch(
+            Trace(), gpu, data,
+            wide.view(slice(None), slice(plan.chunks_total, None)))
         out = wide.to_host()
         assert (out[:, : plan.chunks_total] == -1).all()
         chunk = plan.chunk_size
@@ -82,7 +83,8 @@ class TestChunkReduce:
         for dtype, fast in WARP_FLOWS:
             problem, plan, host, data, aux = make_setup(gpu, dtype=dtype)
             with fast_paths(fast):
-                record = launch_chunk_reduce(Trace(), gpu, data, aux, plan)
+                record = chunk_reduce_step(plan, gpu.arch, problem.G).launch(
+                    Trace(), gpu, data, aux)
             analytic = chunk_reduce_stats(plan, gpu.arch.warp_size)
             assert record.global_bytes_read == analytic.global_bytes_read
             assert record.global_bytes_written == analytic.global_bytes_written
@@ -93,16 +95,17 @@ class TestChunkReduce:
 class TestIntermediateScan:
     def test_exclusive_scan_in_place(self, gpu):
         problem, plan, host, data, aux = make_setup(gpu)
-        launch_chunk_reduce(Trace(), gpu, data, aux, plan)
+        chunk_reduce_step(plan, gpu.arch, problem.G).launch(Trace(), gpu, data, aux)
         before = aux.to_host()
-        launch_intermediate_scan(Trace(), gpu, aux, plan)
+        intermediate_scan_step(plan, gpu.arch).launch(Trace(), gpu, aux)
         np.testing.assert_array_equal(aux.to_host(), exclusive_scan(before, axis=-1))
 
     def test_stats_match_closed_form(self, gpu):
         for dtype, fast in WARP_FLOWS:
             problem, plan, host, data, aux = make_setup(gpu, dtype=dtype)
             with fast_paths(fast):
-                record = launch_intermediate_scan(Trace(), gpu, aux, plan)
+                record = intermediate_scan_step(plan, gpu.arch).launch(
+                    Trace(), gpu, aux)
             analytic = intermediate_scan_stats(plan, gpu.arch.warp_size)
             assert record.global_bytes_read == analytic.global_bytes_read
             assert record.shuffle_instructions == analytic.shuffle_instructions
@@ -112,9 +115,9 @@ class TestScanAdd:
     def run_pipeline(self, gpu, **kwargs):
         problem, plan, host, data, aux = make_setup(gpu, **kwargs)
         trace = Trace()
-        launch_chunk_reduce(trace, gpu, data, aux, plan)
-        launch_intermediate_scan(trace, gpu, aux, plan)
-        launch_scan_add(trace, gpu, data, aux, plan)
+        chunk_reduce_step(plan, gpu.arch, problem.G).launch(trace, gpu, data, aux)
+        intermediate_scan_step(plan, gpu.arch).launch(trace, gpu, aux)
+        scan_add_step(plan, gpu.arch, problem.G).launch(trace, gpu, data, aux)
         return problem, host, data.to_host(), trace
 
     def test_inclusive_result(self, gpu):
@@ -144,9 +147,11 @@ class TestScanAdd:
             problem, plan, host, data, aux = make_setup(gpu, dtype=dtype)
             trace = Trace()
             with fast_paths(fast):
-                launch_chunk_reduce(trace, gpu, data, aux, plan)
-                launch_intermediate_scan(trace, gpu, aux, plan)
-                record = launch_scan_add(trace, gpu, data, aux, plan)
+                chunk_reduce_step(plan, gpu.arch, problem.G).launch(
+                    trace, gpu, data, aux)
+                intermediate_scan_step(plan, gpu.arch).launch(trace, gpu, aux)
+                record = scan_add_step(plan, gpu.arch, problem.G).launch(
+                    trace, gpu, data, aux)
             analytic = scan_add_stats(plan, gpu.arch.warp_size)
             assert record.global_bytes_read == analytic.global_bytes_read
             assert record.global_bytes_written == analytic.global_bytes_written
@@ -171,9 +176,10 @@ class TestBlockIndependence:
         for gpu in (vec_gpu, blk_gpu):
             problem, plan, host, data, aux = make_setup(gpu, n=1 << 13, g=2, k=2)
             trace = Trace()
-            launch_chunk_reduce(trace, gpu, data, aux, plan)
-            launch_intermediate_scan(trace, gpu, aux, plan)
-            launch_scan_add(trace, gpu, data, aux, plan)
+            chunk_reduce_step(plan, gpu.arch, problem.G).launch(
+                trace, gpu, data, aux)
+            intermediate_scan_step(plan, gpu.arch).launch(trace, gpu, aux)
+            scan_add_step(plan, gpu.arch, problem.G).launch(trace, gpu, data, aux)
             results.append(data.to_host())
             stats.append([
                 (r.global_bytes_read, r.global_bytes_written,
@@ -228,7 +234,8 @@ def run_every_kernel(host, op, inclusive, mode, template):
 
     The three-kernel pipeline runs as two GPUs' shares of each problem
     would on one device: both halves reduce into one auxiliary array, the
-    second at ``chunk_column_offset = Bx``. sp-dlb scans the whole batch.
+    second through a column view from ``Bx`` on. sp-dlb scans the whole
+    batch.
     """
     gpu = GPU(0, KEPLER_K80, engine=ExecutionEngine(mode, np.random.default_rng(4)))
     g, n = host.shape
@@ -239,14 +246,15 @@ def run_every_kernel(host, op, inclusive, mode, template):
     bx = shared.stage1.bx
     halves = [gpu.upload(host[:, : n // 2]), gpu.upload(host[:, n // 2:])]
     aux = gpu.alloc((g, shared.chunks_total), host.dtype)
+    columns = [aux.view(slice(None), slice(i * bx, (i + 1) * bx)) for i in range(2)]
     trace = Trace()
-    for i, half in enumerate(halves):
-        launch_chunk_reduce(trace, gpu, half, aux, shared, chunk_column_offset=i * bx)
+    for half, cols in zip(halves, columns):
+        chunk_reduce_step(shared, gpu.arch, g).launch(trace, gpu, half, cols)
     out = {"stage1": aux.to_host()}
-    launch_intermediate_scan(trace, gpu, aux, shared)
+    intermediate_scan_step(shared, gpu.arch).launch(trace, gpu, aux)
     out["stage2"] = aux.to_host()
-    for i, half in enumerate(halves):
-        launch_scan_add(trace, gpu, half, aux, shared, chunk_column_offset=i * bx)
+    for half, cols in zip(halves, columns):
+        scan_add_step(shared, gpu.arch, g).launch(trace, gpu, half, cols)
     out["stage3"] = np.concatenate([h.to_host() for h in halves], axis=1)
 
     single = build_execution_plan(gpu.arch, problem, K=template.K,
@@ -255,8 +263,8 @@ def run_every_kernel(host, op, inclusive, mode, template):
     status = gpu.alloc((g, single.stage1.bx), np.int32)
     # Block 0 never publishes an aggregate: fill so the planes compare.
     descriptors = gpu.alloc((g, single.stage1.bx, 2), host.dtype, fill=0)
-    launch_descriptor_reset(trace, gpu, status, single)
-    launch_single_pass_scan(trace, gpu, data, status, descriptors, single)
+    descriptor_reset_step(single, gpu.arch, status.shape).launch(trace, gpu, status)
+    single_pass_step(single, gpu.arch).launch(trace, gpu, data, status, descriptors)
     out.update(sp_dlb=data.to_host(), status=status.to_host(),
                descriptors=descriptors.to_host())
     return out, list(trace.kernel_records()), (shared, single)

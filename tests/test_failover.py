@@ -122,6 +122,18 @@ class TestDeviceLossFailover:
         np.testing.assert_array_equal(result.output, np.cumsum(data, axis=1))
         assert result.config["gpu_ids"] == [1]
 
+    def test_tuned_k_sweeps_on_a_healthy_peer(self, rng):
+        """A K sweep places its candidates as the request is placed: GPU
+        0 lost mid-sweep, the retry sweeps and serves on GPU 1."""
+        machine = tsubame_kfc(1)
+        session = ScanSession(machine)
+        data = batch(rng, g=16, n=1 << 14)
+        machine.install_faults(FaultSchedule([DeviceDown(at_call=1, gpu_id=0)]))
+        result = session.scan(data, proposal="sp", K="tune")
+        np.testing.assert_array_equal(result.output, np.cumsum(data, axis=1))
+        assert result.config["gpu_ids"] == [1]
+        assert result.config["failover"]["attempts"] == 2
+
     def test_obs_records_failover_span_and_retry_counter(self, rng):
         machine = tsubame_kfc(1)
         obs.reset()

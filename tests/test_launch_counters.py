@@ -1,6 +1,6 @@
 """One source of launch counters, and buffers that decide whether work happens.
 
-Every kernel launch is priced from its ``LaunchSpec``'s closed-form
+Every kernel launch is priced from its ``LaunchStep``'s closed-form
 counters, so kernel bodies only move data. Whether they do is decided by
 the buffers: a body runs, and a copy or collective moves data, only when
 its destination is a real buffer. These tests pin both halves:
@@ -9,7 +9,9 @@ its destination is a real buffer. These tests pin both halves:
   under the vectorized and the blockwise engine;
 - *virtual buffers decide*: an estimate runs no kernel body, and a copy
   or any collective into virtual buffers records the trace the same call
-  records on real buffers, and writes nothing.
+  records on real buffers, and writes nothing;
+- *direct launches*: ``LaunchStep.launch`` checks residency and shapes,
+  and a virtual buffer runs no body there either.
 """
 
 from __future__ import annotations
@@ -17,8 +19,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.kernels import (
+    chunk_reduce_step,
+    intermediate_scan_step,
+    single_pass_step,
+)
 from repro.core.params import ProblemConfig
+from repro.core.plan import build_execution_plan
 from repro.core.session import ScanSession
+from repro.errors import ConfigurationError, DeviceMismatchError
 from repro.gpusim.events import Trace
 from repro.gpusim.faults import FaultPlan, FaultyTransferEngine
 from repro.gpusim.kernel import ExecutionEngine, LaunchStats
@@ -93,6 +102,55 @@ class TestVirtualLaunches:
         estimated = session.estimate(problem, proposal=proposal, **placement)
         assert bodies == []
         assert estimated.trace.records == functional.trace.records
+
+
+class TestDirectLaunch:
+    """``LaunchStep.launch``, the kernels' one direct entry point."""
+
+    @staticmethod
+    def _plan(gpu):
+        problem = ProblemConfig.from_sizes(N=SHAPE[1], G=SHAPE[0])
+        return build_execution_plan(gpu.arch, problem, K=1)
+
+    def test_checks_residency_and_shapes(self, machine):
+        gpu, other = machine.gpu(0), machine.gpu(1)
+        plan = self._plan(gpu)
+        g, bx = SHAPE[0], plan.stage1.bx
+        data = gpu.alloc(SHAPE, np.int32)
+        aux = gpu.alloc((g, plan.chunks_total), np.int32)
+        reduce_step = chunk_reduce_step(plan, gpu.arch, g)
+        with pytest.raises(DeviceMismatchError):
+            reduce_step.launch(Trace(), gpu, data, other.alloc(aux.shape, np.int32))
+        with pytest.raises(ConfigurationError, match="elements per problem"):
+            reduce_step.launch(Trace(), gpu,
+                               data.view(slice(None), slice(0, SHAPE[1] // 2)), aux)
+        with pytest.raises(ConfigurationError, match="chunk columns"):
+            intermediate_scan_step(plan, gpu.arch).launch(
+                Trace(), gpu, gpu.alloc((g, plan.chunks_total + 1), np.int32))
+        with pytest.raises(ConfigurationError, match="descriptor planes"):
+            single_pass_step(plan, gpu.arch).launch(
+                Trace(), gpu, data, gpu.alloc((g, bx + 1), np.int32),
+                gpu.alloc((g, bx, 2), np.int32))
+
+    def test_a_virtual_buffer_runs_no_body(self, machine, monkeypatch):
+        gpu = machine.gpu(0)
+        plan = self._plan(gpu)
+        data = gpu.upload(_data(np.int32))
+        aux_shape = (SHAPE[0], plan.chunks_total)
+        step = chunk_reduce_step(plan, gpu.arch, SHAPE[0])
+        real = step.launch(Trace(), gpu, data, gpu.alloc(aux_shape, np.int32))
+        bodies = []
+        run = ExecutionEngine.run
+
+        def counted(self, ctx, body, ordered=False):
+            bodies.append(1)
+            return run(self, ctx, body, ordered)
+
+        monkeypatch.setattr(ExecutionEngine, "run", counted)
+        virtual = step.launch(Trace(), gpu, data,
+                              gpu.alloc_virtual(aux_shape, np.int32))
+        assert bodies == []
+        assert virtual == real
 
 
 class TestVirtualCopies:

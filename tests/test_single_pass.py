@@ -23,8 +23,8 @@ import pytest
 
 from repro.core.kernels import (
     _lookback_geometry,
-    launch_descriptor_reset,
-    launch_single_pass_scan,
+    descriptor_reset_step,
+    single_pass_step,
 )
 from repro.core.params import ProblemConfig
 from repro.core.chained import ScanChained
@@ -165,9 +165,10 @@ class TestLookbackProtocol:
             device_data = gpu.upload(data)
             status = gpu.alloc((g, bx), np.int32)
             descriptors = gpu.alloc((g, bx, 2), data.dtype)
-            launch_descriptor_reset(trace, gpu, status, plan)
-            launch_single_pass_scan(
-                trace, gpu, device_data, status, descriptors, plan
+            descriptor_reset_step(plan, gpu.arch, status.shape).launch(
+                trace, gpu, status)
+            single_pass_step(plan, gpu.arch).launch(
+                trace, gpu, device_data, status, descriptors
             )
 
             assert (status.data == STATE_PREFIX).all()

@@ -15,9 +15,9 @@ from repro.gpusim.device import GPU
 from repro.gpusim.events import Trace
 from repro.gpusim.warp import warp_exclusive_scan, warp_inclusive_scan
 from repro.core.kernels import (
-    launch_chunk_reduce,
-    launch_intermediate_scan,
-    launch_scan_add,
+    chunk_reduce_step,
+    intermediate_scan_step,
+    scan_add_step,
 )
 from repro.core.params import KernelParams, ProblemConfig
 from repro.core.plan import build_execution_plan
@@ -58,9 +58,9 @@ class TestToyKernelPipeline:
         aux = gpu.alloc((g, plan.chunks_total), host.dtype)
         trace = Trace()
         with fast_paths(False):
-            launch_chunk_reduce(trace, gpu, data, aux, plan)
-            launch_intermediate_scan(trace, gpu, aux, plan)
-            launch_scan_add(trace, gpu, data, aux, plan)
+            chunk_reduce_step(plan, gpu.arch, g).launch(trace, gpu, data, aux)
+            intermediate_scan_step(plan, gpu.arch).launch(trace, gpu, aux)
+            scan_add_step(plan, gpu.arch, g).launch(trace, gpu, data, aux)
         out = data.to_host()
         gpu.free(aux)
         gpu.free(data)

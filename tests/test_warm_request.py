@@ -3,14 +3,14 @@
 A served request used to pay for work unrelated to its data: the service
 re-validated its spelling, rebuilt and sorted a deadline list over every
 queue on each clock advance and summed every queue for each depth read,
-and an executor re-derived its buffer shapes, launch specs, kernel bodies,
+and an executor re-derived its buffer shapes, launch steps, kernel bodies,
 copy message counts and MPI records on every call. These tests pin three
 things:
 
 - *host cost*: a warm submit validates nothing and builds the deadline
   list only when a flush is due; a warm call of any executor (``sp``,
-  ``sp-dlb``, ``chained``, ``pp``, ``mps``, ``mppc`` and ``mn-mps``) asks
-  for no launch spec, builds no launch program, binds no body, asks no
+  ``sp-dlb``, ``chained``, ``pp``, ``mps``, ``mppc`` and ``mn-mps``) builds
+  no launch step and no launch program, binds no body, asks no
   P2P route and prices no MPI leg while the buffer pools hand back the
   same blocks;
 - *same accounting*: pool counters, flush times and reasons, batch logs,
@@ -127,25 +127,25 @@ def _same_result(got, want) -> None:
 
 @pytest.fixture
 def derivations(monkeypatch) -> Counter:
-    """Count launch-spec lookups, body binds, program builds (each build
-    derives a plan's buffer slots and stages), P2P route questions and
-    MPI leg pricing.
+    """Count launch-step builds (at the class, which no import can
+    bypass), body binds, program builds (each build derives a plan's
+    buffer slots and stages), P2P route questions and MPI leg pricing.
 
     Installed before a test's first call, so the programs it builds hold
     the counting binders.
     """
     counts: Counter = Counter()
 
-    def spy(owner, name):
+    def spy(owner, name, key=None):
         real = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[key or name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(kernels, "launch_spec")
+    spy(kernels.LaunchStep, "__init__", "LaunchStep")
     for name in BINDERS:
         spy(kernels, name)
     spy(SystemTopology, "p2p_usable")
@@ -202,7 +202,7 @@ class TestHeldProgramHostCost:
         session = _session(_machine_for(proposal, engine))
         data = _data(shape)
         first = session.scan(data, proposal=proposal, **spec)
-        assert derivations["launch_spec"] > 0
+        assert derivations["LaunchStep"] > 0
         assert derivations["_slots"] == derivations["_stages"] > 0
         assert sum(derivations[name] for name in BINDERS) > 0
         before = _pools(session)
@@ -228,7 +228,7 @@ class TestHeldProgramHostCost:
         estimate = session.estimate(functional.problem, proposal=proposal,
                                     **spec)
         assert sum(derivations[name] for name in BINDERS) == 0
-        assert derivations["launch_spec"] == 0
+        assert derivations["LaunchStep"] == 0
         assert estimate.trace.records == functional.trace.records
         assert estimate.config == {**functional.config, "estimated": True}
 
@@ -404,7 +404,7 @@ class TestHeldProgramInvalidation:
             derivations.clear()
             warm = session.scan(data, proposal="sp")
             assert warm.config["K"] == 2
-            assert derivations["launch_spec"] == 3
+            assert derivations["LaunchStep"] == 3
             _same_result(warm, _session(machine).scan(data, proposal="sp"))
         finally:
             ScanExecutor.resolver = original
@@ -422,7 +422,7 @@ class TestHeldProgramInvalidation:
             gpu.arch = arch
         derivations.clear()
         warm = session.scan(data, proposal=proposal, **spec)
-        assert derivations["launch_spec"] > 0
+        assert derivations["LaunchStep"] > 0
         _same_result(warm, first)
 
 
