@@ -25,6 +25,16 @@ def test_functional_sp(machine, batch, benchmark):
     assert result.total_time_s > 0
 
 
+@pytest.mark.parametrize("proposal", ["sp", "sp-dlb"])
+def test_functional_float32(machine, batch, proposal, benchmark):
+    """The float block flow on 16 x 2^14 elements. The values are
+    integer-valued with sums below 2^24, so every association is exact
+    and the output must equal ``np.cumsum``."""
+    floats = batch.astype(np.float32)
+    result = benchmark(lambda: scan(floats, topology=machine, proposal=proposal))
+    assert result.output.tobytes() == np.cumsum(floats, axis=1).tobytes()
+
+
 def test_functional_mps_w4(machine, batch, benchmark):
     result = benchmark(
         lambda: scan(batch, topology=machine, proposal="mps", W=4, V=4, collect=False)

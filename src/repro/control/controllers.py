@@ -409,6 +409,7 @@ class TuneController(Controller):
         """
         import numpy as np
 
+        from repro.core.executor import get_proposal
         from repro.core.health import HealthTracker
         from repro.core.params import ProblemConfig
         from repro.errors import ReproError
@@ -428,9 +429,15 @@ class TuneController(Controller):
                 # machine.
                 if service.W == 1 and service.proposal in ("auto", "sp", "sp-dlb"):
                     session.tuner.best_single_gpu_variant(problem)
-                if service.K == "tune" and service.proposal in (
-                        "sp", "mps", "mn-mps", "mppc"):
-                    session.tuner.best_k(problem, proposal=service.proposal)
+                # K is warmed for the proposal and placement the key's next
+                # batch resolves, through the session's own resolution.
+                if service.K == "tune":
+                    node, proposal = session._resolve(
+                        problem, service.proposal, service.W, service.V,
+                        service.M, service.K,
+                    )
+                    if get_proposal(proposal).tunable:
+                        session._tuned_k(problem, proposal, node)
             except ReproError as exc:
                 if isinstance(exc, HealthTracker.RETRYABLE):
                     session.health.record_failure(exc)

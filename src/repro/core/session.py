@@ -815,11 +815,17 @@ class ScanSession:
             # Problem parallelism tunes per-GPU sub-batches; the chained
             # scan pins K at the bottom of the space by design.
             return None
+        return self._tuned_k(request.problem, request.proposal, request.node,
+                             request.batch)
+
+    def _tuned_k(self, problem: ProblemConfig, proposal: str, node: NodeConfig,
+                 data=None) -> int:
+        """The tuner's K for ``proposal`` placed on ``node``: swept over
+        ``data`` when given, estimated otherwise. ``sp`` sweeps on the
+        first healthy GPU, so its placement is not part of the decision."""
         return self.tuner.best_k(
-            request.problem,
-            proposal=request.proposal,
-            node=None if request.proposal == "sp" else request.node,
-            data=request.batch,
+            problem, proposal=proposal,
+            node=None if proposal == "sp" else node, data=data,
         )
 
     # -------------------------------------------------------------- service

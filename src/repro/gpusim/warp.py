@@ -12,6 +12,10 @@ over however many warps execute the instruction simultaneously. Each
 function is lane-exact: it computes precisely what the corresponding PTX
 instruction produces per lane, including the "keep own value when the
 source lane is out of range" semantics of ``__shfl_up``/``__shfl_down``.
+
+The LF warp scan runs lane-major internally: it copies the lanes into a
+``(width, warps)`` array, so each LF stage is one broadcast combine over
+contiguous rows of every warp, and returns a lane-last view of it.
 """
 
 from __future__ import annotations
@@ -158,14 +162,19 @@ def warp_inclusive_scan(
     Returns the scanned lanes plus the per-warp instruction cost, which the
     kernel stats counters aggregate for the cost model.
 
-    The LF pattern is executed stage by stage with ``shfl_idx`` broadcasts
-    (each (dst, src) pair is one lane reading another lane's register), the
-    KS pattern with ``shfl_up``; both are lane-exact simulations.
+    The LF pattern runs lane-major: the lanes are copied into a
+    ``(width, warps)`` array, and each LF(0) stage is one broadcast combine
+    on contiguous rows, every lane of an upper half reading the last lane
+    of its lower half (``x[dst] = op(x[src], x[dst])``, source first). The
+    KS pattern gathers and scatters its (dst, src) lanes. Both are
+    lane-exact: each lane combines the same registers in the same order.
     """
     operator = resolve_operator(op)
     _check_lanes(values, width)
     ilog2(width)
     cost = _inclusive_cost(width, pattern)
+    if pattern == "lf":
+        return _lf_lane_major(values, operator, width).T.reshape(values.shape), cost
     out = values.copy()
     for dsts, srcs in _scan_steps(width, pattern):
         gathered = out[..., srcs]
@@ -173,6 +182,28 @@ def warp_inclusive_scan(
         # gather is unavoidable (fancy indexing), the combine is not.
         out[..., dsts] = operator.combine(gathered, out[..., dsts], out=gathered)
     return out, cost
+
+
+def _lf_lane_major(values: np.ndarray, operator: Operator, width: int) -> np.ndarray:
+    """LF(0) inclusive scan of ``values``' lanes, as a new ``(width, warps)``
+    array.
+
+    Stage ``s`` splits the lanes into blocks of ``2^(s+1)`` and combines
+    each block's lower-half pivot into its upper half. The lanes are
+    always copied: the stages write in place, and a caller's array must
+    not see them (a contiguous one-warp input is its own lane-major
+    view). A strided input is compacted first, reading it in memory
+    order, which is cheaper than transposing out of it.
+    """
+    lanes = np.ascontiguousarray(values.reshape(-1, width)).T.copy()
+    warps = lanes.shape[1]
+    half = 1
+    while half < width:
+        blocks = lanes.reshape(width // (2 * half), 2, half, warps)
+        upper = blocks[:, 1]
+        operator.combine(blocks[:, 0, -1:], upper, out=upper)
+        half *= 2
+    return lanes
 
 
 def warp_exclusive_scan(

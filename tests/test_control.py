@@ -256,6 +256,35 @@ class TestTuneController:
         _feed(service, 16, rate=0)
         assert ctrl.decisions == []
 
+    def test_multi_gpu_service_retunes_k_on_its_placement(self):
+        """An ``mps`` service with ``K="tune"`` re-tunes K for the node its
+        batches resolve to: after a degrade, the next batch of a warmed
+        shape finds its K in the tuner cache instead of sweeping inline."""
+        topology = tsubame_kfc(1)
+        ctrl = TuneController()
+        session = ScanSession(topology)
+        service = session.service(proposal="mps", W=4, V=4, K="tune",
+                                  max_batch=2, controller=ctrl)
+        rng = np.random.default_rng(0)
+
+        def serve(n):
+            for _ in range(2):
+                service.submit(rng.integers(0, 100, n).astype(np.int32))
+
+        serve(1 << 14)
+        serve(1 << 13)
+        fingerprint = cost_fingerprint(topology)
+        topology.mark_offline(6)  # outside the placement (GPUs 0-3)
+        session.health.epoch += 1
+        assert cost_fingerprint(topology) != fingerprint
+        serve(1 << 14)  # its batch boundary re-tunes the hot shapes
+        assert [d.action for d in ctrl.decisions] == ["retune"]
+        assert len(ctrl.decisions[0].after["warmed"]) == 2
+        misses = session.tuner.cache.misses
+        serve(1 << 13)
+        assert session.tuner.cache.misses == misses
+        assert service.stats()["served"] == 8
+
     @staticmethod
     def _retune_under(faults):
         """Warm a 2^12 float32 shape, arm ``faults`` (GPU 0 lost at the

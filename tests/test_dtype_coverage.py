@@ -8,6 +8,9 @@ from repro.core.params import ProblemConfig
 from repro.errors import ConfigurationError
 from repro.core.premises import premise2_p
 from repro.core.single_gpu import ScanSP
+from repro.gpusim.kernel import ExecutionEngine
+from repro.interconnect.topology import tsubame_kfc
+from repro.util.hotpath import fast_paths
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
               np.uint8, np.uint16, np.uint32, np.uint64]
@@ -146,3 +149,35 @@ class TestPremise2DtypeAdaptation:
         p32 = sp.plan_for(ProblemConfig.from_sizes(N=1 << 16, dtype=np.int32))
         p64 = sp.plan_for(ProblemConfig.from_sizes(N=1 << 16, dtype=np.int64))
         assert p64.stage1.params.P < p32.stage1.params.P
+
+
+class TestComplexBits:
+    """Complex add and mul scans give the same bytes with the hot-path
+    switch on and off and under both engines: their bits follow one
+    formula, not numpy's choice of loop."""
+
+    @pytest.mark.parametrize("proposal,spec", [("sp", {}), ("sp-dlb", {}),
+                                               ("mps", {"W": 4, "V": 4})],
+                             ids=["sp", "sp-dlb", "mps"])
+    @pytest.mark.parametrize("op", ["mul", "add"])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128],
+                             ids=lambda d: np.dtype(d).name)
+    def test_same_bytes_every_engine_and_fast_path(self, rng, dtype, op, proposal,
+                                                   spec):
+        shape = (2, 1 << 14)
+        data = np.empty(shape, dtype)
+        data.real = rng.choice([-1.25, -1.0, 0.75, 1.0, 1.5], shape)
+        data.imag = rng.standard_normal(shape) / 4
+        if op == "add":
+            specials = rng.random(shape) < 0.01
+            data.real[specials] = rng.choice([np.nan, np.inf, -np.inf, -0.0],
+                                             int(specials.sum()))
+        outputs = set()
+        for mode in ("vectorized", "blockwise"):
+            engine = ExecutionEngine(mode, np.random.default_rng(2))
+            for fast in (True, False):
+                with fast_paths(fast), np.errstate(all="ignore"):
+                    result = scan(data, topology=tsubame_kfc(1, engine=engine),
+                                  proposal=proposal, operator=op, **spec)
+                outputs.add(result.output.tobytes())
+        assert len(outputs) == 1

@@ -15,6 +15,8 @@ from repro.gpusim.warp import (
     warp_reduce,
     warp_scan_cost,
 )
+from repro.primitives.ladner_fischer import ladner_fischer_schedule
+from repro.primitives.networks import run_schedule
 from repro.primitives.operators import ADD, MAX
 
 
@@ -109,6 +111,59 @@ class TestWarpScan:
         lanes = rng.integers(-1000, 1000, (3, width)).astype(np.int64)
         out, _ = warp_inclusive_scan(lanes, ADD, width=width, pattern="lf")
         np.testing.assert_array_equal(out, np.cumsum(lanes, axis=-1))
+
+
+def special_lanes(rng, shape, dtype):
+    """Finite values mixed with -0.0, +0.0, NaN and both infinities (in
+    both parts of a complex value), so NaN signs and signed zeros meet."""
+    specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf])
+
+    def part():
+        values = rng.standard_normal(shape) * 3
+        mask = rng.random(shape) < 0.3
+        values[mask] = rng.choice(specials, int(mask.sum()))
+        return values
+
+    dtype = np.dtype(dtype)
+    if dtype.kind == "c":
+        values = np.empty(shape, dtype)
+        values.real, values.imag = part(), part()
+        return values
+    return part().astype(dtype)
+
+
+class TestLaneMajorLF:
+    """The LF pattern runs lane-major, one broadcast combine per stage; its
+    bits must be those of the (dst, src) schedule run lane by lane."""
+
+    @pytest.mark.parametrize("op", ["add", "mul", "max", "min"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64,
+                                       np.complex64, np.complex128],
+                             ids=lambda d: np.dtype(d).name)
+    def test_bytes_equal_the_schedule(self, rng, dtype, op):
+        for width in (1, 2, 4, 8, 16, 32):
+            for shape in ((width,), (1, width), (5, 3, width)):
+                lanes = special_lanes(rng, shape, dtype)
+                before = lanes.copy()
+                with np.errstate(all="ignore"):
+                    out, _ = warp_inclusive_scan(lanes, op, width=width)
+                    want = run_schedule(lanes, ladner_fischer_schedule(width, 0), op)
+                assert out.shape == lanes.shape and out.dtype == lanes.dtype
+                assert out.tobytes() == want.tobytes(), (width, shape)
+                assert lanes.tobytes() == before.tobytes()  # input untouched
+
+    @pytest.mark.parametrize("warps", [1, 6])
+    def test_exclusive_leaves_its_input_alone(self, rng, warps):
+        """A one-warp contiguous input is its own lane-major view: the scan
+        must still copy it before writing."""
+        lanes = rng.standard_normal((warps, 32)).astype(np.float32)
+        before = lanes.copy()
+        out, _ = warp_exclusive_scan(lanes, ADD, width=32)
+        assert lanes.tobytes() == before.tobytes()
+        inclusive = run_schedule(lanes, ladner_fischer_schedule(32, 0), ADD)
+        assert out[..., 1:].tobytes() == np.ascontiguousarray(
+            inclusive[..., :-1]).tobytes()
+        assert (out[..., 0] == 0).all()
 
 
 class TestWarpReduce:

@@ -98,3 +98,61 @@ class TestAlgebra:
     def test_reduce_is_last_of_accumulate(self, op, rng):
         values = rng.integers(1, 20, 64).astype(np.int64)
         assert op.reduce(values) == op.accumulate(values)[-1]
+
+
+def _complex_values(rng, shape, dtype):
+    values = np.empty(shape, dtype)
+    values.real = rng.standard_normal(shape)
+    values.imag = rng.standard_normal(shape)
+    specials = rng.random(shape) < 0.1
+    values.real[specials] = rng.choice([np.nan, np.inf, -np.inf, -0.0],
+                                       int(specials.sum()))
+    return values
+
+
+class TestComplexFormulas:
+    """Complex add and mul come from separately rounded real operations,
+    so their bytes do not depend on which numpy loop runs them."""
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128],
+                             ids=lambda d: np.dtype(d).name)
+    def test_product_formula(self, rng, dtype):
+        a, b = (_complex_values(rng, 512, dtype) for _ in range(2))
+        with np.errstate(all="ignore"):
+            got = MUL.combine(a, b)
+            re = a.real * b.real
+            re -= a.imag * b.imag
+            im = a.real * b.imag
+            im += a.imag * b.real
+        assert got.real.tobytes() == re.tobytes()
+        assert got.imag.tobytes() == im.tobytes()
+
+    @pytest.mark.parametrize("op", [ADD, MUL], ids=lambda o: o.name)
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128],
+                             ids=lambda d: np.dtype(d).name)
+    def test_layout_independent(self, rng, dtype, op):
+        """Contiguous copies, strided columns, in-place output and
+        broadcasting all give the same bytes; accumulate folds combine
+        left to right and a product reduce is its last prefix."""
+        x = _complex_values(rng, (512, 4), dtype)
+        with np.errstate(all="ignore"):
+            contiguous = op.combine(np.ascontiguousarray(x[:, 0]),
+                                    np.ascontiguousarray(x[:, 1]))
+            strided = op.combine(x[:, 0], x[:, 1])
+            inplace = x.copy()
+            op.combine(inplace[:, 0], inplace[:, 1], out=inplace[:, 1])
+            broadcast = op.combine(x[:, :1], x[:, 1:2])[:, 0]
+            for got in (strided, inplace[:, 1], broadcast):
+                assert np.ascontiguousarray(got).tobytes() == contiguous.tobytes()
+
+            scanned = op.accumulate(x, axis=-1)
+            running = x[:, 0].copy()
+            for i in range(1, 4):
+                running = op.combine(running, x[:, i])
+                assert np.ascontiguousarray(scanned[:, i]).tobytes() == running.tobytes()
+            axis0 = op.accumulate(x.T.copy(), axis=0)
+            assert axis0.T.tobytes() == scanned.tobytes()
+        if op is MUL:
+            with np.errstate(all="ignore"):
+                assert op.reduce(x, axis=-1).tobytes() == np.ascontiguousarray(
+                    scanned[:, -1]).tobytes()
