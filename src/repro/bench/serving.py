@@ -4,21 +4,21 @@ The paper benchmarks one scan of one configuration; a scan *service*
 solves the same (N, G) shape over and over. :func:`measure` times the
 host-side serving rate of every proposal in two regimes:
 
-- **cold**: the pre-warm-path cost of one call. Each call builds a fresh
-  machine and a fresh :class:`~repro.core.session.ScanSession` with the
-  kernel fast paths disabled (:func:`repro.util.hotpath.fast_paths`) —
+- **cold**: one call as a fresh session serves it. Each call builds a
+  fresh machine and a fresh :class:`~repro.core.session.ScanSession` —
   topology construction, the empirical K sweep (``K="tune"``: every
   candidate in the premise search space is executed), planning, executor
-  setup and per-call buffer allocation are all paid per request, through
-  the original kernel code paths.
+  and launch-program setup and per-call buffer allocation are all paid
+  per request.
 - **warm**: one session with buffer pooling serves every call — the
-  sweep/plan/executors/buffers are reused and the fast paths are on, so
-  only uploads, kernel bodies and transfers remain.
+  sweep/plan/executors/programs/buffers are reused, so only uploads,
+  kernel bodies and transfers remain.
 
-A deployed service wants the tuned K, which is why serving it cold is so
-expensive: the sweep re-runs the whole search space per request. (``pp``
-has no K sweep — problems are independent — so its warm win comes mostly
-from the kernel fast paths plus topology/executor/buffer reuse.)
+Both regimes run the same kernel bodies. A deployed service wants the
+tuned K, which is why serving it cold is so expensive: the sweep re-runs
+the whole search space per request. (``pp`` has no K sweep — problems
+are independent — so its warm win comes from topology, executor, program
+and buffer reuse alone.)
 
 Simulated time must be identical in both regimes (the cost model is a
 closed form of the plan geometry), and recycled buffers must not change
@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.core.session import ScanSession
 from repro.interconnect.topology import tsubame_kfc
-from repro.util.hotpath import fast_paths
 
 __all__ = ["PROPOSAL_SPECS", "PARAMS", "MIN_GEOMEAN_WARM_SPEEDUP",
            "measure", "bars"]
@@ -79,14 +78,13 @@ def measure(params: dict) -> dict:
 
         cold_samples: list[float] = []
         cold_result = None
-        with fast_paths(False):
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                topology = tsubame_kfc(spec["M"])
-                session = ScanSession(topology)
-                result = session.scan(data, proposal=proposal, K="tune", **spec)
-                cold_samples.append(time.perf_counter() - t0)
-                cold_result = result
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            topology = tsubame_kfc(spec["M"])
+            session = ScanSession(topology)
+            result = session.scan(data, proposal=proposal, K="tune", **spec)
+            cold_samples.append(time.perf_counter() - t0)
+            cold_result = result
 
         warm_topology = tsubame_kfc(spec["M"])
         warm_topology.enable_buffer_pooling()

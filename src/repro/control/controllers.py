@@ -423,11 +423,11 @@ class TuneController(Controller):
                 operator=key.operator, inclusive=key.inclusive,
             )
             try:
-                # The service default (W=1, proposal auto) routes through
-                # the memoised single-GPU variant choice; warming it
-                # re-runs the sp vs sp-dlb crossover against the degraded
-                # machine.
-                if service.W == 1 and service.proposal in ("auto", "sp", "sp-dlb"):
+                # An ``auto`` service on one GPU (the default) routes
+                # through the memoised single-GPU variant choice; warming
+                # it re-runs the sp vs sp-dlb crossover against the
+                # degraded machine. An explicit proposal never reads it.
+                if service.W == 1 and service.proposal == "auto":
                     session.tuner.best_single_gpu_variant(problem)
                 # K is warmed for the proposal and placement the key's next
                 # batch resolves, through the session's own resolution.

@@ -63,7 +63,6 @@ from repro.core.plan import build_execution_plan
 from repro.core.premises import derive_stage_kernel_params, k_search_space
 from repro.core.results import ScanResult
 from repro.primitives.operators import resolve_operator
-from repro.util.hotpath import fast_enabled
 from repro.util.ints import is_power_of_two, next_power_of_two
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -794,12 +793,11 @@ class LaunchProgram:
     caller's :class:`AllocationScope`), so pool counters, poisoning and
     capacity checks are per call. What the ops bind is not: kernel bodies
     and buffer views are bound to the storage of the buffers the program
-    was handed and kept while a call is handed the same pool blocks under
-    the same ``fast_paths`` state. Any other call rebinds each op right
-    before it runs, as a per-call flow would. Unpooled storage is fresh
-    on every call, so its ops are bound per call and never held. A call
-    on virtual buffers (an estimate) runs the same ops with no body and
-    moves no data.
+    was handed and kept while a call is handed the same pool blocks. Any
+    other call rebinds each op right before it runs, as a per-call flow
+    would. Unpooled storage is fresh on every call, so its ops are bound
+    per call and never held. A call on virtual buffers (an estimate) runs
+    the same ops with no body and moves no data.
 
     The ops price through the executor's live transfer engine and
     communicator, which keep the priced records; a held program holds
@@ -808,7 +806,7 @@ class LaunchProgram:
 
     __slots__ = ("problem", "plan", "slots", "groups", "topology",
                  "active", "contended", "launches", "_placed", "_frames",
-                 "_uploads", "_fast", "_blocks", "_args")
+                 "_uploads", "_blocks", "_args")
 
     def __init__(self, problem: ProblemConfig, plan: ExecutionPlan, slots,
                  groups, topology: "SystemTopology | None" = None):
@@ -834,7 +832,6 @@ class LaunchProgram:
             (i, s.source) for i, s in enumerate(self.slots)
             if s.source is not None
         )
-        self._fast: bool | None = None
         self._blocks: tuple | None = None
         self._args: tuple | None = None
 
@@ -870,8 +867,7 @@ class LaunchProgram:
     def _run(self, trace: Trace, scope: AllocationScope, buffers: Placed,
              executor: "ScanExecutor") -> None:
         real = not buffers[0].virtual
-        held = (real and self._fast is fast_enabled()
-                and self._holds(buffers, 0))
+        held = real and self._holds(buffers, 0)
         args = self._args if held else []
         i = 0
         for (span, attrs, stages), frame in zip(self.groups, self._frames):
@@ -919,9 +915,9 @@ class LaunchProgram:
     def _hold(self, buffers, args) -> None:
         blocks = tuple(buffer.pool_block for buffer in buffers)
         if any(block is None for block in blocks):
-            self._fast = self._blocks = self._args = None
+            self._blocks = self._args = None
             return
-        self._fast, self._blocks, self._args = fast_enabled(), blocks, tuple(args)
+        self._blocks, self._args = blocks, tuple(args)
 
 
 class SingleGPUExecutor(ScanExecutor):

@@ -17,10 +17,11 @@ computational flow of the CUDA implementation:
    writes all ``K*Lx*P`` scanned elements, combined with the chunk's
    offset from the scanned auxiliary array.
 
-Float payloads replay that flow, because its association order is what
-sets their bits, in a small, fixed number of whole-array passes
-(:class:`_BlockScanCore`): the register scans in place; a lane-major
-LF scan of the thread totals
+Each launch runs one of two bodies, chosen by the payload's dtype kind
+alone (:func:`_exact`). Float and complex payloads replay that flow,
+because its association order is what sets their bits, in a small,
+fixed number of whole-array passes (:class:`_BlockScanCore`): the
+register scans in place; a lane-major LF scan of the thread totals
 (:func:`~repro.gpusim.warp.warp_exclusive_scan`); each thread's offset
 composed on the small per-thread arrays and applied in one combine,
 after one flat shift for exclusive output (:func:`_apply_offsets`).
@@ -29,10 +30,9 @@ scans. Every element still combines in the flow's order. Integer and
 bool payloads are *exact*: every association of their arithmetic gives
 the same bits, so their bodies compute the same result with one
 operator pass per chunk (a reduce in Stage 1, an accumulate with the
-offset folded in elsewhere). For exact dtypes the flow above still runs
-under :func:`repro.util.hotpath.fast_paths` ``(False)``, which the
-fidelity tests use. A call that covers the grid works on reshaped views
-of the device buffers, whichever body runs.
+offset folded in elsewhere, after the same flat shift for exclusive
+output). A call that covers the grid works on reshaped views of the
+device buffers, whichever body runs.
 
 The bodies are vectorised over the blocks they are asked to process, which
 is legitimate because blocks are independent; the ``blockwise`` execution
@@ -82,7 +82,6 @@ from repro.gpusim.kernel import LaunchStats
 from repro.gpusim.warp import warp_exclusive_scan, warp_scan_cost
 from repro.core.params import ExecutionPlan, KernelParams
 from repro.primitives.operators import Operator
-from repro.util.hotpath import fast_enabled
 from repro.util.ints import ceil_div
 
 
@@ -99,32 +98,6 @@ def _launch_config(params: KernelParams, bx: int, by: int, itemsize: int) -> Lau
 
 def _identity_like(op: Operator, shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.full(shape, op.identity(np.dtype(dtype)), dtype=dtype)
-
-
-#: Reusable scratch buffers for the vectorized hot path, keyed by
-#: (shape, dtype). Buffers never escape a single kernel-body invocation
-#: (results are copied into the device arrays before returning), so reuse
-#: across launches is safe; the cap bounds memory for long-running servers.
-_SCRATCH: dict[tuple, np.ndarray] = {}
-_SCRATCH_CAP = 32
-
-
-def _scratch(shape: tuple[int, ...], dtype, fill=None) -> np.ndarray:
-    if not fast_enabled():
-        buf = np.empty(shape, dtype=dtype)
-        if fill is not None:
-            buf[...] = fill
-        return buf
-    key = (shape, np.dtype(dtype).str)
-    buf = _SCRATCH.get(key)
-    if buf is None:
-        if len(_SCRATCH) >= _SCRATCH_CAP:
-            _SCRATCH.clear()
-        buf = np.empty(shape, dtype=dtype)
-        _SCRATCH[key] = buf
-    if fill is not None:
-        buf[...] = fill
-    return buf
 
 
 class _BlockScanCore:
@@ -345,11 +318,13 @@ def _scan_exact(
     is folded into the first element before a single accumulate
     (``base`` holds one offset per chunk, ``None`` when there is none).
     Exclusive output first shifts each chunk right by one, identity
-    first. Integer and bool arithmetic is associative exactly, so this is
-    bit-identical to the warp flow's ``_apply_offsets`` result.
+    first, with the warp flow's flat move of the contiguous ``chunks``
+    (:func:`_shift_right`). Integer and bool arithmetic is associative
+    exactly, so this is bit-identical to the warp flow's
+    ``_apply_offsets`` result.
     """
     if not inclusive:
-        chunks[..., 1:] = chunks[..., :-1]
+        _shift_right(_view(chunks, -1))
         chunks[..., 0] = identity
     if base is not None:
         op.combine(base, chunks[..., 0], out=chunks[..., 0])
@@ -357,16 +332,15 @@ def _scan_exact(
 
 
 def _exact(dtype: np.dtype) -> bool:
-    """Whether a launch takes the one-pass body, decided per launch.
+    """Whether a launch takes the one-pass body: integer and bool
+    payloads do, float and complex ones run the block flow.
 
-    Integer and bool payloads do while the hot-path switch is on; floats,
-    and every dtype under ``fast_paths(False)``, run the block flow.
     Either body works on reshaped views of the device buffers when the
     call covers the grid (:meth:`KernelContext.covers_grid`); any other
     call gathers its blocks with ``(by, bx)`` fancy indices, runs the same
     code on the copy and scatters it back.
     """
-    return dtype.kind in "biu" and fast_enabled()
+    return dtype.kind in "biu"
 
 
 def _warp_geometry(kp: KernelParams, warp_size: int) -> tuple[int, int]:
@@ -629,10 +603,10 @@ def bind_chunk_reduce(
 ) -> Callable[[KernelContext, np.ndarray], None]:
     """Stage 1's body over the storage of ``data`` and ``aux``.
 
-    Whether it takes the one-pass body is decided here (:func:`_exact`),
-    so a body is bound under one ``fast_paths`` state. The block flow only
-    folds (:meth:`_BlockScanCore.totals`): Stage 1 writes chunk totals,
-    never data.
+    Whether it takes the one-pass body is decided here, from the dtype
+    (:func:`_exact`). The block flow only folds
+    (:meth:`_BlockScanCore.totals`): Stage 1 writes chunk totals, never
+    data.
     """
     core = step.block_core()
     plan = step.plan
@@ -706,11 +680,10 @@ def bind_intermediate_scan(
             aux[problems] = rows
         else:
             # Identity-pad up to whole rounds; idle lanes execute but
-            # cannot perturb any real element's prefix. The staging
-            # buffer is reused scratch (fully re-filled each call).
+            # cannot perturb any real element's prefix.
             rounds = ceil_div(cx, kp2.P * kp2.Lx)
             padded = rounds * kp2.P * kp2.Lx
-            staged = _scratch((npb, padded), rows.dtype, fill=identity)
+            staged = np.full((npb, padded), identity, dtype=rows.dtype)
             staged[:, :cx] = rows
             view = staged.reshape(npb, rounds, kp2.Lx, kp2.P)
 

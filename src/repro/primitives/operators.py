@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.util.hotpath import fast_enabled
 
 #: Bound on the dtype spellings one operator keeps identities for.
 _IDENTITIES_CAP = 64
@@ -122,7 +121,7 @@ class Operator:
                 self.accumulate(part, axis, dst)
             return out
         n = array.shape[axis]
-        if 1 < n <= 8 and axis in (-1, array.ndim - 1) and fast_enabled():
+        if 1 < n <= 8 and axis in (-1, array.ndim - 1):
             if out is None:
                 out = array.copy()
             elif out is not array:

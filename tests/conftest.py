@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,23 @@ def fresh_resolver():
 
 def random_batch(rng, g, n, dtype=np.int32, low=0, high=100) -> np.ndarray:
     return rng.integers(low, high, (g, n)).astype(dtype)
+
+
+@contextmanager
+def warp_flow():
+    """Bind every kernel body to the Section 3.1 warp flow, whatever the
+    dtype, while the block runs.
+
+    Integer and bool launches take one-pass bodies
+    (``repro.core.kernels._exact``); inside the block they replay the
+    register/shuffle/shared-memory/cascade flow floats run, so tests can
+    pin both bodies to the same bytes and records. The choice is made when
+    a body is bound: use fresh machines and sessions inside the block, as
+    a launch program keeps the bodies it bound for as long as its pool
+    blocks are handed back.
+    """
+    from repro.core import kernels
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_exact", lambda dtype: False)
+        yield

@@ -17,7 +17,7 @@ from repro.gpusim.kernel import ExecutionEngine
 from repro.gpusim.memory import POISON_BYTE, BufferPool
 from repro.gpusim.metrics import buffer_pool_stats
 from repro.interconnect.topology import tsubame_kfc
-from repro.util.hotpath import fast_paths
+from tests.conftest import warp_flow
 from tests.test_differential import PROPOSALS
 
 #: (proposal, placement) points small enough for blockwise execution.
@@ -149,7 +149,7 @@ class TestPooledScanEquivalence:
     @pytest.mark.parametrize("proposal,spec", SERVING_POINTS)
     def test_fast_paths_bit_identical(self, proposal, spec):
         data = _batch(seed=23)
-        with fast_paths(False):
+        with warp_flow():
             slow = scan(data, topology=tsubame_kfc(1), proposal=proposal, **spec)
         fast = scan(data, topology=tsubame_kfc(1), proposal=proposal, **spec)
         assert np.array_equal(slow.output, fast.output)
@@ -161,17 +161,18 @@ class TestPooledScanEquivalence:
                              ids=[p[0] for p in PROPOSALS])
     def test_fast_paths_bit_identical_every_proposal(self, monkeypatch, proposal,
                                                      spec, nodes, dtype):
-        """Exact dtypes take the one-pass kernel bodies on the fast path
-        and the warp flow without it: same bytes, same trace — also when
-        the warp flow runs on a warm machine whose launches the fast path
-        has already priced."""
+        """Exact dtypes take the one-pass kernel bodies, and the warp flow
+        under ``warp_flow``: same bytes, same trace — also when the
+        warp-flow bodies a pooled machine bound there replay on a warm
+        call after it."""
         data = _batch(seed=29)
         data = (data > 0) if dtype is np.bool_ else data.astype(dtype)
-        with fast_paths(False):
-            slow = scan(data, topology=tsubame_kfc(nodes), proposal=proposal,
-                        **spec)
+        fast = scan(data, topology=tsubame_kfc(nodes), proposal=proposal,
+                    **spec)
         machine = tsubame_kfc(nodes)
-        fast = scan(data, topology=machine, proposal=proposal, **spec)
+        machine.enable_buffer_pooling()
+        with warp_flow():
+            slow = scan(data, topology=machine, proposal=proposal, **spec)
         assert slow.output.dtype == fast.output.dtype == data.dtype
         assert slow.output.tobytes() == fast.output.tobytes()
         assert slow.trace.records == fast.trace.records
@@ -183,8 +184,7 @@ class TestPooledScanEquivalence:
             _BlockScanCore, "run",
             lambda core, chunks: flows.append(1) or run_flow(core, chunks),
         )
-        with fast_paths(False):
-            warm = scan(data, topology=machine, proposal=proposal, **spec)
-        assert flows, "fast_paths(False) must run the warp flow on a warm plan"
+        warm = scan(data, topology=machine, proposal=proposal, **spec)
+        assert flows, "held warp-flow bodies must replay on a warm call"
         assert warm.output.tobytes() == fast.output.tobytes()
         assert warm.trace.records == fast.trace.records

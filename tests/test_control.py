@@ -285,6 +285,39 @@ class TestTuneController:
         assert session.tuner.cache.misses == misses
         assert service.stats()["served"] == 8
 
+    @pytest.mark.parametrize("proposal", ["sp", "sp-dlb"])
+    def test_explicit_single_gpu_service_skips_the_variant_sweep(
+        self, monkeypatch, proposal
+    ):
+        """A service pinned to ``sp`` or ``sp-dlb`` never reads the
+        single-GPU variant choice, so its re-tune sweeps nothing."""
+        topology = tsubame_kfc(1)
+        ctrl = TuneController()
+        session = ScanSession(topology)
+        service = session.service(proposal=proposal, max_batch=2,
+                                  controller=ctrl)
+        rng = np.random.default_rng(0)
+
+        def serve():
+            for _ in range(2):
+                service.submit(rng.integers(0, 100, 1 << 12).astype(np.int32))
+
+        serve()
+        variants = []
+        real = session.tuner.best_single_gpu_variant
+        monkeypatch.setattr(
+            session.tuner, "best_single_gpu_variant",
+            lambda problem: variants.append(problem) or real(problem),
+        )
+        misses = session.tuner.cache.misses
+        topology.mark_offline(6)
+        session.health.epoch += 1
+        serve()  # its batch boundary re-tunes the hot shape
+        assert [d.action for d in ctrl.decisions] == ["retune"]
+        assert variants == []
+        assert session.tuner.cache.misses == misses
+        assert service.stats()["served"] == 4
+
     @staticmethod
     def _retune_under(faults):
         """Warm a 2^12 float32 shape, arm ``faults`` (GPU 0 lost at the

@@ -35,12 +35,12 @@ from repro.primitives.ladner_fischer import ladner_fischer_schedule
 from repro.primitives.networks import run_schedule
 from repro.primitives.operators import Operator, resolve_operator
 from repro.primitives.sequential import exclusive_scan, inclusive_scan
-from repro.util.hotpath import fast_paths
 from repro.util.ints import ceil_div
+from tests.conftest import warp_flow
 
 #: Whose counters the closed form is checked against: the float warp flow,
-#: and the integer warp flow with the one-pass exact bodies switched off.
-WARP_FLOWS = [(np.float32, True), (np.int32, False)]
+#: and the integer warp flow run in place of the one-pass exact bodies.
+WARP_FLOWS = [np.float32, np.int32]
 
 
 def make_setup(gpu, n=1 << 14, g=4, k=2, dtype=np.int32, operator="add",
@@ -88,9 +88,9 @@ class TestChunkReduce:
         np.testing.assert_array_equal(out[:, plan.chunks_total :], expected)
 
     def test_stats_match_closed_form(self, gpu):
-        for dtype, fast in WARP_FLOWS:
+        for dtype in WARP_FLOWS:
             problem, plan, host, data, aux = make_setup(gpu, dtype=dtype)
-            with fast_paths(fast):
+            with warp_flow():
                 record = chunk_reduce_step(plan, gpu.arch, problem.G).launch(
                     Trace(), gpu, data, aux)
             analytic = chunk_reduce_stats(plan, gpu.arch.warp_size)
@@ -109,9 +109,9 @@ class TestIntermediateScan:
         np.testing.assert_array_equal(aux.to_host(), exclusive_scan(before, axis=-1))
 
     def test_stats_match_closed_form(self, gpu):
-        for dtype, fast in WARP_FLOWS:
+        for dtype in WARP_FLOWS:
             problem, plan, host, data, aux = make_setup(gpu, dtype=dtype)
-            with fast_paths(fast):
+            with warp_flow():
                 record = intermediate_scan_step(plan, gpu.arch).launch(
                     Trace(), gpu, aux)
             analytic = intermediate_scan_stats(plan, gpu.arch.warp_size)
@@ -151,10 +151,10 @@ class TestScanAdd:
         np.testing.assert_array_equal(out, np.cumsum(host, axis=-1))
 
     def test_stats_match_closed_form(self, gpu):
-        for dtype, fast in WARP_FLOWS:
+        for dtype in WARP_FLOWS:
             problem, plan, host, data, aux = make_setup(gpu, dtype=dtype)
             trace = Trace()
-            with fast_paths(fast):
+            with warp_flow():
                 chunk_reduce_step(plan, gpu.arch, problem.G).launch(
                     trace, gpu, data, aux)
                 intermediate_scan_step(plan, gpu.arch).launch(trace, gpu, aux)
@@ -280,7 +280,7 @@ def run_every_kernel(host, op, inclusive, mode, template):
 
 def assert_bodies_agree(host, op, inclusive, mode, template):
     """Exact bodies and the warp flow: same bytes, same records."""
-    with fast_paths(False):
+    with warp_flow():
         flow, flow_records, plans = run_every_kernel(host, op, inclusive, mode,
                                                      template)
     exact, exact_records, _ = run_every_kernel(host, op, inclusive, mode, template)
@@ -470,19 +470,13 @@ def ref_every_kernel(host, op, inclusive, plans):
 
 
 def assert_float_flow(host, op, inclusive, mode, template):
-    """Both fast-path states give the reference flow's bytes and one set
-    of records."""
+    """Every kernel gives the reference flow's bytes."""
     with np.errstate(all="ignore"):
-        with fast_paths(False):
-            slow, slow_records, plans = run_every_kernel(host, op, inclusive, mode,
-                                                         template)
-        fast, fast_records, _ = run_every_kernel(host, op, inclusive, mode, template)
+        got, _, plans = run_every_kernel(host, op, inclusive, mode, template)
         want = ref_every_kernel(host, op, inclusive, plans)
-    assert fast_records == slow_records
     for name, arr in want.items():
-        for got in (fast[name], slow[name]):
-            assert got.dtype == arr.dtype, name
-            assert got.tobytes() == arr.tobytes(), name
+        assert got[name].dtype == arr.dtype, name
+        assert got[name].tobytes() == arr.tobytes(), name
     return plans
 
 

@@ -10,7 +10,6 @@ from repro.core.premises import premise2_p
 from repro.core.single_gpu import ScanSP
 from repro.gpusim.kernel import ExecutionEngine
 from repro.interconnect.topology import tsubame_kfc
-from repro.util.hotpath import fast_paths
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
               np.uint8, np.uint16, np.uint32, np.uint64]
@@ -152,9 +151,8 @@ class TestPremise2DtypeAdaptation:
 
 
 class TestComplexBits:
-    """Complex add and mul scans give the same bytes with the hot-path
-    switch on and off and under both engines: their bits follow one
-    formula, not numpy's choice of loop."""
+    """Complex add and mul scans give the same bytes under both engines:
+    their bits follow one formula, not numpy's choice of loop."""
 
     @pytest.mark.parametrize("proposal,spec", [("sp", {}), ("sp-dlb", {}),
                                                ("mps", {"W": 4, "V": 4})],
@@ -175,9 +173,8 @@ class TestComplexBits:
         outputs = set()
         for mode in ("vectorized", "blockwise"):
             engine = ExecutionEngine(mode, np.random.default_rng(2))
-            for fast in (True, False):
-                with fast_paths(fast), np.errstate(all="ignore"):
-                    result = scan(data, topology=tsubame_kfc(1, engine=engine),
-                                  proposal=proposal, operator=op, **spec)
-                outputs.add(result.output.tobytes())
+            with np.errstate(all="ignore"):
+                result = scan(data, topology=tsubame_kfc(1, engine=engine),
+                              proposal=proposal, operator=op, **spec)
+            outputs.add(result.output.tobytes())
         assert len(outputs) == 1

@@ -156,3 +156,52 @@ class TestComplexFormulas:
             with np.errstate(all="ignore"):
                 assert op.reduce(x, axis=-1).tobytes() == np.ascontiguousarray(
                     scanned[:, -1]).tobytes()
+
+
+def _short_axis_values(rng, shape, dtype):
+    """Values for an accumulate along a short last axis: signed zeros,
+    both infinities and NaNs of both signs among finite floats near one,
+    full-range integers, random bools."""
+    dtype = np.dtype(dtype)
+    if dtype == np.bool_:
+        return rng.random(shape) < 0.5
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return rng.integers(info.min, info.max, shape, dtype=dtype,
+                            endpoint=True)
+    values = rng.choice([-1.5, -1.0, -0.75, 0.5, 1.0, 1.25], shape)
+    values *= 1 + rng.standard_normal(shape) / 64
+    specials = rng.random(shape) < 0.15
+    values[specials] = rng.choice([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan],
+                                  int(specials.sum()))
+    return values.astype(dtype)
+
+
+SHORT_AXIS_GRID = [
+    pytest.param(dtype, op, id=f"{np.dtype(dtype).name}-{op.name}")
+    for dtype in (np.float16, np.float32, np.float64, np.int8, np.int32,
+                  np.uint64, np.bool_)
+    for op in (ADD, MAX, MIN, MUL)
+]
+
+
+class TestShortAxisAccumulate:
+    """A last axis of 2-8 elements (a thread's registers) is accumulated
+    by whole-slice combines rather than ``ufunc.accumulate``; both fold
+    left to right, so every byte must agree, NaN payloads included."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("dtype,op", SHORT_AXIS_GRID)
+    def test_matches_ufunc_accumulate(self, rng, dtype, op, n):
+        x = _short_axis_values(rng, (3, 37, n), dtype)
+        with np.errstate(all="ignore"):
+            want = op.ufunc.accumulate(x, axis=-1, dtype=x.dtype)
+            fresh = op.accumulate(x, axis=-1)
+            into = np.empty_like(x)
+            returned = op.accumulate(x, axis=2, out=into)
+            aliased = x.copy()
+            op.accumulate(aliased, axis=-1, out=aliased)
+        assert returned is into
+        for got in (fresh, into, aliased):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

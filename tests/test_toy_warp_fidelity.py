@@ -3,9 +3,9 @@
 Figure 4 draws the warp scan with warpSize=4, P=4 and Lx=4 "for clarity";
 running the full kernel machinery on an architecture with those toy
 dimensions makes every intermediate value small enough to check by hand.
-The kernel pipeline runs with the hot-path switch off, so its integer
-payloads go through the Figure-4 flow rather than the one-pass exact
-bodies.
+The kernel pipeline runs under ``warp_flow`` (``tests/conftest.py``), so
+its integer payloads go through the Figure-4 flow rather than the
+one-pass exact bodies.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.core.kernels import (
 )
 from repro.core.params import KernelParams, ProblemConfig
 from repro.core.plan import build_execution_plan
-from repro.util.hotpath import fast_paths
+from tests.conftest import warp_flow
 
 #: A toy architecture with 4-lane warps (the paper's Figure 4 setting).
 TOY = KEPLER_K80.with_overrides(
@@ -57,7 +57,7 @@ class TestToyKernelPipeline:
         data = gpu.upload(host)
         aux = gpu.alloc((g, plan.chunks_total), host.dtype)
         trace = Trace()
-        with fast_paths(False):
+        with warp_flow():
             chunk_reduce_step(plan, gpu.arch, g).launch(trace, gpu, data, aux)
             intermediate_scan_step(plan, gpu.arch).launch(trace, gpu, aux)
             scan_add_step(plan, gpu.arch, g).launch(trace, gpu, data, aux)

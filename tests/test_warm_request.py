@@ -17,10 +17,11 @@ things:
   ticket latencies, span trees, failovers and degraded-network records
   equal the literals measured before requests were held (controllers,
   evictions and backpressure included);
-- *invalidation*: new pool blocks, ``fast_paths(False)``, poison mode,
-  replaced cost or transfer params, a swapped resolver or architecture,
-  an armed fault, a degraded network and observability each give the
-  bytes, records and reports of a fresh session.
+- *invalidation*: new pool blocks, poison mode, replaced cost or
+  transfer params, a swapped resolver or architecture, an armed fault,
+  a degraded network and observability each give the bytes, records and
+  reports of a fresh session; warp-flow bodies bound under ``warp_flow``
+  replay warm with the bytes and records of the one-pass bodies.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from repro.interconnect.transfer import TransferCostParams
 from repro.mpisim.communicator import Communicator
 from repro.serve import service as service_module
 from repro.serve.service import ScanService
-from repro.util.hotpath import fast_paths
+from tests.conftest import warp_flow
 
 #: (proposal, placement, shape) of the held-program calls.
 PROGRAM_CALLS = [
@@ -161,6 +162,19 @@ def derivations(monkeypatch) -> Counter:
             if name in vars(cls):
                 spy(cls, name)
     return counts
+
+
+def _count_warp_scans(monkeypatch) -> Counter:
+    """Count the warp flow's shuffle scans (``warp_inclusive_scan``)."""
+    warps: Counter = Counter()
+    real = warp.warp_inclusive_scan
+
+    def counted(*args, **kwargs):
+        warps["warp_inclusive_scan"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(warp, "warp_inclusive_scan", counted)
+    return warps
 
 
 @pytest.fixture
@@ -340,27 +354,22 @@ class TestHeldProgramInvalidation:
     def test_fast_paths_off_after_binding_runs_the_warp_flow(
         self, derivations, monkeypatch
     ):
-        session = _session()
+        """Warp-flow bodies bound under ``warp_flow`` are held like any
+        other: a warm call replays them, binds nothing and gives the
+        one-pass bodies' bytes and records."""
         data = _data((4, 1 << 12))
-        session.scan(data, proposal="sp")
-        session.scan(data, proposal="sp")
-        warps = Counter()
-        real = warp.warp_inclusive_scan
-
-        def counted(*args, **kwargs):
-            warps["warp_inclusive_scan"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(warp, "warp_inclusive_scan", counted)
+        want = _session().scan(data, proposal="sp")
+        warps = _count_warp_scans(monkeypatch)
         derivations.clear()
-        with fast_paths(False):
-            slow = session.scan(data, proposal="sp")
+        with warp_flow():
+            session = _session()
+            _same_result(session.scan(data, proposal="sp"), want)
             assert [derivations[name] for name in BINDERS[:3]] == [1, 1, 1]
-            assert warps["warp_inclusive_scan"] > 0
-            _same_result(slow, _session().scan(data, proposal="sp"))
-        warps.clear()
-        _same_result(session.scan(data, proposal="sp"), slow)
-        assert warps["warp_inclusive_scan"] == 0
+            derivations.clear()
+            warps.clear()
+            _same_result(session.scan(data, proposal="sp"), want)
+        assert dict(derivations) == {}
+        assert warps["warp_inclusive_scan"] > 0
 
     @pytest.mark.parametrize("proposal", ["sp", "sp-dlb", "chained"])
     def test_poisoned_pool(self, proposal):
@@ -428,8 +437,8 @@ class TestHeldProgramInvalidation:
 
 class TestMultiGPUProgramInvalidation:
     """The rebind and rebuild rules of the multi-GPU programs: held
-    bodies and auxiliary views follow the pool blocks and ``fast_paths``;
-    a program is rebuilt with its plan."""
+    bodies and auxiliary views follow the pool blocks; a program is
+    rebuilt with its plan."""
 
     @staticmethod
     def _launches(result) -> list[int]:
@@ -461,29 +470,23 @@ class TestMultiGPUProgramInvalidation:
     def test_fast_paths_off_after_binding_runs_the_warp_flow(
         self, derivations, monkeypatch, proposal, spec, shape
     ):
-        session = _session(_machine_for(proposal))
+        """As the single-GPU test: held warp-flow bodies replay warm."""
         data = _data(shape)
-        session.scan(data, proposal=proposal, **spec)
-        session.scan(data, proposal=proposal, **spec)
-        warps = Counter()
-        real = warp.warp_inclusive_scan
-
-        def counted(*args, **kwargs):
-            warps["warp_inclusive_scan"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(warp, "warp_inclusive_scan", counted)
+        want = _session(_machine_for(proposal)).scan(
+            data, proposal=proposal, **spec)
+        warps = _count_warp_scans(monkeypatch)
         derivations.clear()
-        with fast_paths(False):
-            slow = session.scan(data, proposal=proposal, **spec)
+        with warp_flow():
+            session = _session(_machine_for(proposal))
+            first = session.scan(data, proposal=proposal, **spec)
+            _same_result(first, want)
             assert ([derivations[name] for name in BINDERS[:3]]
-                    == self._launches(slow))
-            assert warps["warp_inclusive_scan"] > 0
-            _same_result(slow, _session(_machine_for(proposal)).scan(
-                data, proposal=proposal, **spec))
-        warps.clear()
-        _same_result(session.scan(data, proposal=proposal, **spec), slow)
-        assert warps["warp_inclusive_scan"] == 0
+                    == self._launches(first))
+            derivations.clear()
+            warps.clear()
+            _same_result(session.scan(data, proposal=proposal, **spec), want)
+        assert dict(derivations) == {}
+        assert warps["warp_inclusive_scan"] > 0
 
     @pytest.mark.parametrize("proposal,spec,shape", MULTI_GPU_CALLS,
                              ids=MULTI_GPU_IDS)
