@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs import flight
-from repro.errors import DeviceLostError, LaunchError
+from repro.errors import AllocationError, DeviceLostError, LaunchError
 from repro.gpusim.arch import GPUArchitecture
 from repro.gpusim.costmodel import CostModel, KernelCostInput
 from repro.gpusim.events import KernelRecord, Trace
@@ -131,14 +131,30 @@ class GPU:
         self.pool.allocate(logical.nbytes, owner=self.name)
         return DeviceArray(self, logical, virtual=True)
 
-    def upload(self, host: np.ndarray) -> DeviceArray:
+    def upload(self, host: np.ndarray, out: np.ndarray | None = None) -> DeviceArray:
         """Copy a host array into a (possibly recycled) device buffer.
 
         ``host`` may be any strided view (e.g. one GPU's column slice of a
         batch): it is copied into the contiguous device buffer in one pass.
+
+        ``out`` is storage of ``host``'s shape and dtype to copy into
+        instead, which the returned buffer then maps (e.g. this GPU's
+        portion of a call's result array, so the kernels scan in place on
+        the array the caller gets back). Its bytes are charged to this
+        device as any upload's, and :meth:`free` releases the charge and
+        leaves the storage to its owner. No pool block is taken.
         """
         self._check_online()
         host = np.asarray(host)
+        if out is not None:
+            if out.shape != host.shape or out.dtype != host.dtype:
+                raise AllocationError(
+                    f"upload target {out.shape} {out.dtype} does not match "
+                    f"host array {host.shape} {host.dtype}"
+                )
+            self.pool.allocate(out.nbytes, owner=self.name)
+            out[...] = host
+            return DeviceArray(self, out, mapped=True)
         if self.buffer_pool is None:
             self.pool.allocate(host.nbytes, owner=self.name)
             return DeviceArray(self, host.copy())
@@ -155,8 +171,10 @@ class GPU:
         """Release a buffer's bytes back to the pool (views must not be freed).
 
         Pooled buffers park their backing block on the device's free-list
-        for recycling; accounting is released either way, so capacity
-        semantics (the paper's Case-2 out-of-memory) are unchanged.
+        for recycling, and mapped buffers (:meth:`upload` with ``out``)
+        leave their storage to its owner; accounting is released either
+        way, so capacity semantics (the paper's Case-2 out-of-memory) are
+        unchanged.
         """
         buffer.require_on(self)
         if buffer.pool_block is not None:
@@ -164,6 +182,10 @@ class GPU:
             if self.buffer_pool is not None:
                 self.buffer_pool.put(buffer.pool_block, buffer.dtype)
             buffer.pool_block = None
+            return
+        if buffer.mapped:
+            self.pool.release(buffer.nbytes)
+            buffer.mapped = False
             return
         if not buffer.virtual and buffer.data.base is not None:
             raise LaunchError("cannot free a view; free the owning allocation")

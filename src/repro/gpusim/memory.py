@@ -30,7 +30,7 @@ class DeviceArray:
     kernels address sub-ranges of a single allocation.
     """
 
-    __slots__ = ("_device", "_data", "virtual", "pool_block")
+    __slots__ = ("_device", "_data", "virtual", "pool_block", "mapped")
 
     def __init__(
         self,
@@ -38,6 +38,7 @@ class DeviceArray:
         data: np.ndarray,
         virtual: bool = False,
         pool_block: np.ndarray | None = None,
+        mapped: bool = False,
     ):
         self._device = device
         self._data = data
@@ -48,6 +49,11 @@ class DeviceArray:
         #: free-list; ``free`` returns the block there instead of dropping
         #: it. ``None`` for ordinary (unpooled) allocations and for views.
         self.pool_block = pool_block
+        #: Whether the storage is host memory the buffer was uploaded into
+        #: (``GPU.upload(host, out=...)``): a view of an array the caller
+        #: keeps, whose bytes ``free`` releases from the device's
+        #: accounting without dropping the storage.
+        self.mapped = mapped
 
     @property
     def device(self) -> "GPU":
@@ -85,22 +91,9 @@ class DeviceArray:
         """A zero-copy reshape on the same device."""
         return DeviceArray(self._device, self._data.reshape(*shape), virtual=self.virtual)
 
-    def to_host(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Copy the contents out to host memory (always a copy).
-
-        ``out`` receives the copy instead of a new array — e.g. this
-        buffer's slice of a preallocated host batch, so assembling a batch
-        from per-GPU portions copies each element once.
-        """
-        if out is None:
-            return self._data.copy()
-        if out.shape != self._data.shape or out.dtype != self._data.dtype:
-            raise AllocationError(
-                f"host buffer {out.shape} {out.dtype} does not match device "
-                f"buffer {self._data.shape} {self._data.dtype}"
-            )
-        out[...] = self._data
-        return out
+    def to_host(self) -> np.ndarray:
+        """Copy the contents out to host memory (always a copy)."""
+        return self._data.copy()
 
     def fill_from_host(self, host: np.ndarray) -> None:
         """Overwrite the buffer contents from a host array of equal shape."""
@@ -154,8 +147,10 @@ class AllocationScope:
         self._items.append(buf)
         return buf
 
-    def upload(self, gpu, host) -> DeviceArray:
-        buf = gpu.upload(host)
+    def upload(self, gpu, host, out: np.ndarray | None = None) -> DeviceArray:
+        """``host`` uploaded to ``gpu`` (into ``out`` when given, see
+        :meth:`~repro.gpusim.device.GPU.upload`), freed on exit."""
+        buf = gpu.upload(host, out=out)
         self._items.append(buf)
         return buf
 

@@ -245,9 +245,9 @@ class TestSweepWithoutBatch:
         uploads = []
         real = GPU.upload
 
-        def counted(self, host):
+        def counted(self, host, out=None):
             uploads.append(np.shape(host))
-            return real(self, host)
+            return real(self, host, out=out)
 
         monkeypatch.setattr(GPU, "upload", counted)
         problem = ProblemConfig.from_sizes(N=1 << 16, G=4)

@@ -1,5 +1,6 @@
 """The unified executor pipeline: run/estimate equivalence, registry,
-shared plan resolver, and the problem-parallel activation fix.
+shared plan resolver, the problem-parallel activation fix, and the
+upload slots' tiling of the result array.
 
 The tentpole guarantee of the ``repro.core.executor`` refactor is that the
 analytic path is *the same code* as the functional path (one template
@@ -15,8 +16,10 @@ import pytest
 
 from repro.core.chained import ScanChained
 from repro.core.executor import (
+    LaunchProgram,
     PlanResolver,
     ScanExecutor,
+    Slot,
     build_executor,
     get_proposal,
     proposal_names,
@@ -270,3 +273,58 @@ class TestActivationSafety:
             executor.run(data)
         for gpu in machine.gpus:
             assert gpu.pool.used == 0
+
+
+class TestUploadTiling:
+    """A program's upload slots must tile the ``(G, N)`` batch exactly
+    once, checked when the program is built: the result array is
+    allocated uninitialised and only the uploads write it before the
+    kernels run."""
+
+    PROBLEM = ProblemConfig.from_sizes(N=64, G=4, dtype=np.int32)
+
+    def program(self, gpu, *sources, shapes=None):
+        full = {0: 4, 1: 64}
+        slots = []
+        for i, source in enumerate(sources):
+            if shapes is None:
+                index = source + (slice(None),) * (2 - len(source))
+                shape = tuple(len(range(*part.indices(full[axis])))
+                              for axis, part in enumerate(index))
+            else:
+                shape = shapes[i]
+            slots.append(Slot(gpu, shape, np.dtype(np.int32), source=source))
+        slots.append(Slot(gpu, (4, 2), np.dtype(np.int32)))  # an aux slot
+        return LaunchProgram(self.PROBLEM, None, slots, ())
+
+    @pytest.mark.parametrize("sources", [
+        [(slice(None),)],
+        [(slice(0, 2),), (slice(2, 4),)],
+        [(slice(None), slice(0, 32)), (slice(None), slice(32, 64))],
+        [(slice(0, 2), slice(0, 16)), (slice(0, 2), slice(16, 64)),
+         (slice(2, 4), slice(0, 48)), (slice(2, 4), slice(48, 64))],
+    ], ids=["whole", "row-slabs", "column-blocks", "grid"])
+    def test_exact_tilings_build(self, machine, sources):
+        program = self.program(machine.gpus[0], *sources)
+        assert len(program.slots) == len(sources) + 1
+
+    @pytest.mark.parametrize("sources,match", [
+        ([(slice(0, 3),)], "cover 192 of the batch's 256"),
+        ([(slice(None), slice(0, 32)), (slice(None), slice(40, 64))],
+         "cover 224"),
+        ([(slice(0, 2),), (slice(1, 3),)], "overlap"),
+        ([(slice(None), slice(0, 40)), (slice(None), slice(32, 64)),
+          (slice(0, 1), slice(0, 8))], "overlap"),
+        ([(slice(0, 4, 2),), (slice(1, 4, 2),)], "unit steps"),
+        ([(0,)], "tuple of slices"),
+    ], ids=["row-gap", "column-gap", "row-overlap", "column-overlap",
+            "strided", "integer-index"])
+    def test_gaps_and_overlaps_rejected(self, machine, sources, match):
+        with pytest.raises(ConfigurationError, match=match):
+            self.program(machine.gpus[0], *sources,
+                         shapes=[(2, 64)] * len(sources)
+                         if match in ("unit steps", "tuple of slices") else None)
+
+    def test_slot_shape_must_match_its_source(self, machine):
+        with pytest.raises(ConfigurationError, match="does not match"):
+            self.program(machine.gpus[0], (slice(None),), shapes=[(4, 32)])

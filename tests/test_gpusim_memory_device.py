@@ -8,7 +8,7 @@ from repro.gpusim.arch import KEPLER_K80
 from repro.gpusim.device import GPU
 from repro.gpusim.events import Trace
 from repro.gpusim.kernel import LaunchConfig, LaunchStats
-from repro.gpusim.memory import MemoryPool
+from repro.gpusim.memory import BufferPool, MemoryPool
 
 
 class TestMemoryPool:
@@ -80,6 +80,33 @@ class TestDeviceArray:
         with pytest.raises(AllocationError):
             buf.fill_from_host(np.zeros((2, 2), dtype=np.int32))
         gpu.free(buf)
+
+    def test_upload_into_host_storage(self, rng):
+        """``upload(host, out=...)`` copies into the given storage (a
+        column block of a result array here), charges its bytes like any
+        upload, and ``free`` releases the charge, takes no pool block and
+        leaves the storage to its owner."""
+        gpu = GPU(0, KEPLER_K80, memory_capacity=1 << 12)
+        gpu.buffer_pool = BufferPool()
+        host = rng.integers(0, 100, (4, 8)).astype(np.int32)
+        result = np.zeros((4, 16), np.int32)
+        buf = gpu.upload(host, out=result[:, 8:])
+        assert buf.mapped and buf.pool_block is None
+        assert np.shares_memory(buf.data, result)
+        assert (result[:, 8:] == host).all() and not result[:, :8].any()
+        assert gpu.pool.used == host.nbytes
+        assert gpu.buffer_pool.allocs == 0
+        gpu.free(buf)
+        assert gpu.pool.used == 0 and gpu.buffer_pool.releases == 0
+        assert (result[:, 8:] == host).all()
+        with pytest.raises(LaunchError, match="view"):
+            gpu.free(buf)  # a second free is a view's
+        with pytest.raises(AllocationError, match="does not match"):
+            gpu.upload(host, out=result[:, :4])
+        with pytest.raises(AllocationError, match="out of device memory"):
+            gpu.upload(np.zeros((8, 256), np.int32),
+                       out=np.empty((8, 256), np.int32))
+        assert gpu.pool.used == 0
 
     def test_virtual_allocation_accounts_bytes(self, gpu):
         buf = gpu.alloc_virtual((1 << 20,), np.int32)

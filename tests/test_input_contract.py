@@ -3,7 +3,9 @@
 ``inclusive`` is a bool, an explicit K is a power of two at any problem
 size, and placement errors name the counts the caller passed. Anything
 else is rejected with :class:`~repro.errors.ConfigurationError` at every
-entry point (``repro.scan``, ``ScanSession`` and ``ScanService``).
+entry point (``repro.scan``, ``ScanSession`` and ``ScanService``). The
+input is only read, read-only arrays included, and every call returns a
+fresh output array the caller owns.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from repro.core.executor import build_executor
 from repro.core.params import NodeConfig, ProblemConfig
 from repro.core.session import ScanSession
 from repro.errors import ConfigurationError
+from repro.interconnect.topology import tsubame_kfc
 
 ENTRIES = ["scan", "session", "service"]
 
@@ -123,3 +126,69 @@ class TestPlacementCounts:
     def test_node_config_from_counts(self):
         with pytest.raises(ConfigurationError, match="V=2, W=1"):
             NodeConfig.from_counts(W=1, V=2)
+
+
+#: (proposal, placement, nodes) of every registered proposal.
+OWNERSHIP_CALLS = [
+    ("sp", {}, 1),
+    ("sp-dlb", {}, 1),
+    ("chained", {}, 1),
+    ("pp", {"W": 4}, 1),
+    ("mps", {"W": 4, "V": 4}, 1),
+    ("mppc", {"W": 8, "V": 4}, 1),
+    ("mn-mps", {"W": 4, "V": 4, "M": 2}, 2),
+]
+
+
+class TestOwnership:
+    """The input is only read, and ``result.output`` is a fresh array
+    the caller owns: the kernels scan the call's result array in place,
+    so neither may alias the other or a later call's result."""
+
+    @staticmethod
+    def _read_only(dtype) -> np.ndarray:
+        data = np.random.default_rng(5).integers(-9, 9, (4, 1 << 12))
+        data = data.astype(dtype)
+        data.setflags(write=False)
+        return data
+
+    @pytest.mark.parametrize("inclusive", [True, False], ids=["inc", "exc"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32])
+    @pytest.mark.parametrize("proposal,spec,nodes", OWNERSHIP_CALLS,
+                             ids=[call[0] for call in OWNERSHIP_CALLS])
+    def test_read_only_input_is_scanned_and_left_unchanged(
+        self, proposal, spec, nodes, dtype, inclusive
+    ):
+        data = self._read_only(dtype)
+        before = data.tobytes()
+        want = np.cumsum(data, axis=1, dtype=dtype)
+        if not inclusive:
+            want = np.concatenate(
+                (np.zeros((data.shape[0], 1), dtype), want[:, :-1]), axis=1)
+        machine = tsubame_kfc(nodes)
+        machine.enable_buffer_pooling()
+        session = ScanSession(machine)
+        outputs = []
+        for _ in range(3):  # cold, then warm calls of a held program
+            result = session.scan(data, proposal=proposal,
+                                  inclusive=inclusive, **spec)
+            assert result.output.tobytes() == want.tobytes()
+            assert result.output.flags.owndata and result.output.flags.writeable
+            assert not np.shares_memory(result.output, data)
+            outputs.append(result.output)
+        assert data.tobytes() == before
+        outputs[0][...] = 0  # the caller owns it: no later call sees this
+        assert outputs[1].tobytes() == outputs[2].tobytes() == want.tobytes()
+        assert not np.shares_memory(outputs[1], outputs[2])
+
+    @pytest.mark.parametrize("proposal,spec,nodes", OWNERSHIP_CALLS,
+                             ids=[call[0] for call in OWNERSHIP_CALLS])
+    def test_read_only_input_through_repro_scan(self, proposal, spec, nodes):
+        data = self._read_only(np.int64)
+        before = data.tobytes()
+        result = scan(data, topology=tsubame_kfc(nodes), proposal=proposal,
+                      **spec)
+        assert result.output.tobytes() == np.cumsum(
+            data, axis=1, dtype=data.dtype).tobytes()
+        assert data.tobytes() == before
+        assert not np.shares_memory(result.output, data)

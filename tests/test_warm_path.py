@@ -50,13 +50,15 @@ GUARDED_IDS = [call[0] for call in GUARDED_CALLS]
 #: What the second identical call adds to the counters of
 #: :func:`_counters`, as measured before calls were bound: session hits,
 #: misses and calls, then the buffer pools' hits, misses, allocs,
-#: releases, reused bytes, pooled buffers and pooled bytes.
+#: releases, reused bytes, pooled buffers and pooled bytes. Only the
+#: auxiliary, status and descriptor buffers come from the pools: the
+#: uploaded portions are the result array's.
 WARM_DELTAS = {
-    "auto": (1, 0, 1, 2, 0, 2, 2, 4100, 0, 0),
-    "sp-dlb": (1, 0, 1, 3, 0, 3, 3, 65728, 0, 0),
-    "mps": (1, 0, 1, 8, 0, 8, 8, 131520, 0, 0),
-    "pp": (1, 0, 1, 8, 0, 8, 8, 65600, 0, 0),
-    "service": (1, 0, 1, 2, 0, 2, 2, 2064, 0, 0),
+    "auto": (1, 0, 1, 1, 0, 1, 1, 4, 0, 0),
+    "sp-dlb": (1, 0, 1, 2, 0, 2, 2, 192, 0, 0),
+    "mps": (1, 0, 1, 4, 0, 4, 4, 448, 0, 0),
+    "pp": (1, 0, 1, 4, 0, 4, 4, 64, 0, 0),
+    "service": (1, 0, 1, 1, 0, 1, 1, 16, 0, 0),
 }
 
 _POOL_KEYS = ("hits", "misses", "allocs", "releases", "bytes_reused",
