@@ -5,13 +5,17 @@ clBLAS's kernel DBs) persist tuning outcomes keyed by the problem and the
 machine; the paper's strategy — "all K values from the corresponding
 search space are empirically tested" per (W, V, M, N, G) point — begs for
 the same. The cache is a small JSON file keyed by everything that affects
-the winner: architecture, dtype, proposal, (N, G) and (W, V, M).
+the winner: architecture, dtype, proposal, (N, G) and (W, V, M), plus the
+machine's cost fingerprint. The operator and the output kind are not in
+the key: the cost model prices every operator and both kinds identically,
+so one sweep serves them all.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -77,9 +81,13 @@ def cache_key(
 ) -> str:
     """A stable string key capturing everything that decides the best K.
 
-    ``fingerprint`` is the :func:`cost_fingerprint` of the machine the
-    sweep priced against; without it, two topologies with identical
-    shapes but different transfer/cost constants would collide.
+    ``arch|dtype|proposal|n<n>g<g>|W<W>V<V>M<M>``, then ``|fingerprint``
+    when given: the architecture, dtype, proposal, (N, G) and (W, V, M) of
+    the module docstring. ``fingerprint`` is the :func:`cost_fingerprint`
+    of the machine the sweep priced against; without it, two topologies
+    with identical shapes but different transfer/cost constants would
+    collide. The problem's operator and output kind are left out, as the
+    winner does not depend on them.
     """
     node_part = (
         f"W{node.W}V{node.V}M{node.M}" if node is not None else "W1V1M1"
@@ -87,7 +95,6 @@ def cache_key(
     parts = [
         arch.name,
         str(np.dtype(problem.dtype)),
-        problem.operator.name,
         proposal,
         f"n{problem.n}g{problem.g}",
         node_part,
@@ -95,6 +102,23 @@ def cache_key(
     if fingerprint:
         parts.append(fingerprint)
     return "|".join(parts)
+
+
+_SIZES = re.compile(r"n\d+g\d+")
+
+
+def operator_free_key(key: str) -> str:
+    """``key`` in the :func:`cache_key` format.
+
+    Keys written before the operator left the key read
+    ``arch|dtype|operator|proposal|n<n>g<g>|...``: their operator segment
+    is dropped. Any other key is returned as is.
+    """
+    parts = key.split("|")
+    if len(parts) > 4 and _SIZES.fullmatch(parts[4]):
+        del parts[2]
+        return "|".join(parts)
+    return key
 
 
 @dataclass
@@ -119,6 +143,32 @@ class CacheEntry:
             variant=str(record.get("variant", "")),
         )
 
+    def to_dict(self) -> dict:
+        """The persisted record (:meth:`from_dict` reads it back)."""
+        return {
+            "best_k": self.best_k,
+            "best_time_s": self.best_time_s,
+            "candidates": self.candidates,
+            "variant": self.variant,
+        }
+
+
+def _parse_section(section: dict) -> dict[str, CacheEntry]:
+    """A persisted ``autotune`` section as entries under current keys.
+
+    A malformed record is skipped with a warning: one mangled record is
+    stale tuning state, not a reason to drop the rest of the wisdom.
+    """
+    entries: dict[str, CacheEntry] = {}
+    for key, record in section.items():
+        try:
+            entry = CacheEntry.from_dict(record)
+        except (KeyError, TypeError, ValueError):
+            _log.warning("skipping malformed autotune entry %r", key)
+            continue
+        entries.setdefault(operator_free_key(key), entry)
+    return entries
+
 
 class AutotuneCache:
     """Store-backed memo of tuning outcomes.
@@ -142,7 +192,6 @@ class AutotuneCache:
                  store: PlanStore | None = None):
         self.store = store if store is not None else PlanStore(path)
         self.path = self.store.path
-        self._entries: dict[str, CacheEntry] = {}
         self.hits = 0
         self.misses = 0
         if self.store.quarantined_reason:
@@ -150,27 +199,20 @@ class AutotuneCache:
                 "autotune cache %s was corrupt (%s); quarantined and "
                 "starting fresh", self.path, self.store.quarantined_reason,
             )
-        self._load()
-
-    def _load(self) -> None:
-        for key, entry in self.store.section(self.SECTION).items():
-            try:
-                self._entries[key] = CacheEntry.from_dict(entry)
-            except (KeyError, TypeError, ValueError):
-                # One mangled record is stale tuning state, not a reason
-                # to drop the rest of the wisdom.
-                _log.warning("skipping malformed autotune entry %r", key)
+        self._entries = _parse_section(self.store.section(self.SECTION))
 
     def save(self) -> None:
-        """Persist through the plan store (atomic; no-op when memory-only)."""
+        """Persist through the plan store (atomic; no-op when memory-only).
+
+        Other caches may save to the same file (every session under
+        ``REPRO_CACHE_DIR`` has its own), so the section on disk is merged
+        in first (read as a load reads it) and this cache's entries win
+        for their own keys.
+        """
+        entries = _parse_section(PlanStore(self.path).section(self.SECTION))
+        entries.update(self._entries)
         self.store.sections[self.SECTION] = {
-            key: {
-                "best_k": e.best_k,
-                "best_time_s": e.best_time_s,
-                "candidates": e.candidates,
-                "variant": e.variant,
-            }
-            for key, e in self._entries.items()
+            key: entry.to_dict() for key, entry in entries.items()
         }
         self.store.save()
 
@@ -185,9 +227,13 @@ class AutotuneCache:
         return self._entries
 
     def merge(self, entries: dict[str, CacheEntry]) -> int:
-        """Adopt entries (e.g. from a snapshot) without clobbering newer ones."""
+        """Adopt entries (e.g. from a snapshot) without clobbering newer ones.
+
+        Keys of the earlier format are mapped by :func:`operator_free_key`.
+        """
         added = 0
         for key, entry in entries.items():
+            key = operator_free_key(key)
             if key not in self._entries:
                 self._entries[key] = entry
                 added += 1
@@ -268,12 +314,13 @@ class CachedTuner:
     def best_single_gpu_variant(self, problem: ProblemConfig) -> str:
         """The winning single-GPU algorithm (``sp`` or ``sp-dlb``), memoised.
 
-        Keyed like the K sweeps — architecture, problem, cost fingerprint —
-        under the :data:`VARIANT_PSEUDO_PROPOSAL` name, so a repriced cost
-        model, changed transfer constants or a health change (a GPU marked
-        offline) invalidates the cached choice exactly as it invalidates a
-        cached K. A cached variant outside :data:`SINGLE_GPU_VARIANTS` is
-        stale (e.g. a renamed proposal) and re-tuned.
+        Keyed like the K sweeps — architecture, problem geometry, cost
+        fingerprint — under the :data:`VARIANT_PSEUDO_PROPOSAL` name, so a
+        repriced cost model, changed transfer constants or a health change
+        (a GPU marked offline) invalidates the cached choice exactly as it
+        invalidates a cached K. A cached variant outside
+        :data:`SINGLE_GPU_VARIANTS` is stale (e.g. a renamed proposal) and
+        re-tuned.
         """
         key = cache_key(
             self.topology.arch, problem, VARIANT_PSEUDO_PROPOSAL, None,

@@ -11,10 +11,11 @@ path:
 - :class:`ScanRequest` — one value object describing a scan invocation:
   the problem, the (optional) host batch and the placement knobs.
 - :class:`PlanResolver` — the single keyed plan cache. A plan is a pure
-  function of ``(arch, problem, parts, g_local, K, template, K-space)``;
-  resolving one does the premise template derivation, the template shrink
-  and the K-space search in one place, memoised for every executor at
-  once (warm serving re-plans nothing, whichever executor asks).
+  function of ``(arch, problem geometry, parts, g_local, K, template,
+  K-space)``; resolving one does the premise template derivation, the
+  template shrink and the K-space search in one place, once per geometry
+  for every executor at once (warm serving re-plans nothing, whichever
+  executor asks, and an operator or output-kind twin only relabels).
 - :class:`Placement` — which GPUs execute a request and how they are
   grouped (single device, one node group, one group per PCIe network, or
   a whole cluster), extracted from the executors' constructors.
@@ -40,7 +41,7 @@ simulated times and Figure-14 phase breakdowns do not change.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -258,16 +259,27 @@ class PlanSpec:
 class PlanResolver:
     """The single keyed plan cache shared by every executor.
 
-    Plans are pure functions of ``(arch, spec)``: the premise-derived
-    template (or the explicit override) is shrunk to the local portion,
-    the K request is resolved against the premise search space, and the
-    three-stage grid is built — once. Every executor of every session
-    shares this memo, so warm serving re-plans nothing regardless of
-    which executor class asks.
+    A plan is a pure function of ``(arch, spec)`` that reads only the
+    geometry of ``spec.problem``: the premises (s, p, l) and the K bounds
+    of Eq. 1-3 depend on the architecture, the dtype, (N, G) and the
+    placement, never on the operator or the output kind. So the template
+    shrink, the K-space resolution and the grid build run once per
+    geometry, meaning ``spec`` with its problem reduced to ``(n, g,
+    dtype)``. Every other problem of that geometry gets the derived plan
+    relabelled with its own :class:`ProblemConfig`, so programs and kernel
+    bodies still see their operator and output kind. A relabel derives
+    nothing and counts as a hit, so ``misses`` counts the plans derived.
+
+    Entries stay per problem for :meth:`export` and :meth:`prime`
+    (snapshots persist one plan per problem). Every executor of every
+    session shares this memo, so warm serving re-plans nothing regardless
+    of which executor class asks.
     """
 
     def __init__(self) -> None:
         self._cache: dict[tuple[GPUArchitecture, PlanSpec], ExecutionPlan] = {}
+        #: ``(arch, geometry) -> plan``: the one derived plan per geometry.
+        self._shapes: dict[tuple[GPUArchitecture, tuple], ExecutionPlan] = {}
         self.hits = 0
         self.misses = 0
 
@@ -276,6 +288,7 @@ class PlanResolver:
 
     def clear(self) -> None:
         self._cache.clear()
+        self._shapes.clear()
         self.hits = 0
         self.misses = 0
 
@@ -295,50 +308,75 @@ class PlanResolver:
 
         Returns ``False`` (and keeps the incumbent) when the key is
         already resolved — a live plan always wins over a persisted one.
+        The plan also serves its geometry's other problems, unless that
+        geometry already has one.
         """
         key = (arch, spec)
         if key in self._cache:
             return False
         self._cache[key] = plan
+        self._shapes.setdefault((arch, _geometry(spec)), plan)
         return True
 
     def resolve(self, arch: GPUArchitecture, spec: PlanSpec) -> ExecutionPlan:
-        """The memoised template-shrink + K-space resolution + grid build."""
+        """The memoised plan of ``spec``: derived once per geometry."""
         key = (arch, spec)
         plan = self._cache.get(key)
         if plan is not None:
             self.hits += 1
             return plan
-        self.misses += 1
-        problem = spec.problem
-        n_local = problem.N // spec.parts
-        template = spec.template or derive_stage_kernel_params(arch, problem.dtype)
-        template = shrink_template_to_fit(template, n_local)
-        if spec.K is not None:
-            # Checked before the chunk clamp below, which would otherwise
-            # turn an invalid K into a valid one on small problems.
-            k = spec.K
-            if isinstance(k, bool) or not is_power_of_two(k):
-                raise ConfigurationError(f"K must be a power of two, got {k!r}")
+        shape = (arch, _geometry(spec))
+        derived = self._shapes.get(shape)
+        if derived is None:
+            self.misses += 1
+            plan = self._shapes[shape] = _derive_plan(arch, spec)
         else:
-            space = k_search_space(
-                problem, template, template, arch,
-                node=spec.node, proposal=spec.k_space,
-            )
-            k = space[-1] if spec.k_pick == "max" else space[0]
-        if spec.clamp_chunks:
-            # Keep at least one chunk per problem.
-            k = min(k, problem.N // template.elements_per_iteration)
-        plan = build_execution_plan(
-            arch,
-            problem,
-            K=k,
-            gpus_sharing_problem=spec.parts,
-            g_local=spec.g_local,
-            stage1_template=template,
-        )
+            self.hits += 1
+            plan = replace(derived, problem=spec.problem)
         self._cache[key] = plan
         return plan
+
+
+#: The :class:`PlanSpec` fields a plan depends on besides its problem.
+_SPEC_FIELDS = tuple(f.name for f in fields(PlanSpec) if f.name != "problem")
+
+
+def _geometry(spec: PlanSpec) -> tuple:
+    """``spec``'s fields, its problem reduced to ``(n, g, dtype)``."""
+    problem = spec.problem
+    return (problem.n, problem.g, problem.dtype,
+            *[getattr(spec, name) for name in _SPEC_FIELDS])
+
+
+def _derive_plan(arch: GPUArchitecture, spec: PlanSpec) -> ExecutionPlan:
+    """Template shrink + K-space resolution + grid build for ``spec``."""
+    problem = spec.problem
+    n_local = problem.N // spec.parts
+    template = spec.template or derive_stage_kernel_params(arch, problem.dtype)
+    template = shrink_template_to_fit(template, n_local)
+    if spec.K is not None:
+        # Checked before the chunk clamp below, which would otherwise
+        # turn an invalid K into a valid one on small problems.
+        k = spec.K
+        if isinstance(k, bool) or not is_power_of_two(k):
+            raise ConfigurationError(f"K must be a power of two, got {k!r}")
+    else:
+        space = k_search_space(
+            problem, template, template, arch,
+            node=spec.node, proposal=spec.k_space,
+        )
+        k = space[-1] if spec.k_pick == "max" else space[0]
+    if spec.clamp_chunks:
+        # Keep at least one chunk per problem.
+        k = min(k, problem.N // template.elements_per_iteration)
+    return build_execution_plan(
+        arch,
+        problem,
+        K=k,
+        gpus_sharing_problem=spec.parts,
+        g_local=spec.g_local,
+        stage1_template=template,
+    )
 
 
 #: The process-wide resolver every executor shares by default.

@@ -549,13 +549,7 @@ def build_session_snapshot(session) -> SessionSnapshot:
     plans = export_resolver_plans(ScanExecutor.resolver, arch, fingerprint)
 
     autotune = {
-        key: {
-            "best_k": e.best_k,
-            "best_time_s": e.best_time_s,
-            "candidates": e.candidates,
-            "variant": e.variant,
-        }
-        for key, e in session.tuner.cache.entries().items()
+        key: e.to_dict() for key, e in session.tuner.cache.entries().items()
     }
 
     entries = []

@@ -120,13 +120,27 @@ class Trace:
                 lane_totals[rec.lane] += rec.time_s
         return max(lane_totals.values(), default=0.0)
 
+    def _lane_totals(self) -> dict[str, dict[str, float]]:
+        """``phase -> lane -> serialized lane time``, both in first-appearance
+        order, in one scan (each lane summed in record order, as
+        :meth:`phase_time` sums it)."""
+        phases: dict[str, dict[str, float]] = {}
+        for rec in self.records:
+            lanes = phases.get(rec.phase)
+            if lanes is None:
+                lanes = phases[rec.phase] = {}
+            lanes[rec.lane] = lanes.get(rec.lane, 0.0) + rec.time_s
+        return phases
+
     def breakdown(self) -> dict[str, float]:
-        """Per-phase wall-clock times in phase order (Figure 14's quantity)."""
-        return {phase: self.phase_time(phase) for phase in self.phases()}
+        """Per-phase wall-clock times in phase order (Figure 14's quantity):
+        :meth:`phase_time` of each phase, from one scan of the records."""
+        return {phase: max(lanes.values())
+                for phase, lanes in self._lane_totals().items()}
 
     def total_time(self) -> float:
         """End-to-end wall-clock: phases run back to back."""
-        return sum(self.breakdown().values())
+        return sum(max(lanes.values()) for lanes in self._lane_totals().values())
 
     def kernel_records(self) -> list[KernelRecord]:
         return [r for r in self.records if isinstance(r, KernelRecord)]

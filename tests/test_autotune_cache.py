@@ -37,17 +37,31 @@ def _mutate_autotune(path, mutate):
 
 class TestCacheKey:
     def test_distinguishes_everything(self):
+        """Every field that prices a sweep splits the key; the operator
+        and the output kind do not, as no estimate depends on them."""
         p1 = ProblemConfig.from_sizes(N=1 << 14, G=8)
-        p2 = ProblemConfig.from_sizes(N=1 << 15, G=8)
         node = NodeConfig.from_counts(W=4, V=4)
         keys = {
             cache_key(KEPLER_K80, p1, "sp", None),
-            cache_key(KEPLER_K80, p2, "sp", None),
+            cache_key(KEPLER_K80, ProblemConfig.from_sizes(N=1 << 15, G=8),
+                      "sp", None),
+            cache_key(KEPLER_K80, ProblemConfig.from_sizes(N=1 << 14, G=16),
+                      "sp", None),
+            cache_key(KEPLER_K80, ProblemConfig.from_sizes(
+                N=1 << 14, G=8, dtype=np.float32), "sp", None),
             cache_key(KEPLER_K80, p1, "mps", node),
+            cache_key(KEPLER_K80, p1, "mps", NodeConfig.from_counts(W=8, V=4)),
             cache_key(MAXWELL_GM200, p1, "sp", None),
-            cache_key(KEPLER_K80, p1.__class__.from_sizes(N=1 << 14, G=8, operator="max"), "sp", None),
+            cache_key(KEPLER_K80, p1, "sp", None, fingerprint="f"),
         }
-        assert len(keys) == 5
+        assert len(keys) == 8
+        twins = {
+            cache_key(KEPLER_K80, ProblemConfig.from_sizes(
+                N=1 << 14, G=8, operator=op, inclusive=inclusive), "sp", None)
+            for op in ("add", "max", "min", "mul")
+            for inclusive in (True, False)
+        }
+        assert twins == {cache_key(KEPLER_K80, p1, "sp", None)}
 
     def test_stable(self):
         p = ProblemConfig.from_sizes(N=1 << 14, G=8)
@@ -365,3 +379,135 @@ class TestVariantSelection:
         assert reader.cache.store.quarantined_reason == ""
         reader.cache.save()
         assert json.loads(path.read_text())["schema"] >= 1
+
+
+def _earlier_key(key: str, operator: str) -> str:
+    """``key`` as written before the operator left it:
+    ``arch|dtype|operator|proposal|n<n>g<g>|...``."""
+    parts = key.split("|")
+    return "|".join(parts[:2] + [operator] + parts[2:])
+
+
+class TestSharedFile:
+    """Caches saving to one file merge with what is on disk."""
+
+    def test_two_caches_keep_each_others_entries(self, machine, tmp_path):
+        path = tmp_path / "autotune.json"
+        p1 = ProblemConfig.from_sizes(N=1 << 14, G=16)
+        p2 = ProblemConfig.from_sizes(N=1 << 15, G=16)
+        first = CachedTuner(machine, AutotuneCache(path))
+        second = CachedTuner(machine, AutotuneCache(path))
+        first.best_k(p1, "sp")
+        second.best_k(p2, "sp")
+        fp = cost_fingerprint(machine)
+        assert set(_autotune_entries(path)) == {
+            cache_key(machine.arch, p, "sp", None, fingerprint=fp)
+            for p in (p1, p2)
+        }
+        reader = CachedTuner(machine, AutotuneCache(path))
+        reader.best_k(p1, "sp")
+        reader.best_k(p2, "sp")
+        assert (reader.cache.hits, reader.cache.misses) == (2, 0)
+
+    def test_own_entries_win_for_their_keys(self, machine, tmp_path):
+        path = tmp_path / "autotune.json"
+        problem = ProblemConfig.from_sizes(N=1 << 14, G=16)
+        first = CachedTuner(machine, AutotuneCache(path))
+        second = CachedTuner(machine, AutotuneCache(path))
+        first.best_k(problem, "sp")
+
+        def stamp(entries):
+            for entry in entries.values():
+                entry["best_time_s"] = 123.0
+        _mutate_autotune(path, stamp)
+        second.best_k(problem, "sp")
+        (entry,) = _autotune_entries(path).values()
+        assert entry["best_time_s"] != 123.0
+
+    def test_sessions_under_the_cache_dir_share_the_file(
+        self, tmp_path, monkeypatch
+    ):
+        """Each session under ``REPRO_CACHE_DIR`` (a router's replicas)
+        has its own cache object; none loses another's wisdom."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        replicas = [ScanSession(tsubame_kfc(1)) for _ in range(2)]
+        for n, session in zip((12, 13), replicas):
+            session.scan(np.ones((4, 1 << n), np.int32), K="tune")
+        variants = [key for key, e in
+                    _autotune_entries(tmp_path / "autotune.json").items()
+                    if e["variant"]]
+        assert len(variants) == 2
+
+
+class TestEarlierKeys:
+    """Files and snapshots keyed with the operator segment migrate to the
+    operator-free key: their tuning is kept, and nothing is quarantined."""
+
+    def test_operator_free_key(self):
+        p = ProblemConfig.from_sizes(N=1 << 14, G=8, operator="max")
+        node = NodeConfig.from_counts(W=4, V=4)
+        for key in (cache_key(KEPLER_K80, p, "sp", None),
+                    cache_key(KEPLER_K80, p, "mps", node, fingerprint="f"),
+                    cache_key(KEPLER_K80, p, VARIANT_PSEUDO_PROPOSAL, None,
+                              fingerprint="f")):
+            assert autotune_cache.operator_free_key(key) == key
+            assert autotune_cache.operator_free_key(
+                _earlier_key(key, "max")) == key
+        assert autotune_cache.operator_free_key("garbage-key") == "garbage-key"
+
+    def test_an_earlier_file_serves_without_a_sweep(
+        self, machine, tmp_path, monkeypatch
+    ):
+        fp = cost_fingerprint(machine)
+        arch = machine.arch.name
+        path = tmp_path / "autotune.json"
+        path.write_text(json.dumps({"schema": 1, "sections": {"autotune": {
+            f"{arch}|int32|add|sp-variant|n14g4|W1V1M1|{fp}": {
+                "best_k": 0, "best_time_s": 4.6e-05, "candidates": 2,
+                "variant": "sp"},
+            f"{arch}|int32|add|sp|n14g4|W1V1M1|{fp}": {
+                "best_k": 1, "best_time_s": 4.6e-05, "candidates": 1,
+                "variant": ""},
+        }}}))
+        sweeps = []
+        monkeypatch.setattr(PremiseTuner, "sweep",
+                            lambda *args: sweeps.append(args))
+        monkeypatch.setattr(PremiseTuner, "tune_single_gpu_variant",
+                            lambda *args: sweeps.append(args))
+        cache = AutotuneCache(path)
+        assert cache.store.quarantined_reason == ""
+        session = ScanSession(machine, autotune_cache=cache)
+        data = np.ones((16, 1 << 14), np.int32)
+        result = session.scan(data, operator="max", inclusive=False, K="tune")
+        assert result.config["K"] == 1
+        assert sweeps == [] and cache.misses == 0 and cache.hits == 2
+        assert not list(tmp_path.glob("*.corrupt"))
+        cache.save()
+        assert set(_autotune_entries(path)) == {
+            f"{arch}|int32|sp-variant|n14g4|W1V1M1|{fp}",
+            f"{arch}|int32|sp|n14g4|W1V1M1|{fp}",
+        }
+
+    def test_an_earlier_snapshot_serves_without_a_sweep(self, monkeypatch):
+        writer = ScanSession(tsubame_kfc(1))
+        data = np.ones((16, 1 << 14), np.int32)
+        writer.scan(data, K="tune")
+        payload = writer.snapshot().to_payload()
+        assert len(payload["autotune"]) == 2
+        payload["autotune"] = {_earlier_key(key, "add"): entry
+                               for key, entry in payload["autotune"].items()}
+
+        sweeps = []
+        monkeypatch.setattr(PremiseTuner, "sweep",
+                            lambda *args: sweeps.append(args))
+        monkeypatch.setattr(PremiseTuner, "tune_single_gpu_variant",
+                            lambda *args: sweeps.append(args))
+        restored = ScanSession(tsubame_kfc(1), snapshot=payload)
+        assert restored.restore_info["tuner_entries"] == 2
+        result = restored.scan(data, operator="max", inclusive=False,
+                               K="tune")
+        np.testing.assert_array_equal(
+            result.output[:, 1:], np.maximum.accumulate(data, axis=1)[:, :-1])
+        assert sweeps == [] and restored.tuner.cache.misses == 0
+        assert set(restored.tuner.cache.entries()) == set(
+            writer.tuner.cache.entries())

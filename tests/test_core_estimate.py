@@ -83,3 +83,85 @@ class TestEstimateScale:
         problem = ProblemConfig.from_sizes(N=1 << 32, G=1)
         result = ScanMPS(machine, NodeConfig.from_counts(W=4, V=4)).estimate(problem)
         assert result.total_time_s > 0
+
+
+#: Every registered proposal on the placements it is built for.
+PLACEMENTS = [
+    ("sp", 1, (1, 1, 1)),
+    ("sp-dlb", 1, (1, 1, 1)),
+    ("chained", 1, (1, 1, 1)),
+    ("pp", 1, (4, 4, 1)),
+    ("pp", 1, (8, 4, 1)),
+    ("mps", 1, (4, 4, 1)),
+    ("mps", 1, (8, 4, 1)),
+    ("mppc", 1, (8, 4, 1)),
+    ("mppc", 1, (4, 2, 1)),
+    ("mn-mps", 2, (4, 4, 2)),
+    ("mn-mps", 2, (8, 4, 2)),
+]
+
+DTYPES = ("int8", "int32", "int64", "uint32", "bool", "float16", "float32",
+          "float64", "complex64")
+
+
+def _valid_kinds(dtype):
+    """Every (operator, inclusive) the dtype can be scanned with."""
+    from repro.core.params import require_scannable
+    from repro.errors import ConfigurationError
+
+    kinds = []
+    for op in ("add", "mul", "max", "min", "or", "xor"):
+        try:
+            require_scannable(dtype, op)
+        except ConfigurationError:
+            continue
+        kinds += [(op, True), (op, False)]
+    return kinds
+
+
+class TestOperatorInvariance:
+    """The cost model prices no operator or output kind: ``estimate()``
+    gives the same ``total_time_s`` and trace records for every valid
+    operator x inclusive/exclusive of a geometry. This is what lets the
+    plan resolver derive one plan per geometry and the tuner key its
+    sweeps without the operator.
+
+    Each estimate runs on a fresh machine and plan resolver, so no priced
+    record or plan is shared between the operators compared."""
+
+    def test_every_proposal_covered(self):
+        from repro.core.executor import proposal_names
+
+        assert {name for name, _, _ in PLACEMENTS} == set(proposal_names())
+
+    @pytest.mark.parametrize("name,nodes,wvm", PLACEMENTS,
+                             ids=[f"{p[0]}-W{p[2][0]}V{p[2][1]}M{p[2][2]}"
+                                  for p in PLACEMENTS])
+    @pytest.mark.parametrize("K", [None, 2])
+    def test_estimates_ignore_operator_and_kind(self, name, nodes, wvm, K):
+        import numpy as np
+
+        from repro.core.executor import PlanResolver, ScanExecutor, build_executor
+        from repro.interconnect.topology import tsubame_kfc
+
+        w, v, m = wvm
+        original = ScanExecutor.resolver
+        try:
+            for dtype in DTYPES:
+                dtype = np.dtype(dtype)
+                seen = {}
+                for op, inclusive in _valid_kinds(dtype):
+                    ScanExecutor.resolver = PlanResolver()
+                    executor = build_executor(
+                        name, tsubame_kfc(nodes),
+                        NodeConfig.from_counts(W=w, V=v, M=m), K)
+                    result = executor.estimate(ProblemConfig.from_sizes(
+                        N=1 << 15, G=4, dtype=dtype, operator=op,
+                        inclusive=inclusive))
+                    seen[op, inclusive] = (result.total_time_s,
+                                           tuple(result.trace.records))
+                reference = seen["add", True]
+                for kind, got in seen.items():
+                    assert got == reference, (dtype, kind)
+        finally:
+            ScanExecutor.resolver = original

@@ -232,6 +232,134 @@ class TestPlanResolver:
         assert wide.stage1.by == G // 2
 
 
+def _twins(n=N, g=G, dtype=np.int32):
+    """One geometry as every add/max x inclusive/exclusive problem."""
+    return [ProblemConfig.from_sizes(N=n, G=g, dtype=dtype, operator=op,
+                                     inclusive=inclusive)
+            for op in ("add", "max") for inclusive in (True, False)]
+
+
+def _count_derivations(monkeypatch) -> dict:
+    """Count the resolver's calls of each derivation step."""
+    from repro.core import executor
+
+    calls = {}
+    for name in ("derive_stage_kernel_params", "k_search_space",
+                 "build_execution_plan"):
+        real = getattr(executor, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(executor, name, spy)
+    return calls
+
+
+class TestGeometryPlans:
+    """A plan is derived once per geometry (the spec with its problem
+    reduced to (n, g, dtype)); operator and output-kind twins get it
+    relabelled with their own problem."""
+
+    def test_twins_share_one_derivation(self, machine, monkeypatch):
+        resolver = PlanResolver()
+        sp = ScanSP(machine.gpus[0])
+        sp.resolver = resolver
+        first, *twins = _twins()
+        derived = sp.plan_for(first)
+        from_scratch = [PlanResolver().resolve(sp._arch(), sp._plan_spec(p))
+                        for p in twins]
+        calls = _count_derivations(monkeypatch)
+        for problem, expected in zip(twins, from_scratch):
+            plan = sp.plan_for(problem)
+            assert plan == expected and plan.problem == problem
+            assert (plan.stage1, plan.stage2, plan.stage3) == (
+                derived.stage1, derived.stage2, derived.stage3)
+        assert calls == {}
+        assert (resolver.misses, resolver.hits, len(resolver)) == (1, 3, 4)
+        # Per-problem entries: a twin's second resolve is a plain hit.
+        assert sp.plan_for(twins[0]) is sp.plan_for(twins[0])
+
+    def test_every_other_spec_field_still_splits(self, machine):
+        resolver = PlanResolver()
+        sp, chained = ScanSP(machine.gpus[0]), ScanChained(machine.gpus[0])
+        sp.resolver = chained.resolver = resolver
+        for problem in (ProblemConfig.from_sizes(N=N, G=G),
+                        ProblemConfig.from_sizes(N=N, G=G, dtype=np.int64),
+                        ProblemConfig.from_sizes(N=N * 2, G=G),
+                        ProblemConfig.from_sizes(N=N, G=G * 2)):
+            sp.plan_for(problem)
+            chained.plan_for(problem)
+        assert resolver.misses == 8
+
+    def test_clear_and_a_swapped_resolver_derive_again(self, machine):
+        resolver = PlanResolver()
+        sp = ScanSP(machine.gpus[0])
+        sp.resolver = resolver
+        add, max_exc = _twins()[0], _twins()[3]
+        sp.plan_for(add)
+        resolver.clear()
+        sp.plan_for(max_exc)
+        assert (resolver.misses, resolver.hits) == (1, 0)
+        sp.resolver = PlanResolver()
+        sp.plan_for(add)
+        assert (sp.resolver.misses, sp.resolver.hits) == (1, 0)
+
+    def test_a_primed_plan_serves_its_twins(self, machine):
+        source = PlanResolver()
+        sp = ScanSP(machine.gpus[0])
+        sp.resolver = source
+        first, *twins = _twins()
+        sp.plan_for(first)
+        restored = PlanResolver()
+        for entry in source.export():
+            assert restored.prime(*entry)
+        sp.resolver = restored
+        for problem in twins:
+            assert sp.plan_for(problem).problem == problem
+        assert (restored.misses, restored.hits, len(restored)) == (0, 3, 4)
+
+    def test_a_session_serving_twins_plans_and_decides_once(
+        self, fresh_resolver, monkeypatch
+    ):
+        """One shape served as add/max x inc/exc: one plan per executor
+        kind (the variant comparison's sp and sp-dlb), one sp/sp-dlb
+        decision, and a program per problem plus one per variant."""
+        from repro.core.tuner import PremiseTuner
+        from repro.interconnect.topology import tsubame_kfc
+
+        decisions = []
+        real_decide = PremiseTuner.tune_single_gpu_variant
+        monkeypatch.setattr(
+            PremiseTuner, "tune_single_gpu_variant",
+            lambda self, problem: decisions.append(problem)
+            or real_decide(self, problem))
+        programs = []
+        real_init = LaunchProgram.__init__
+
+        def counting_init(self, *args, **kwargs):
+            programs.append(args[0])
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LaunchProgram, "__init__", counting_init)
+        service = ScanSession(tsubame_kfc(1)).service(max_batch=4)
+        data = np.arange(1 << 10, dtype=np.int32) % 13
+        tickets = [service.submit(data, operator=problem.operator.name,
+                                  inclusive=problem.inclusive)
+                   for problem in _twins(n=1 << 10, g=1)]
+        service.drain()
+        ufuncs = {"add": np.add, "max": np.maximum}
+        for problem, ticket in zip(_twins(n=1 << 10, g=1), tickets):
+            expected = ufuncs[problem.operator.name].accumulate(data)
+            if not problem.inclusive:
+                expected = np.concatenate((
+                    [problem.operator.identity(data.dtype)], expected[:-1]))
+            np.testing.assert_array_equal(ticket.result(), expected)
+        assert len(decisions) == 1
+        assert fresh_resolver.misses == 2
+        assert len(programs) == 4 + 2
+
+
 class TestActivationSafety:
     def test_pp_failure_mid_flow_restores_bandwidth_scale(
         self, machine, rng, monkeypatch

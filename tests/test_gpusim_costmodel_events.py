@@ -145,3 +145,69 @@ class TestTraceComposition:
         b.add(kernel_record("s", "gpu:1", 2.0))
         a.merge(b)
         assert a.phase_time("s") == 2.0
+
+
+def _scan_trace(proposal, nodes=1, fault_at=None, **placement):
+    """The trace of one real scan; ``fault_at`` loses GPU 0 at that call."""
+    import numpy as np
+
+    from repro.core.session import ScanSession
+    from repro.gpusim.faults import DeviceDown, FaultSchedule
+    from repro.interconnect.topology import tsubame_kfc
+
+    machine = tsubame_kfc(nodes)
+    if fault_at is not None:
+        machine.install_faults(
+            FaultSchedule([DeviceDown(at_call=fault_at, gpu_id=0)]))
+    data = np.arange(4 << 12, dtype=np.float32).reshape(4, 1 << 12) % 7
+    return ScanSession(machine).scan(data, proposal=proposal,
+                                     **placement).trace
+
+
+def _mpi_trace():
+    import numpy as np
+
+    from repro.interconnect.topology import tsubame_kfc
+    from repro.mpisim.communicator import Communicator
+
+    cluster = tsubame_kfc(2)
+    gpus = [g for group in cluster.select_gpus(4, 4, 2) for g in group]
+    comm = Communicator(cluster, gpus)
+    trace = Trace()
+    comm.barrier(trace, "sync")
+    sends = [gpu.alloc((2, 8), np.int32, fill=rank)
+             for rank, gpu in enumerate(gpus)]
+    recv = gpus[0].alloc((16, 8), np.int32)
+    comm.gather(trace, "gather", sends, recv, root=0)
+    comm.barrier(trace, "sync")
+    return trace
+
+
+class TestOnePassComposition:
+    """``breakdown`` and ``total_time`` scan the records once, and give the
+    bits of the per-phase definition: ``phase_time`` of each phase in
+    first-appearance order, summed from 0."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _scan_trace("sp"),
+        lambda: _scan_trace("sp-dlb"),
+        lambda: _scan_trace("mps", W=4, V=4),
+        lambda: _scan_trace("mppc", W=8, V=4),
+        lambda: _scan_trace("mn-mps", nodes=2, W=4, V=4, M=2),
+        lambda: _scan_trace("sp", fault_at=2),
+        _mpi_trace,
+    ], ids=["sp", "sp-dlb", "mps", "mppc", "mn-mps", "failover", "mpi"])
+    def test_equals_the_per_phase_definition(self, make):
+        trace = make()
+        per_phase = {phase: trace.phase_time(phase)
+                     for phase in trace.phases()}
+        breakdown = trace.breakdown()
+        assert list(breakdown) == list(per_phase)
+        assert ([t.hex() for t in breakdown.values()]
+                == [t.hex() for t in per_phase.values()])
+        assert trace.total_time().hex() == sum(per_phase.values()).hex()
+
+    def test_the_failover_and_mpi_traces_hold_their_records(self):
+        assert _scan_trace("sp", fault_at=2).phases()[0] == "failover"
+        assert _mpi_trace().mpi_records()
+        assert _scan_trace("mn-mps", nodes=2, W=4, V=4, M=2).mpi_records()
